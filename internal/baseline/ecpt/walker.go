@@ -35,9 +35,10 @@ func NewSystem(alloc *phys.Allocator, sizes []mem.PageSize, initialSlots int) (*
 
 // Sync mirrors every present leaf mapping of as into the cuckoo tables.
 func (s *System) Sync(as *kernel.AddressSpace) error {
+	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
-			pa, size, ok := as.PT.Lookup(p.VA)
+			pa, size, ok := cur.Lookup(p.VA)
 			if !ok {
 				continue
 			}

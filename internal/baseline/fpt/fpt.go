@@ -150,9 +150,10 @@ func (t *Table) leafMatch(va mem.VAddr) int {
 
 // Sync mirrors every present leaf mapping of as.
 func (t *Table) Sync(as *kernel.AddressSpace) error {
+	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
-			pa, size, ok := as.PT.Lookup(p.VA)
+			pa, size, ok := cur.Lookup(p.VA)
 			if !ok {
 				continue
 			}

@@ -156,9 +156,10 @@ func (s *Seg) Clone() *Seg {
 // machine-contiguous through it (restrictive placement); pages failing
 // either stay flexible. A nil resolve is the identity (native).
 func (s *Seg) Sync(as *kernel.AddressSpace, resolve func(mem.PAddr) (mem.PAddr, bool)) error {
+	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
-			pa, size, ok := as.PT.Lookup(p.VA)
+			pa, size, ok := cur.Lookup(p.VA)
 			if !ok {
 				continue
 			}

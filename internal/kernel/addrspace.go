@@ -334,7 +334,7 @@ func (as *AddressSpace) Touch(va mem.VAddr, write bool) (bool, error) {
 func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
 	if as.cfg.THP {
 		base := mem.AlignDown(va, mem.PageBytes2M)
-		if base >= v.Start && base+mem.PageBytes2M <= v.End && as.rangeUnmapped(base, mem.PageBytes2M) {
+		if base >= v.Start && base+mem.PageBytes2M <= v.End && as.spanUnmapped(base) {
 			if pa, err := as.Phys.Alloc(9, phys.KindMovable); err == nil { // 2^9 frames = 2 MiB
 				if err := as.PT.Map(base, pa, mem.Size2M, mem.PTEWritable); err != nil {
 					as.Phys.Free(pa, 9)
@@ -348,12 +348,22 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
 			// Fragmented: fall through to a base page.
 		}
 	}
-	base := mem.AlignDown(va, mem.PageBytes4K)
+	return as.mapBasePage(as.PT, v, mem.AlignDown(va, mem.PageBytes4K))
+}
+
+// leafMapper is what mapBasePage installs through: the page table itself,
+// or Populate's cursor on the page's level-1 node.
+type leafMapper interface {
+	Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error
+}
+
+// mapBasePage backs the 4 KiB page at base with a fresh movable frame.
+func (as *AddressSpace) mapBasePage(m leafMapper, v *VMA, base mem.VAddr) error {
 	pa, err := as.Phys.AllocFrame(phys.KindMovable)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
 	}
-	if err := as.PT.Map(base, pa, mem.Size4K, mem.PTEWritable); err != nil {
+	if err := m.Map(base, pa, mem.Size4K, mem.PTEWritable); err != nil {
 		as.Phys.FreeFrame(pa)
 		return err
 	}
@@ -362,18 +372,14 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
 	return nil
 }
 
-// rangeUnmapped reports whether no leaf is installed anywhere inside
-// [base, base+bytes). A THP must not overlay live 4K mappings: a 2 MiB
-// region that was split and then partially unmapped still holds base
+// spanUnmapped reports whether no leaf is installed anywhere inside the
+// aligned 2 MiB span at base. A THP must not overlay live 4K mappings: a
+// 2 MiB region that was split and then partially unmapped still holds base
 // pages, and mapping a huge leaf over them would fail (or worse, shadow
-// them).
-func (as *AddressSpace) rangeUnmapped(base mem.VAddr, bytes uint64) bool {
-	for off := uint64(0); off < bytes; off += mem.PageBytes4K {
-		if _, _, ok := as.PT.Lookup(base + mem.VAddr(off)); ok {
-			return false
-		}
-	}
-	return true
+// them). One walk to level 2 answers for all 512 pages.
+func (as *AddressSpace) spanUnmapped(base mem.VAddr) bool {
+	cur := as.PT.Cursor()
+	return !cur.SpanMapped(base)
 }
 
 func (as *AddressSpace) unmapPage(v *VMA, page mem.VAddr) {
@@ -440,9 +446,11 @@ func (as *AddressSpace) UnmapPage(v *VMA, va mem.VAddr) error {
 
 // Populate eagerly faults in the whole VMA, modelling init-time allocation
 // by data-intensive workloads (§7: "they typically allocate memory at the
-// initialization time").
+// initialization time"). v must be one of the space's VMAs.
 func (as *AddressSpace) Populate(v *VMA) error {
-	step := mem.VAddr(mem.PageBytes4K)
+	if as.indexOf(v) < 0 {
+		return ErrNoSuchVMA
+	}
 	if as.cfg.THP {
 		// Fault at 2 MiB strides first so THP regions allocate as units.
 		for va := mem.AlignUp(v.Start, mem.PageBytes2M); va+mem.PageBytes2M <= v.End; va += mem.PageBytes2M {
@@ -451,13 +459,30 @@ func (as *AddressSpace) Populate(v *VMA) error {
 			}
 		}
 	}
-	for va := v.Start; va < v.End; va += step {
-		if _, _, ok := as.PT.Lookup(va); ok {
+	// The sweep keeps a cursor on the current 2 MiB span's level-1 node, so
+	// a page costs slot accesses rather than four root-to-leaf walks. The
+	// first absent page of a span with no level-1 node takes the demand
+	// fault path (Touch), where node allocation, TEA placement and the THP
+	// attempt happen, and the cursor re-resolves after it. Once the node
+	// exists, Touch would take exactly the cursor path's steps: a live
+	// level-1 node rules out a THP, and mapping into it allocates no node.
+	cur := as.PT.Cursor()
+	for va := v.Start; va < v.End; va += mem.PageBytes4K {
+		if _, _, ok := cur.Lookup(va); ok {
 			continue
 		}
-		if _, err := as.Touch(va, true); err != nil {
+		if !cur.SpanMapped(va) { // no level-1 node: a huge leaf would have mapped va
+			if _, err := as.Touch(va, true); err != nil {
+				return err
+			}
+			cur.Reset()
+			continue
+		}
+		if err := as.mapBasePage(&cur, v, va); err != nil {
 			return err
 		}
+		cur.SetAccessed(va, true)
+		as.Faults++
 	}
 	return nil
 }

@@ -1,0 +1,117 @@
+package pagetable
+
+import "dmt/internal/mem"
+
+// Cursor holds one 2 MiB span of a table resolved down to its level-1
+// node, so a run of 4 KiB lookups and maps inside the span costs one walk
+// from the root to level 2 instead of one full walk per page. The eager
+// builders (kernel Populate, the shadow-table builders) sweep address
+// ranges in ascending order and so touch up to 512 PTEs per walk.
+//
+// Map and SetAccessed through the cursor keep it current. A 4 KiB map into
+// a span whose level-1 node exists is a direct slot write with Table.Map's
+// exact bits and bookkeeping; every other map (one that needs a new node,
+// or a huge leaf) goes through Table.Map, so nodes are allocated in the
+// same order and placed by the same policy as without the cursor, and the
+// cursor re-resolves on its next use. Mutating the table any other way —
+// Map, Unmap or RelocateNode on the Table itself — requires Reset before
+// the cursor is used again: an Unmap can release the cached node.
+type Cursor struct {
+	t        *Table
+	span     mem.VAddr // 2 MiB-aligned base of the resolved span
+	resolved bool
+	leaf     *Node        // the span's level-1 node, or nil
+	huge     mem.PTE      // the huge leaf covering the span when leaf is nil, or 0
+	hugeSize mem.PageSize // huge's page size
+}
+
+// Cursor returns a cursor over t with no span resolved.
+func (t *Table) Cursor() Cursor { return Cursor{t: t} }
+
+// Reset forgets the resolved span, so the next call walks again.
+func (c *Cursor) Reset() { c.resolved = false }
+
+// seek resolves the span containing va, walking from the root only when va
+// lies outside the span already resolved.
+func (c *Cursor) seek(va mem.VAddr) {
+	if !c.resolved || mem.AlignDown(va, mem.PageBytes2M) != c.span {
+		c.resolve(va)
+	}
+}
+
+// resolve walks from the root to va's level-2 entry.
+func (c *Cursor) resolve(va mem.VAddr) {
+	c.span, c.resolved, c.leaf, c.huge = mem.AlignDown(va, mem.PageBytes2M), true, nil, 0
+	pool := c.t.pool
+	node := pool.node(c.t.root)
+	for level := c.t.levels; level >= 2; level-- {
+		idx := mem.Index(va, level)
+		pte := node.entries[idx]
+		if !pte.Present() {
+			return
+		}
+		if pte.Huge() {
+			c.huge, c.hugeSize = pte, mem.PageSize(level-1)
+			return
+		}
+		node = pool.node(node.children[idx])
+	}
+	c.leaf = node
+}
+
+// Lookup is Table.Lookup through the cursor.
+func (c *Cursor) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
+	c.seek(va)
+	if c.leaf != nil {
+		pte := c.leaf.entries[mem.Index(va, 1)]
+		if !pte.Present() {
+			return 0, 0, false
+		}
+		return pte.Frame() + mem.PAddr(mem.PageOffset(va, mem.Size4K)), mem.Size4K, true
+	}
+	if c.huge != 0 {
+		return c.huge.Frame() + mem.PAddr(mem.PageOffset(va, c.hugeSize)), c.hugeSize, true
+	}
+	return 0, 0, false
+}
+
+// SpanMapped reports whether any leaf maps an address in va's 2 MiB span.
+// The one walk to level 2 answers for all 512 pages: the span is mapped
+// exactly when it has a huge leaf or a level-1 node, because a level-1
+// node always holds a live entry (Map fills the node it creates, and Unmap
+// releases a node once its last entry goes).
+func (c *Cursor) SpanMapped(va mem.VAddr) bool {
+	c.seek(va)
+	return c.leaf != nil || c.huge != 0
+}
+
+// Map is Table.Map through the cursor.
+func (c *Cursor) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error {
+	if size == mem.Size4K {
+		c.seek(va)
+		if c.leaf != nil {
+			if (uint64(va)|uint64(pa))&(mem.PageBytes4K-1) != 0 {
+				return checkAligned(va, pa, size)
+			}
+			return c.t.install(c.leaf, mem.Index(va, 1), pa, size, flags)
+		}
+	}
+	c.resolved = false
+	return c.t.Map(va, pa, size, flags)
+}
+
+// SetAccessed is Table.SetAccessed through the cursor.
+func (c *Cursor) SetAccessed(va mem.VAddr, write bool) bool {
+	c.seek(va)
+	if c.leaf == nil {
+		// A huge leaf's PTE lives in an upper node the cursor does not
+		// hold; setting its A/D bits changes nothing the cursor caches.
+		return c.t.SetAccessed(va, write)
+	}
+	idx := mem.Index(va, 1)
+	if !c.leaf.entries[idx].Present() {
+		return false
+	}
+	c.leaf.entries[idx] = c.leaf.entries[idx].WithAccessed(write)
+	return true
+}

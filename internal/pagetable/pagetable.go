@@ -295,8 +295,8 @@ func (t *Table) newNode(level int, va mem.VAddr) (nodeID, error) {
 // Map installs a translation va→pa of the given page size. Intermediate
 // nodes are created as needed; va and pa must be size-aligned.
 func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error {
-	if !mem.IsAligned(uint64(va), size.Bytes()) || !mem.IsAligned(uint64(pa), size.Bytes()) {
-		return fmt.Errorf("pagetable: unaligned %v mapping va=%#x pa=%#x", size, uint64(va), uint64(pa))
+	if err := checkAligned(va, pa, size); err != nil {
+		return err
 	}
 	leaf := size.LeafLevel()
 	node := t.pool.node(t.root)
@@ -318,11 +318,22 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 		}
 		node = t.pool.node(child)
 	}
-	idx := mem.Index(va, leaf)
+	return t.install(node, mem.Index(va, leaf), pa, size, flags)
+}
+
+func checkAligned(va mem.VAddr, pa mem.PAddr, size mem.PageSize) error {
+	if !mem.IsAligned(uint64(va), size.Bytes()) || !mem.IsAligned(uint64(pa), size.Bytes()) {
+		return fmt.Errorf("pagetable: unaligned %v mapping va=%#x pa=%#x", size, uint64(va), uint64(pa))
+	}
+	return nil
+}
+
+// install writes the size leaf for pa into slot idx of its leaf-level node.
+func (t *Table) install(node *Node, idx int, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error {
 	if node.entries[idx].Present() {
 		return ErrAlreadyMapped
 	}
-	if leaf > 1 {
+	if size != mem.Size4K {
 		flags |= mem.PTEHuge
 	}
 	node.entries[idx] = mem.MakePTE(pa, flags)

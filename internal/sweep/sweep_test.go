@@ -25,14 +25,35 @@ import (
 type testWorker struct {
 	srv *serve.Server
 	ts  *httptest.Server
+	reg *obs.Registry
 }
 
 func newTestWorker() *testWorker {
-	srv := serve.New(serve.Config{QueueDepth: 64, Workers: 2, Registry: obs.NewRegistry()})
-	return &testWorker{srv: srv, ts: httptest.NewServer(srv.Handler())}
+	reg := obs.NewRegistry()
+	srv := serve.New(serve.Config{QueueDepth: 64, Workers: 2, Registry: reg})
+	return &testWorker{srv: srv, ts: httptest.NewServer(srv.Handler()), reg: reg}
 }
 
 func (w *testWorker) url() string { return w.ts.URL }
+
+// waitIdle blocks until every job the worker admitted has finished, and
+// reports whether any was still running when called. A job whose requester
+// went away (a crashed coordinator) keeps running until its next span
+// boundary and only then adds its steps to engine.steps_run.
+func (w *testWorker) waitIdle(t *testing.T) bool {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for waited := false; ; waited = true {
+		c := w.reg.Snapshot()
+		if c["serve.admitted"] == c["serve.completed"]+c["serve.deadline_exceeded"]+c["serve.cancelled"]+c["serve.failed"] {
+			return waited
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker still busy after 30 s: %v", c)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // close is the graceful path: drain, stop the listener, join the pool.
 func (w *testWorker) close() {
@@ -550,6 +571,13 @@ func TestSweepChaosResumeBitIdentical(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The crashed coordinator's orphaned runs on the survivors still add
+	// their steps when they stop; let them, or they count as resume work.
+	for _, w := range []*testWorker{w1, w2} {
+		if w.waitIdle(t) {
+			t.Logf("waited for an orphaned chaos-phase run on %s", w.url())
+		}
 	}
 	stepsBefore := obs.Default.Snapshot()["engine.steps_run"]
 	resResume, err := coordResume.Run(context.Background(), cells)

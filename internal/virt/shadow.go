@@ -40,9 +40,10 @@ type shadowSource struct {
 
 func shadowSources(as *kernel.AddressSpace) []shadowSource {
 	var srcs []shadowSource
+	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
-			if dst, size, ok := as.PT.Lookup(p.VA); ok {
+			if dst, size, ok := cur.Lookup(p.VA); ok {
 				srcs = append(srcs, shadowSource{va: p.VA, size: size, dst: mem.AlignDownP(dst, size.Bytes())})
 			}
 		}
@@ -61,13 +62,16 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 	if err != nil {
 		return nil, err
 	}
+	// Sources come in ascending VA order, so the cursor maps a span's
+	// base pages with one walk.
+	cur := spt.Cursor()
 	for _, s := range srcs {
 		if s.size == mem.Size4K {
 			m, ok := resolve(s.dst)
 			if !ok {
 				continue
 			}
-			if err := spt.Map(s.va, mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
+			if err := cur.Map(s.va, mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
 				return nil, err
 			}
 			vm.Hyp.ShadowSyncs++
@@ -76,7 +80,7 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 		// Huge leaf: keep it huge only if the machine backing is
 		// contiguous and aligned.
 		if base, ok := contiguousMachine(s, resolve); ok {
-			if err := spt.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
+			if err := cur.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
 				return nil, err
 			}
 			vm.Hyp.ShadowSyncs++
@@ -87,7 +91,7 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 			if !ok {
 				continue
 			}
-			if err := spt.Map(s.va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
+			if err := cur.Map(s.va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
 				return nil, err
 			}
 			vm.Hyp.ShadowSyncs++
