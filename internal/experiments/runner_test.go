@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmt/internal/obs"
 	"dmt/internal/sim"
 	"dmt/internal/workload"
 )
@@ -51,5 +52,50 @@ func TestWarmSequentialSkips(t *testing.T) {
 	})
 	if err := r.Warm(sim.EnvNested, []sim.Design{sim.DesignECPT}, []bool{false}, []workload.Spec{wl}); err != nil {
 		t.Fatalf("sequential Warm should defer errors to Run, got %v", err)
+	}
+}
+
+// TestRunnerStageReuseFigureMatrix pins VM-stage reuse on the figure
+// matrix's shape: the Fig 15/Table 5 virtualized configs and the Fig 17
+// nested ones, for all seven workloads at one working set, share four VM
+// stages (virt and nested, each with and without host DMT). The prototype
+// counters keep counting machines only: one build per config, one clone
+// for its second shard.
+func TestRunnerStageReuseFigureMatrix(t *testing.T) {
+	sim.ResetBuildCache()
+	defer sim.ResetBuildCache()
+	before := obs.Default.Snapshot()
+	r := NewRunner(Options{Ops: 1_000, WSBytes: 16 << 20, CacheScale: 16, Seed: 3, Workers: 2})
+	cells := []struct {
+		env     sim.Environment
+		designs []sim.Design
+	}{
+		{sim.EnvVirt, []sim.Design{sim.DesignVanilla, sim.DesignPvDMT, sim.DesignFPT, sim.DesignECPT, sim.DesignAgile, sim.DesignASAP}},
+		{sim.EnvNested, []sim.Design{sim.DesignVanilla, sim.DesignPvDMT}},
+	}
+	configs := 0
+	for _, wl := range workload.All() {
+		for _, c := range cells {
+			for _, d := range c.designs {
+				if _, err := r.Run(c.env, d, false, wl); err != nil {
+					t.Fatalf("%v/%s/%s: %v", c.env, d, wl.Name, err)
+				}
+				configs++
+			}
+		}
+	}
+	got := sim.ReadBuildCacheStats()
+	if configs != 56 || got.StageMisses != 4 || got.StageHits != 52 {
+		t.Errorf("%d configs: want 4 stage builds and 52 stage clones, got %d and %d",
+			configs, got.StageMisses, got.StageHits)
+	}
+	if got.Misses != 56 || got.Hits != 56 {
+		t.Errorf("want 56 prototype builds and 56 clones, got %d and %d", got.Misses, got.Hits)
+	}
+	after := obs.Default.Snapshot()
+	for name, want := range map[string]uint64{"build.stage_cold": 4, "build.stage_clone": 52} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("obs counter %s rose by %d, want %d", name, d, want)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dmt/internal/fault"
+	"dmt/internal/virt"
+	"dmt/internal/workload"
 )
 
 // These tests enforce the snapshot/clone contract (DESIGN.md §8): a machine
@@ -208,4 +210,113 @@ func TestDeterminismCloneCostIndependentOfOps(t *testing.T) {
 		t.Fatalf("clone cost scales with trace length: %v allocs at %d ops, %v at %d",
 			short, detOps, long, 100*detOps)
 	}
+}
+
+// TestDeterminismStageReuse is the differential suite for VM-stage reuse:
+// every virt and nested design, THP off and on, for two workloads at one
+// working set, runs from the cache in an order where later configs clone
+// the VM stage an earlier config built. Each cached Result must equal its
+// cold build, and no derived build may reach back into a cached stage:
+// pvDMT, ECPT, FPT and Utopia allocate machine or host memory in their
+// design layer, so a stage shared by reference would show it here.
+func TestDeterminismStageReuse(t *testing.T) {
+	wls := []workload.Spec{detWorkload(t)}
+	redis, err := workload.ByName("Redis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls = append(wls, redis)
+
+	ResetBuildCache()
+	defer ResetBuildCache()
+	seen := map[stageKey]*vmStage{}
+	before := map[stageKey]string{}
+	for _, thp := range []bool{false, true} {
+		for _, env := range []Environment{EnvVirt, EnvNested} {
+			for _, d := range detDesigns(env) {
+				for _, wl := range wls {
+					cfg := detConfig(env, d, nil)
+					cfg.THP = thp
+					cfg.Workload = wl
+					cfg.Shards = 1
+					t.Run(fmt.Sprintf("%v/%s/thp=%v/%s", env, d, thp, wl.Name), func(t *testing.T) {
+						got, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold := cfg
+						cold.ColdBuild = true
+						want, err := Run(cold)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireEqualResults(t, want, got)
+					})
+					k := stageKeyFor(cfg.withDefaults())
+					if _, ok := seen[k]; !ok {
+						st := residentStage(t, k)
+						seen[k] = st
+						before[k] = stageFingerprint(st)
+					}
+				}
+			}
+		}
+	}
+	for k, st := range seen {
+		if after := stageFingerprint(st); after != before[k] {
+			t.Errorf("stage %+v changed under derived builds:\nbefore %s\nafter  %s", k, before[k], after)
+		}
+		fresh, err := buildVMStage(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stageFingerprint(fresh); want != before[k] {
+			t.Errorf("stage %+v differs from a fresh build:\ncached %s\nfresh  %s", k, before[k], want)
+		}
+	}
+	// Two environments × host DMT on/off × THP off/on; every other config
+	// cloned one of them.
+	stats := ReadBuildCacheStats()
+	if stats.StageMisses != 8 || len(seen) != 8 {
+		t.Fatalf("want 8 stage builds for 8 shapes, got %d (%d shapes): %+v", stats.StageMisses, len(seen), stats)
+	}
+	if stats.StageHits+stats.StageMisses != stats.Misses {
+		t.Fatalf("every prototype build must take exactly one stage: %+v", stats)
+	}
+}
+
+// residentStage returns the cached VM stage for k.
+func residentStage(t *testing.T, k stageKey) *vmStage {
+	t.Helper()
+	protoCache.mu.Lock()
+	defer protoCache.mu.Unlock()
+	e, ok := protoCache.entries[k]
+	if !ok || e.stage == nil {
+		t.Fatalf("no resident stage for %+v", k)
+	}
+	return e.stage
+}
+
+// stageFingerprint summarizes what a derived build could disturb in a VM
+// stage: every allocator's statistics, free frames and audit, the host
+// tables' node counts and mapped leaves, and the exit accounting.
+func stageFingerprint(s *vmStage) string {
+	audit := func(err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return "ok"
+	}
+	fp := fmt.Sprintf("machine{%+v free=%d audit=%s} exits{%d %d %d %d}",
+		s.hyp.MachinePhys.Stats, s.hyp.MachinePhys.FreeFrames(), audit(s.hyp.MachinePhys.Audit()),
+		s.hyp.Hypercalls, s.hyp.VMExits, s.hyp.ShadowSyncs, s.hyp.IsolationFaults)
+	for _, vm := range []*virt.VM{s.l1, s.vm} {
+		if vm == nil {
+			continue
+		}
+		fp += fmt.Sprintf(" %s{guest{%+v free=%d audit=%s} host{nodes=%d mapped=%v}}",
+			vm.Name, vm.GuestPhys.Stats, vm.GuestPhys.FreeFrames(), audit(vm.GuestPhys.Audit()),
+			vm.HostAS.Pool.NodeCount(), vm.HostAS.PT.Mapped)
+	}
+	return fp
 }

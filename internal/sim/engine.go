@@ -99,16 +99,11 @@ func buildMachine(scfg Config) (*machine, error) {
 
 // coldBuild constructs a machine from scratch without touching the cache.
 func coldBuild(scfg Config) (*machine, error) {
-	switch scfg.Env {
-	case EnvNative:
-		return buildNative(scfg)
-	case EnvVirt:
-		return buildVirt(scfg)
-	case EnvNested:
-		return buildNested(scfg)
-	default:
-		return nil, fmt.Errorf("sim: unknown environment %v", scfg.Env)
+	p, err := buildPrototype(scfg, buildVMStage)
+	if err != nil {
+		return nil, err
 	}
+	return p.wireParts(scfg)
 }
 
 // assembleInstance wires the measurement harness (recorder, TLB, MMU,

@@ -322,14 +322,3 @@ func wireNative(cfg Config, p *nativeParts) (*machine, error) {
 	}
 	return m, nil
 }
-
-// buildNative assembles a native-environment machine from scratch (the
-// cold path; the prototype cache goes through buildNativeParts + clone +
-// wireNative instead).
-func buildNative(cfg Config) (*machine, error) {
-	p, err := buildNativeParts(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return wireNative(cfg, p)
-}

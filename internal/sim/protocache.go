@@ -69,12 +69,20 @@ type Prototype struct {
 // backend pressure) and prove they do not wedge the cache.
 var buildFailureHook func(Config) error
 
-// NewPrototype builds the substrate for cfg once, uncached. Most callers
-// want the engine's transparent cache (just run with ColdBuild unset);
-// this entry point exists for benchmarks and tests that need to measure or
-// isolate a single build.
+// NewPrototype builds the substrate for cfg once, uncached and fully cold:
+// a virtualized prototype backs its own guest RAM rather than cloning a
+// cached VM stage. Most callers want the engine's transparent cache (just
+// run with ColdBuild unset); this entry point exists for benchmarks and
+// tests that need to measure or isolate a single build.
 func NewPrototype(cfg Config) (*Prototype, error) {
-	cfg = cfg.withDefaults()
+	return buildPrototype(cfg.withDefaults(), buildVMStage)
+}
+
+// buildPrototype builds the parts for cfg. A virt or nested machine starts
+// from stage(stageKeyFor(cfg)), which must return a VM stage the caller
+// owns: a fresh build on the cold path, a clone of the cached stage on the
+// cached path.
+func buildPrototype(cfg Config, stage func(stageKey) (*vmStage, error)) (*Prototype, error) {
 	if buildFailureHook != nil {
 		if err := buildFailureHook(cfg); err != nil {
 			return nil, err
@@ -85,10 +93,16 @@ func NewPrototype(cfg Config) (*Prototype, error) {
 	switch cfg.Env {
 	case EnvNative:
 		p.native, err = buildNativeParts(cfg)
-	case EnvVirt:
-		p.virt, err = buildVirtParts(cfg)
-	case EnvNested:
-		p.nested, err = buildNestedParts(cfg)
+	case EnvVirt, EnvNested:
+		var st *vmStage
+		if st, err = stage(stageKeyFor(cfg)); err != nil {
+			return nil, err
+		}
+		if cfg.Env == EnvVirt {
+			p.virt, err = buildVirtParts(cfg, st)
+		} else {
+			p.nested, err = buildNestedParts(cfg, st)
+		}
 	default:
 		err = fmt.Errorf("sim: unknown environment %v", cfg.Env)
 	}
@@ -103,32 +117,39 @@ func NewPrototype(cfg Config) (*Prototype, error) {
 // guarantees this; Prototype.NewInstance checks it).
 func (p *Prototype) wire(cfg Config) (*machine, error) {
 	start := time.Now()
-	var m *machine
+	c := &Prototype{cfg: p.cfg}
 	var err error
 	switch {
 	case p.native != nil:
-		var c *nativeParts
-		if c, err = p.native.clone(); err == nil {
-			m, err = wireNative(cfg, c)
-		}
+		c.native, err = p.native.clone()
 	case p.virt != nil:
-		var c *virtParts
-		if c, err = p.virt.clone(); err == nil {
-			m, err = wireVirt(cfg, c)
-		}
+		c.virt, err = p.virt.clone()
 	case p.nested != nil:
-		var c *nestedParts
-		if c, err = p.nested.clone(); err == nil {
-			m, err = wireNested(cfg, c)
-		}
-	default:
-		err = fmt.Errorf("sim: empty prototype")
+		c.nested, err = p.nested.clone()
 	}
+	if err != nil {
+		return nil, err
+	}
+	m, err := c.wireParts(cfg)
 	if err != nil {
 		return nil, err
 	}
 	addCloneNs(time.Since(start).Nanoseconds())
 	return m, nil
+}
+
+// wireParts wires a drivable machine directly over the prototype's own
+// parts, consuming the prototype.
+func (p *Prototype) wireParts(cfg Config) (*machine, error) {
+	switch {
+	case p.native != nil:
+		return wireNative(cfg, p.native)
+	case p.virt != nil:
+		return wireVirt(cfg, p.virt)
+	case p.nested != nil:
+		return wireNested(cfg, p.nested)
+	}
+	return nil, fmt.Errorf("sim: empty prototype")
 }
 
 // NewInstance clones the prototype into a fresh, unstarted full-trace
@@ -153,87 +174,123 @@ func (p *Prototype) NewInstance(cfg Config) (*Instance, error) {
 type BuildCacheStats struct {
 	Hits    uint64 // machine requests served by cloning a cached prototype
 	Misses  uint64 // requests that had to build a prototype first
-	BuildNs int64  // cumulative time inside parts builders
+	BuildNs int64  // cumulative time inside parts builders, VM stages included
 	CloneNs int64  // cumulative time cloning + wiring instances
+
+	// StageHits and StageMisses count the VM stages the virt and nested
+	// prototype builds above started from: cloned from a resident stage,
+	// or built first. They are not machine requests and never enter Hits
+	// or Misses.
+	StageHits   uint64
+	StageMisses uint64
 }
 
-// protoEntry is one cache slot; once guarantees a single build per key
-// even when shard workers race on a cold cache.
-type protoEntry struct {
+// cacheEntry is one cache slot, holding a prototype (buildKey) or a VM
+// stage (stageKey); once guarantees a single build per key even when
+// shard workers race on a cold cache.
+type cacheEntry struct {
 	once  sync.Once
 	proto *Prototype
+	stage *vmStage
 	err   error
 }
 
-// protoCacheCap bounds resident prototypes. A full figure matrix touches
-// well under this many distinct machines at a time; LRU eviction keeps
-// long-lived processes (test binaries running many configurations) from
-// pinning every substrate ever built.
+// protoCacheCap bounds resident machines, prototypes and VM stages alike.
+// A full figure matrix touches well under this many distinct machines at a
+// time; LRU eviction keeps long-lived processes (test binaries running many
+// configurations) from pinning every substrate ever built.
 const protoCacheCap = 16
 
 var protoCache = struct {
 	mu      sync.Mutex
-	entries map[buildKey]*protoEntry
-	order   []buildKey // LRU: front is oldest
+	entries map[any]*cacheEntry // keyed by buildKey or stageKey
+	order   []any               // LRU: front is oldest
 	stats   BuildCacheStats
-}{entries: map[buildKey]*protoEntry{}}
+}{entries: map[any]*cacheEntry{}}
 
 // cachedPrototype returns the (possibly concurrently-built) prototype for
-// cfg's build key, building it at most once per residency.
+// cfg's build key, building it at most once per residency. A virt or
+// nested build starts from a clone of the cached VM stage.
 func cachedPrototype(cfg Config) (*Prototype, error) {
 	key := buildKeyFor(cfg)
-	protoCache.mu.Lock()
-	e, ok := protoCache.entries[key]
-	if ok {
-		protoCache.stats.Hits++
-		obs.Default.Add("build.clone", 1)
-		touchLocked(key)
-	} else {
-		protoCache.stats.Misses++
-		obs.Default.Add("build.cold", 1)
-		e = &protoEntry{}
-		protoCache.entries[key] = e
-		protoCache.order = append(protoCache.order, key)
-		for len(protoCache.order) > protoCacheCap {
-			evict := protoCache.order[0]
-			protoCache.order = protoCache.order[1:]
-			delete(protoCache.entries, evict)
-		}
-	}
-	protoCache.mu.Unlock()
+	e := lookup(key, &protoCache.stats.Hits, &protoCache.stats.Misses, "build.clone", "build.cold")
 	e.once.Do(func() {
 		start := time.Now()
-		e.proto, e.err = NewPrototype(cfg)
+		e.proto, e.err = buildPrototype(cfg, cachedStage)
 		ns := time.Since(start).Nanoseconds()
 		protoCache.mu.Lock()
 		protoCache.stats.BuildNs += ns
 		protoCache.mu.Unlock()
 	})
 	if e.err != nil {
-		// Errors are not memoized: a failed build must not poison its key
-		// for the life of the process. Concurrent waiters on this entry all
-		// observe the failure (they asked while it was in flight), but the
-		// entry is dropped so the next lookup re-probes the build —
-		// transient failures heal on retry instead of wedging every
-		// subsequent identical run.
-		protoCache.mu.Lock()
-		if cur, ok := protoCache.entries[key]; ok && cur == e {
-			delete(protoCache.entries, key)
-			for i, k := range protoCache.order {
-				if k == key {
-					protoCache.order = append(protoCache.order[:i], protoCache.order[i+1:]...)
-					break
-				}
-			}
-		}
-		protoCache.mu.Unlock()
+		forget(key, e)
 		obs.Default.Add("build.failed", 1)
 		return nil, e.err
 	}
 	return e.proto, nil
 }
 
-func touchLocked(key buildKey) {
+// cachedStage returns a clone of the VM stage for k, building the stage at
+// most once per residency. The cached stage itself is never driven. Its
+// build or clone time is charged to the prototype build that asked for
+// it, inside BuildNs.
+func cachedStage(k stageKey) (*vmStage, error) {
+	e := lookup(k, &protoCache.stats.StageHits, &protoCache.stats.StageMisses, "build.stage_clone", "build.stage_cold")
+	e.once.Do(func() {
+		e.stage, e.err = buildVMStage(k)
+	})
+	if e.err != nil {
+		forget(k, e)
+		return nil, e.err
+	}
+	return e.stage.clone()
+}
+
+// lookup returns key's entry, creating it on a miss and evicting the
+// least recently used entries beyond protoCacheCap, and counts the hit or
+// miss in the given stats fields and obs counters.
+func lookup(key any, hits, misses *uint64, hitCounter, missCounter string) *cacheEntry {
+	protoCache.mu.Lock()
+	defer protoCache.mu.Unlock()
+	if e, ok := protoCache.entries[key]; ok {
+		*hits++
+		obs.Default.Add(hitCounter, 1)
+		touchLocked(key)
+		return e
+	}
+	*misses++
+	obs.Default.Add(missCounter, 1)
+	e := &cacheEntry{}
+	protoCache.entries[key] = e
+	protoCache.order = append(protoCache.order, key)
+	for len(protoCache.order) > protoCacheCap {
+		delete(protoCache.entries, protoCache.order[0])
+		protoCache.order = protoCache.order[1:]
+	}
+	return e
+}
+
+// forget drops a failed entry. Errors are not memoized: a failed build must
+// not poison its key for the life of the process. Concurrent waiters on
+// the entry all observe the failure (they asked while it was in flight),
+// but the entry is dropped so the next lookup re-probes the build —
+// transient failures heal on retry instead of wedging every subsequent
+// identical run.
+func forget(key any, e *cacheEntry) {
+	protoCache.mu.Lock()
+	defer protoCache.mu.Unlock()
+	if cur, ok := protoCache.entries[key]; ok && cur == e {
+		delete(protoCache.entries, key)
+		for i, k := range protoCache.order {
+			if k == key {
+				protoCache.order = append(protoCache.order[:i], protoCache.order[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+func touchLocked(key any) {
 	for i, k := range protoCache.order {
 		if k == key {
 			protoCache.order = append(append(protoCache.order[:i:i], protoCache.order[i+1:]...), key)
@@ -255,13 +312,13 @@ func ReadBuildCacheStats() BuildCacheStats {
 	return protoCache.stats
 }
 
-// ResetBuildCache empties the prototype cache and zeroes its counters.
-// Tests use it to isolate cache behaviour; in-flight builds complete into
-// their (now unreachable) entries harmlessly.
+// ResetBuildCache empties the prototype cache, VM stages included, and
+// zeroes its counters. Tests use it to isolate cache behaviour; in-flight
+// builds complete into their (now unreachable) entries harmlessly.
 func ResetBuildCache() {
 	protoCache.mu.Lock()
 	defer protoCache.mu.Unlock()
-	protoCache.entries = map[buildKey]*protoEntry{}
+	protoCache.entries = map[any]*cacheEntry{}
 	protoCache.order = nil
 	protoCache.stats = BuildCacheStats{}
 }

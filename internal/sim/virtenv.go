@@ -30,14 +30,123 @@ func scaleWalkerCaches(w *virt.NestedWalker, scale int) {
 	w.Nested = tlb.NewNestedCacheSized(38 / scale)
 }
 
+// vmStage is the part of a virtualized machine that neither the workload
+// nor the design layer touches: the hypervisor (machine allocator + cache
+// hierarchy) and its VM(s) — host address space, host TEA, gTEA — with
+// guest RAM fully backed and no guest process yet. Backing guest RAM is
+// most of a virtualized build, and it depends only on the stage key, so
+// the prototype cache builds each stage once and every virt/nested
+// prototype of that shape starts from a clone of it (DESIGN.md §9).
+type vmStage struct {
+	hyp *virt.Hypervisor
+	l1  *virt.VM // nested only: the L1 VM hosting vm
+	vm  *virt.VM // the VM the guest process runs in (L2 under nesting)
+}
+
+// stageKey is everything buildVMStage reads.
+type stageKey struct {
+	env           Environment
+	machineFrames int
+	ram           [2]uint64 // guest RAM per level, outermost first; ram[1] is L2's under nesting
+	hostTHP       bool
+	hostDMT       bool // host VMA-to-TEA mappings, for the DMT designs
+	scale         int
+}
+
+// stageKeyFor sizes the VM stage of a virt or nested config: guest RAM
+// covers the working set with headroom for page tables and TEAs, and the
+// machine covers guest RAM likewise.
+func stageKeyFor(cfg Config) stageKey {
+	k := stageKey{env: cfg.Env, hostTHP: cfg.THP, scale: cfg.CacheScale}
+	switch cfg.Env {
+	case EnvVirt:
+		guestRAM := mem.AlignUp(mem.VAddr(uint64(float64(cfg.WSBytes)*1.3)+256<<20), mem.PageBytes2M)
+		k.ram[0] = uint64(guestRAM)
+		k.machineFrames = frames(uint64(guestRAM), 1.25, 384<<20)
+		k.hostDMT = cfg.Design == DesignDMT || cfg.Design == DesignPvDMT
+	case EnvNested:
+		l2RAM := mem.AlignUp(mem.VAddr(uint64(float64(cfg.WSBytes)*1.3)+192<<20), mem.PageBytes2M)
+		l1RAM := mem.AlignUp(l2RAM+mem.VAddr(uint64(float64(l2RAM)*0.25)+256<<20), mem.PageBytes2M)
+		k.ram = [2]uint64{uint64(l1RAM), uint64(l2RAM)}
+		k.machineFrames = frames(uint64(l1RAM), 1.2, 384<<20)
+		k.hostDMT = cfg.Design == DesignPvDMT
+	}
+	return k
+}
+
+// stageFailureHook, when non-nil, may veto a stage build. Tests install it
+// to prove a failed stage build is not memoized.
+var stageFailureHook func(stageKey) error
+
+// buildVMStage stands up the hypervisor and backs the VM(s) of k: one VM
+// for EnvVirt, the L1 and L2 VMs of Figure 9 for EnvNested. It is the
+// only stage builder; the cold path calls it directly and the prototype
+// cache calls it once per resident stage key.
+func buildVMStage(k stageKey) (*vmStage, error) {
+	if stageFailureHook != nil {
+		if err := stageFailureHook(k); err != nil {
+			return nil, err
+		}
+	}
+	hyp, err := virt.NewHypervisor(k.machineFrames, cache.ScaledConfig(k.scale))
+	if err != nil {
+		return nil, err
+	}
+	s := &vmStage{hyp: hyp}
+	switch k.env {
+	case EnvVirt:
+		s.vm, err = hyp.NewVM(virt.VMConfig{
+			Name:             "vm0",
+			RAMBytes:         k.ram[0],
+			HostTHP:          k.hostTHP,
+			HostDMT:          k.hostDMT,
+			ASID:             100,
+			PvTEAWindowBytes: 64 << 20,
+		})
+	case EnvNested:
+		s.l1, err = hyp.NewVM(virt.VMConfig{
+			Name: "L1", RAMBytes: k.ram[0], HostTHP: k.hostTHP, HostDMT: k.hostDMT,
+			ASID: 100, PvTEAWindowBytes: 96 << 20,
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.vm, err = hyp.NewNestedVM(s.l1, virt.VMConfig{
+			Name: "L2", RAMBytes: k.ram[1], HostTHP: k.hostTHP, HostDMT: k.hostDMT,
+			ASID: 101, PvTEAWindowBytes: 64 << 20,
+		})
+	default:
+		err = fmt.Errorf("sim: no VM stage for environment %v", k.env)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// clone snapshots the stage bottom-up: hypervisor first, then L1 onto the
+// cloned hypervisor, then the guest's VM onto the cloned L1 (so its
+// cascaded hypercalls land in the right parent).
+func (s *vmStage) clone() (*vmStage, error) {
+	c := &vmStage{hyp: s.hyp.Clone()}
+	var err error
+	if s.l1 != nil {
+		if c.l1, err = s.l1.Clone(c.hyp, nil); err != nil {
+			return nil, err
+		}
+	}
+	if c.vm, err = s.vm.Clone(c.hyp, c.l1); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // virtParts is the cloneable substrate of a single-level virtualized
-// machine: the hypervisor (machine allocator + cache hierarchy), the VM
-// (host address space, host TEA, gTEA), the guest process, the guest TEA
-// manager, and the design-specific translation structures. Walkers and
-// their MMU caches are wire-time-fresh, never parts.
+// machine: the VM stage, the guest process, the guest TEA manager, and the
+// design-specific translation structures. Walkers and their MMU caches are
+// wire-time-fresh, never parts.
 type virtParts struct {
-	hyp   *virt.Hypervisor
-	vm    *virt.VM
+	vmStage
 	guest *kernel.AddressSpace
 	gmgr  *tea.Manager        // DMT / pvDMT only
 	flaky *fault.FlakyBackend // DMT / pvDMT only
@@ -70,34 +179,17 @@ func (p *virtParts) counters(r *Result) {
 	r.PTEBytes = (p.guest.Pool.NodeCount() + p.vm.HostAS.Pool.NodeCount()) * mem.PageBytes4K
 }
 
-// buildVirtParts stands up the virtualized stack: hypervisor, VM, guest
-// process, guest TEA manager, workload, and any design-specific structures.
-// Like buildNativeParts it reads only the build-relevant Config fields.
-func buildVirtParts(cfg Config) (*virtParts, error) {
-	guestRAM := mem.AlignUp(mem.VAddr(uint64(float64(cfg.WSBytes)*1.3)+256<<20), mem.PageBytes2M)
-	machineFrames := frames(uint64(guestRAM), 1.25, 384<<20)
-	hyp, err := virt.NewHypervisor(machineFrames, cache.ScaledConfig(cfg.CacheScale))
-	if err != nil {
-		return nil, err
-	}
-
-	needHostDMT := cfg.Design == DesignDMT || cfg.Design == DesignPvDMT
-	vm, err := hyp.NewVM(virt.VMConfig{
-		Name:             "vm0",
-		RAMBytes:         uint64(guestRAM),
-		HostTHP:          cfg.THP,
-		HostDMT:          needHostDMT,
-		ASID:             100,
-		PvTEAWindowBytes: 64 << 20,
-	})
-	if err != nil {
-		return nil, err
-	}
+// buildVirtParts completes a single-level virtualized machine on st, a VM
+// stage for stageKeyFor(cfg) that it takes ownership of: guest process,
+// guest TEA manager, workload, and any design-specific structures. Like
+// buildNativeParts it reads only the build-relevant Config fields.
+func buildVirtParts(cfg Config, st *vmStage) (*virtParts, error) {
+	hyp, vm := st.hyp, st.vm
 	guest, err := vm.NewGuestProcess(cfg.THP, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := &virtParts{hyp: hyp, vm: vm, guest: guest}
+	p := &virtParts{vmStage: *st, guest: guest}
 	switch cfg.Design {
 	case DesignDMT:
 		p.flaky = fault.NewFlakyBackend(tea.NewPhysBackend(vm.GuestPhys))
@@ -157,20 +249,19 @@ func buildVirtParts(cfg Config) (*virtParts, error) {
 	return p, nil
 }
 
-// clone snapshots the virtualized stack bottom-up: hypervisor first, then
-// the VM onto the cloned hypervisor, then the guest onto the cloned VM's
-// guest-physical allocator, then the guest TEA manager over a recreated
-// backend (PhysBackend compactions carried over; hypercall backends bound
-// to the cloned VM), and finally the design structures onto the allocators
-// they were built from.
+// clone snapshots the virtualized stack bottom-up: the VM stage first,
+// then the guest onto the cloned VM's guest-physical allocator, then the
+// guest TEA manager over a recreated backend (PhysBackend compactions
+// carried over; hypercall backends bound to the cloned VM), and finally
+// the design structures onto the allocators they were built from.
 func (p *virtParts) clone() (*virtParts, error) {
-	hyp := p.hyp.Clone()
-	vm, err := p.vm.Clone(hyp, nil)
+	st, err := p.vmStage.clone()
 	if err != nil {
 		return nil, err
 	}
+	hyp, vm := st.hyp, st.vm
 	guest := p.guest.Clone(vm.GuestPhys)
-	c := &virtParts{hyp: hyp, vm: vm, guest: guest, built: p.built}
+	c := &virtParts{vmStage: *st, guest: guest, built: p.built}
 	if p.gmgr != nil {
 		var inner tea.Backend
 		if old, ok := p.flaky.Inner.(*tea.PhysBackend); ok {
@@ -380,62 +471,31 @@ func wireVirt(cfg Config, p *virtParts) (*machine, error) {
 	return m, nil
 }
 
-// buildVirt assembles a single-level virtualized machine from scratch (the
-// cold path).
-func buildVirt(cfg Config) (*machine, error) {
-	p, err := buildVirtParts(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return wireVirt(cfg, p)
-}
-
 // nestedParts is the cloneable substrate of the nested-virtualization
-// machine: the L0 hypervisor, the L1 and L2 VMs, the guest process inside
-// L2, the (pvDMT) guest TEA manager, and the compressed nested shadow.
+// machine: the VM stage (L0 hypervisor, L1 VM, and L2 VM as vm), the guest
+// process inside L2, the (pvDMT) guest TEA manager, and the compressed
+// nested shadow.
 type nestedParts struct {
-	hyp    *virt.Hypervisor
-	l1, l2 *virt.VM
-	guest  *kernel.AddressSpace
-	gmgr   *tea.Manager        // pvDMT only
-	flaky  *fault.FlakyBackend // pvDMT only
-	built  *workload.Built     // immutable after build; shared across clones
-	spt    *pagetable.Table
-	vic    *victima.Store // Victima only
-	seg    *utopia.Seg    // Utopia only
+	vmStage
+	guest *kernel.AddressSpace
+	gmgr  *tea.Manager        // pvDMT only
+	flaky *fault.FlakyBackend // pvDMT only
+	built *workload.Built     // immutable after build; shared across clones
+	spt   *pagetable.Table
+	vic   *victima.Store // Victima only
+	seg   *utopia.Seg    // Utopia only
 }
 
-// buildNestedParts stands up the two-level stack of Figure 9.
-func buildNestedParts(cfg Config) (*nestedParts, error) {
-	l2RAM := mem.AlignUp(mem.VAddr(uint64(float64(cfg.WSBytes)*1.3)+192<<20), mem.PageBytes2M)
-	l1RAM := mem.AlignUp(l2RAM+mem.VAddr(uint64(float64(l2RAM)*0.25)+256<<20), mem.PageBytes2M)
-	machineFrames := frames(uint64(l1RAM), 1.2, 384<<20)
-	hyp, err := virt.NewHypervisor(machineFrames, cache.ScaledConfig(cfg.CacheScale))
-	if err != nil {
-		return nil, err
-	}
-
-	needDMT := cfg.Design == DesignPvDMT
-	l1, err := hyp.NewVM(virt.VMConfig{
-		Name: "L1", RAMBytes: uint64(l1RAM), HostTHP: cfg.THP, HostDMT: needDMT,
-		ASID: 100, PvTEAWindowBytes: 96 << 20,
-	})
-	if err != nil {
-		return nil, err
-	}
-	l2, err := hyp.NewNestedVM(l1, virt.VMConfig{
-		Name: "L2", RAMBytes: uint64(l2RAM), HostTHP: cfg.THP, HostDMT: needDMT,
-		ASID: 101, PvTEAWindowBytes: 64 << 20,
-	})
-	if err != nil {
-		return nil, err
-	}
+// buildNestedParts completes the two-level stack of Figure 9 on st, a VM
+// stage for stageKeyFor(cfg) that it takes ownership of.
+func buildNestedParts(cfg Config, st *vmStage) (*nestedParts, error) {
+	hyp, l2 := st.hyp, st.vm
 	guest, err := l2.NewGuestProcess(cfg.THP, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := &nestedParts{hyp: hyp, l1: l1, l2: l2, guest: guest}
-	if needDMT {
+	p := &nestedParts{vmStage: *st, guest: guest}
+	if cfg.Design == DesignPvDMT {
 		p.flaky = fault.NewFlakyBackend(virt.NewHypercallBackend(l2))
 		p.gmgr = tea.NewManager(guest, p.flaky, tea.DefaultConfig(cfg.THP))
 		guest.SetHooks(p.gmgr)
@@ -461,21 +521,16 @@ func buildNestedParts(cfg Config) (*nestedParts, error) {
 	return p, nil
 }
 
-// clone snapshots the two-level stack: hypervisor, then L1, then L2 onto
-// the cloned L1 (so its cascaded hypercalls land in the right parent),
-// then the guest and its TEA manager, then the compressed shadow.
+// clone snapshots the two-level stack: the VM stage, then the guest and
+// its TEA manager, then the compressed shadow.
 func (p *nestedParts) clone() (*nestedParts, error) {
-	hyp := p.hyp.Clone()
-	l1, err := p.l1.Clone(hyp, nil)
+	st, err := p.vmStage.clone()
 	if err != nil {
 		return nil, err
 	}
-	l2, err := p.l2.Clone(hyp, l1)
-	if err != nil {
-		return nil, err
-	}
+	hyp, l2 := st.hyp, st.vm
 	guest := p.guest.Clone(l2.GuestPhys)
-	c := &nestedParts{hyp: hyp, l1: l1, l2: l2, guest: guest, built: p.built}
+	c := &nestedParts{vmStage: *st, guest: guest, built: p.built}
 	if p.gmgr != nil {
 		c.flaky = fault.NewFlakyBackend(virt.NewHypercallBackend(l2))
 		gmgr, err := p.gmgr.Clone(guest, c.flaky)
@@ -508,7 +563,7 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 		r.VMExits = p.hyp.VMExits
 		r.ShadowSyncs = p.hyp.ShadowSyncs
 		r.IsolationFaults = p.hyp.IsolationFaults
-		r.PTEBytes = (p.guest.Pool.NodeCount() + p.l2.HostAS.Pool.NodeCount() + p.l1.HostAS.Pool.NodeCount()) * mem.PageBytes4K
+		r.PTEBytes = (p.guest.Pool.NodeCount() + p.vm.HostAS.Pool.NodeCount() + p.l1.HostAS.Pool.NodeCount()) * mem.PageBytes4K
 	}
 	m.target = fault.Target{AS: p.guest, Mgr: p.gmgr, Backend: p.flaky}
 	if len(p.built.Major) > 0 {
@@ -524,7 +579,7 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 	// PT node placed or relocated there would be unresolvable by the
 	// fallback walker. Resync rebuilds the L2PA→L0PA composition.
 	m.target.Resync = func() error {
-		nspt, err := virt.BuildNestedShadow(p.l2)
+		nspt, err := virt.BuildNestedShadow(p.vm)
 		if err != nil {
 			return err
 		}
@@ -537,7 +592,7 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 		if !ok {
 			return 0, 0, false
 		}
-		ma, ok := p.l2.MachineAddr(gpa)
+		ma, ok := p.vm.MachineAddr(gpa)
 		return ma, gsize, ok
 	}
 	m.sizeExact = true
@@ -547,7 +602,7 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 		baseline.Sink = m.sink
 		m.walker = baseline
 	case DesignPvDMT:
-		w := virt.NewPvDMTNestedWalker(p.l2, p.gmgr, p.guest.Pool, hier, baseline)
+		w := virt.NewPvDMTNestedWalker(p.vm, p.gmgr, p.guest.Pool, hier, baseline)
 		m.sink = &core.RefSink{}
 		w.Sink = m.sink
 		baseline.Sink = m.sink
@@ -585,7 +640,7 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 			if err := shadowResync(); err != nil {
 				return err
 			}
-			seg, err := buildUtopiaSeg(p.hyp.MachinePhys, p.guest, cfg.WSBytes, p.l2.MachineAddr)
+			seg, err := buildUtopiaSeg(p.hyp.MachinePhys, p.guest, cfg.WSBytes, p.vm.MachineAddr)
 			if err != nil {
 				return err
 			}
@@ -596,14 +651,4 @@ func wireNested(cfg Config, p *nestedParts) (*machine, error) {
 		return nil, fmt.Errorf("design %q not available under nested virtualization", cfg.Design)
 	}
 	return m, nil
-}
-
-// buildNested assembles the nested-virtualization machine from scratch
-// (the cold path).
-func buildNested(cfg Config) (*machine, error) {
-	p, err := buildNestedParts(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return wireNested(cfg, p)
 }
