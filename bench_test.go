@@ -420,7 +420,7 @@ func itoa(v int) string {
 // walkBench drives b.N translations through a pre-built machine via the
 // sim.Instance API: construction stays outside the timed region, so ns/op
 // and allocs/op measure the walk hot path alone. The driver is the engine's
-// own batched loop (StepBatch, DESIGN.md §13), so these numbers measure
+// own batched loop (StepBatch, DESIGN.md §12), so these numbers measure
 // exactly the path production runs take.
 func walkBench(b *testing.B, env sim.Environment, d sim.Design) {
 	cfg := benchCfg(env, d, false, workload.GUPS())
@@ -447,7 +447,7 @@ func walkBench(b *testing.B, env sim.Environment, d sim.Design) {
 	}
 }
 
-// One cell per walker design (DESIGN.md §13): the seven native designs,
+// One cell per walker design (DESIGN.md §12): the seven native designs,
 // the five virt designs not already covered by a native cell, and the
 // nested pvDMT configuration. Together they pin the walk hot path of all
 // twelve designs in BENCH_sim.json and under CI's alloc gate.

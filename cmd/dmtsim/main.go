@@ -36,7 +36,6 @@
 //	-pprof f      write a CPU profile of the run to f
 //	-trace-out f  write a runtime execution trace to f
 //	-counters     dump the process-wide counter registry after the run
-//	              (also published as the "dmtsim" expvar)
 //	-walk-trace N capture per-walk trace events and print the last N
 //	-trace-cap N  bound each shard's walk-trace ring (default 4096)
 package main
@@ -246,7 +245,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	obs.PublishExpvar()
 	defer startProfiling(f.pprofOut, f.traceOut)()
 	if f.counters {
 		defer func() { fmt.Print("\nprocess counters:\n" + obs.Default.Dump()) }()

@@ -93,7 +93,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if _, _, _, err := f.validate(); err != nil {
 		t.Fatalf("validate() rejected zero defaults: %v", err)
 	}
-	// Env aliases accepted by the serving API parse here too.
+	// Env aliases (sim.ParseEnvironment) parse here too.
 	for _, alias := range []string{"virt", "virtualized", "nested"} {
 		f := goodFlags()
 		f.envName = alias

@@ -1,25 +1,22 @@
-// Command dmtsweep drives a fault-tolerant distributed sweep: it expands
-// a configuration template (env × design × workload × THP × seed) into
-// cells, schedules them across a fleet of dmtserved workers, and survives
-// worker loss, drains, stragglers, and its own restarts.
+// Command dmtsweep runs a resumable local sweep: it expands a
+// configuration template (env × design × workload × THP × seed) into
+// cells, serves each cell from a checksummed result store when it is
+// there, and otherwise simulates it in-process and records the result.
 //
 // Usage:
 //
-//	dmtsweep [-workers http://a:7677,http://b:7677] [-store DIR]
-//	         [-envs native,virt] [-designs vanilla,dmt] [-workloads GUPS]
-//	         [-thp true] [-seeds 1,2,3] [-ops N] [-ws-mib N]
-//	         [-cache-scale N] [-shards N] [-verify]
-//	         [-concurrency N] [-cell-timeout 2m] [-max-attempts 4]
-//	         [-backoff-base 100ms] [-backoff-max 5s] [-hedge-after D]
-//	         [-fail-threshold 3] [-cooldown 5s] [-no-local]
-//	         [-out FILE] [-quiet]
+//	dmtsweep [-store DIR] [-envs native,virt] [-designs vanilla,dmt]
+//	         [-workloads GUPS] [-thp true] [-seeds 1,2,3] [-ops N]
+//	         [-ws-mib N] [-cache-scale N] [-shards N] [-verify]
+//	         [-concurrency N] [-out FILE] [-quiet]
 //
-// With -store, completed cells are durable: a restarted sweep re-runs
-// only what is missing and produces bit-identical results (DESIGN.md
-// §12). With no -workers, every cell runs in-process. Per-cell progress
-// streams to stderr; the machine-readable result JSON goes to -out (or
-// stdout). Exit status: 0 all cells completed, 1 any cell failed or the
-// sweep was interrupted, 2 bad flags.
+// With -store, completed cells are durable: a sweep interrupted with
+// Ctrl-C (or SIGTERM) and re-run with the same -store simulates only what
+// is missing and produces byte-identical results (DESIGN.md §11). Per-cell
+// progress streams to stderr; the machine-readable report goes to -out (or
+// stdout). Exit status: 0 every cell completed and was stored, 1 a cell
+// failed, a result could not be stored, or the sweep was interrupted,
+// 2 bad flags.
 package main
 
 import (
@@ -27,49 +24,277 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
-	"time"
 
 	"dmt/internal/obs"
+	"dmt/internal/sim"
 	"dmt/internal/store"
-	"dmt/internal/sweep"
+	"dmt/internal/workload"
 )
 
+// Template describes a sweep as the cartesian product of its axes: every
+// env × design × workload × THP × seed combination becomes one cell, all
+// sharing the scalar knobs (ops, working set, cache scale, shards,
+// verify). Empty axes default to a single representative value so the
+// zero template is still a valid one-cell sweep.
+type Template struct {
+	Envs      []string
+	Designs   []string
+	Workloads []string
+	THP       []bool
+	Seeds     []int64
+
+	Ops        int
+	WSMiB      int
+	CacheScale int
+	Shards     int
+	Verify     bool
+}
+
+func (t Template) withDefaults() Template {
+	if len(t.Envs) == 0 {
+		t.Envs = []string{"native"}
+	}
+	if len(t.Designs) == 0 {
+		t.Designs = []string{"vanilla"}
+	}
+	if len(t.Workloads) == 0 {
+		t.Workloads = []string{"GUPS"}
+	}
+	if len(t.THP) == 0 {
+		t.THP = []bool{true}
+	}
+	if len(t.Seeds) == 0 {
+		t.Seeds = []int64{1}
+	}
+	return t
+}
+
+// cell is one simulation of a sweep. Two cells with equal key are the same
+// simulation (they produce byte-identical payloads), so expansion dedupes
+// on it and the result store is addressed by it.
+type cell struct {
+	cfg sim.Config // normalized
+	key string     // sim.CanonicalKey(cfg)
+}
+
+// Expand enumerates the template's cells in deterministic order (env,
+// design, workload, THP, seed — outermost to innermost), rejecting unknown
+// names and deduping identical cells by canonical key (first occurrence
+// wins, so re-listed axis values cannot double-schedule a simulation).
+func (t Template) Expand() ([]cell, error) {
+	t = t.withDefaults()
+	seen := map[string]bool{}
+	var cells []cell
+	for _, envName := range t.Envs {
+		env, err := sim.ParseEnvironment(envName)
+		if err != nil {
+			return nil, err
+		}
+		for _, designName := range t.Designs {
+			design, err := sim.ParseDesign(designName)
+			if err != nil {
+				return nil, err
+			}
+			for _, wlName := range t.Workloads {
+				wl, err := workload.ByName(wlName)
+				if err != nil {
+					return nil, err
+				}
+				for _, thp := range t.THP {
+					for _, seed := range t.Seeds {
+						cfg := sim.Config{
+							Env: env, Design: design, THP: thp, Workload: wl,
+							WSBytes: uint64(t.WSMiB) << 20, Ops: t.Ops, Seed: seed,
+							CacheScale: t.CacheScale, Shards: t.Shards, Verify: t.Verify,
+						}.Normalized()
+						key := sim.CanonicalKey(cfg)
+						if seen[key] {
+							continue
+						}
+						seen[key] = true
+						cells = append(cells, cell{cfg: cfg, key: key})
+					}
+				}
+			}
+		}
+	}
+	return cells, nil
+}
+
+// resultPayload is the stored and reported form of one Result. Every
+// integer field is carried verbatim, so a payload can be compared byte for
+// byte against a direct sim.Run of the same configuration; the float
+// fields are pure functions of the integers. The field order and tags are
+// the store's on-disk schema: stores written by earlier versions resume
+// unchanged only while they stay as they are.
+type resultPayload struct {
+	Env      string `json:"env"`
+	Design   string `json:"design"`
+	Workload string `json:"workload"`
+	THP      bool   `json:"thp"`
+	Shards   int    `json:"shards"`
+
+	Ops             int     `json:"ops"`
+	TLBMisses       uint64  `json:"tlb_misses"`
+	Walks           uint64  `json:"walks"`
+	WalkCycles      uint64  `json:"walk_cycles"`
+	AvgWalkCycles   float64 `json:"avg_walk_cycles"`
+	WalkP50         uint64  `json:"walk_p50"`
+	WalkP99         uint64  `json:"walk_p99"`
+	WalkMax         uint64  `json:"walk_max"`
+	SeqRefs         uint64  `json:"seq_refs"`
+	TotalRefs       uint64  `json:"total_refs"`
+	DataCycles      uint64  `json:"data_cycles"`
+	Coverage        float64 `json:"coverage"`
+	Fallbacks       uint64  `json:"fallbacks"`
+	Hypercalls      uint64  `json:"hypercalls"`
+	VMExits         uint64  `json:"vm_exits"`
+	ShadowSyncs     uint64  `json:"shadow_syncs"`
+	IsolationFaults uint64  `json:"isolation_faults"`
+	PTEBytes        int     `json:"pte_bytes"`
+	Checked         uint64  `json:"checked"`
+	Mismatches      uint64  `json:"mismatches"`
+
+	// Counters is the run's named-counter snapshot (TLB/PWC/cache splits,
+	// walker-chain attribution — DESIGN.md §10).
+	Counters map[string]uint64 `json:"counters"`
+}
+
+// payloadFor flattens a Result into its stored form.
+func payloadFor(res *sim.Result) resultPayload {
+	cfg := res.Config.Normalized()
+	var max uint64
+	if res.WalkHist != nil {
+		max = res.WalkHist.Max
+	}
+	return resultPayload{
+		Env: cfg.Env.String(), Design: string(cfg.Design), Workload: cfg.Workload.Name,
+		THP: cfg.THP, Shards: cfg.Shards,
+		Ops:       res.Ops,
+		TLBMisses: res.TLBMisses, Walks: res.Walks, WalkCycles: res.WalkCycles,
+		AvgWalkCycles: res.AvgWalkCycles(),
+		WalkP50:       res.WalkPercentile(50), WalkP99: res.WalkPercentile(99), WalkMax: max,
+		SeqRefs: res.SeqRefs, TotalRefs: res.TotalRefs, DataCycles: res.DataCycles,
+		Coverage: res.Coverage, Fallbacks: res.Fallbacks,
+		Hypercalls: res.Hypercalls, VMExits: res.VMExits,
+		ShadowSyncs: res.ShadowSyncs, IsolationFaults: res.IsolationFaults,
+		PTEBytes: res.PTEBytes, Checked: res.Checked, Mismatches: res.Mismatches,
+		Counters: res.Counters,
+	}
+}
+
+// Where a completed cell's result came from.
+const (
+	sourceStore = "store" // a verified store entry
+	sourceLocal = "local" // simulated by this sweep
+)
+
+const notAttempted = "interrupted before this cell was attempted"
+
+// cellOut is one cell in the machine-readable report.
+type cellOut struct {
+	Key    string          `json:"key"`
+	Source string          `json:"source,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+
+	// putErr records that the cell completed but its result could not be
+	// stored; the result stands, but a resume would re-simulate the cell.
+	putErr error
+}
+
+type report struct {
+	Cells     []cellOut `json:"cells"`
+	FromStore int       `json:"from_store"`
+	RanLocal  int       `json:"ran_local"`
+	Failed    int       `json:"failed"`
+}
+
+func buildReport(cells []cellOut) report {
+	rep := report{Cells: cells}
+	for _, c := range cells {
+		switch {
+		case c.Error != "":
+			rep.Failed++
+		case c.Source == sourceStore:
+			rep.FromStore++
+		default:
+			rep.RanLocal++
+		}
+	}
+	return rep
+}
+
+// runCell serves one cell from the store when it is there, and otherwise
+// simulates it under ctx and stores the result.
+func runCell(ctx context.Context, st *store.Store, c cell) cellOut {
+	out := cellOut{Key: c.key}
+	if st != nil {
+		if payload, ok := st.Get(c.key); ok {
+			out.Source, out.Result = sourceStore, payload
+			return out
+		}
+	}
+	res, err := sim.RunCtx(ctx, c.cfg)
+	if err == nil {
+		out.Result, err = json.Marshal(payloadFor(res))
+	}
+	if err != nil {
+		out.Error = err.Error()
+		return out
+	}
+	out.Source = sourceLocal
+	if st != nil {
+		out.putErr = st.Put(c.key, out.Result)
+	}
+	return out
+}
+
+// sweep resolves every cell with at most conc in flight and returns their
+// outcomes in expansion order, calling done after each one. Cells not
+// started before ctx ends are reported as interrupted; everything that
+// completed is already in the store.
+func sweep(ctx context.Context, st *store.Store, cells []cell, conc int, done func(i int, c cellOut)) []cellOut {
+	outs := make([]cellOut, len(cells))
+	next := make(chan int, len(cells))
+	for i, c := range cells {
+		outs[i] = cellOut{Key: c.key, Error: notAttempted}
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < min(conc, len(cells)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if ctx.Err() != nil {
+					return
+				}
+				outs[i] = runCell(ctx, st, cells[i])
+				done(i, outs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return outs
+}
+
+// cliFlags is what validate checks: the template and the cells in flight.
 type cliFlags struct {
-	workers   []string
-	storeDir  string
-	envs      []string
-	designs   []string
-	workloads []string
-	thp       []bool
-	seeds     []int64
-
-	ops        int
-	wsMiB      int
-	cacheScale int
-	shards     int
-	verify     bool
-
-	concurrency   int
-	cellTimeout   time.Duration
-	maxAttempts   int
-	backoffBase   time.Duration
-	backoffMax    time.Duration
-	hedgeAfter    time.Duration
-	failThreshold int
-	cooldown      time.Duration
-	noLocal       bool
-
-	out   string
-	quiet bool
+	Template
+	concurrency int
 }
 
 // splitList parses a comma-separated flag value, trimming blanks so
-// "a, b," and "a,b" mean the same fleet.
+// "a, b," and "a,b" mean the same list.
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
@@ -105,212 +330,141 @@ func parseBools(s, name string) ([]bool, error) {
 }
 
 // validate rejects nonsensical sizing up front (exit 2), mirroring the
-// other dmt commands. Template-level validation (unknown envs/designs)
-// happens at expansion and is also exit 2 — before any work is scheduled.
+// other dmt commands. Unknown envs/designs/workloads are rejected at
+// expansion, also with exit 2, before any cell runs.
 func (f cliFlags) validate() error {
 	switch {
-	case len(f.workers) == 0 && f.noLocal:
-		return fmt.Errorf("-no-local requires at least one -workers URL")
-	case f.ops < 0:
-		return fmt.Errorf("-ops must be >= 0 (got %d)", f.ops)
-	case f.wsMiB < 0:
-		return fmt.Errorf("-ws-mib must be >= 0 (got %d)", f.wsMiB)
-	case f.cacheScale < 0:
-		return fmt.Errorf("-cache-scale must be >= 0 (got %d)", f.cacheScale)
-	case f.shards < 0:
-		return fmt.Errorf("-shards must be >= 0 (got %d)", f.shards)
-	case f.concurrency < 0:
-		return fmt.Errorf("-concurrency must be >= 0 (got %d)", f.concurrency)
-	case f.maxAttempts < 0:
-		return fmt.Errorf("-max-attempts must be >= 0 (got %d)", f.maxAttempts)
-	case f.cellTimeout < 0 || f.backoffBase < 0 || f.backoffMax < 0 ||
-		f.hedgeAfter < 0 || f.cooldown < 0:
-		return fmt.Errorf("durations must be >= 0")
-	case f.failThreshold < 0:
-		return fmt.Errorf("-fail-threshold must be >= 0 (got %d)", f.failThreshold)
-	}
-	for _, w := range f.workers {
-		if !strings.HasPrefix(w, "http://") && !strings.HasPrefix(w, "https://") {
-			return fmt.Errorf("-workers: %q is not an http(s) URL", w)
-		}
+	case f.Ops < 0:
+		return fmt.Errorf("-ops must be >= 0 (got %d)", f.Ops)
+	case f.WSMiB < 0:
+		return fmt.Errorf("-ws-mib must be >= 0 (got %d)", f.WSMiB)
+	case f.CacheScale < 0:
+		return fmt.Errorf("-cache-scale must be >= 0 (got %d)", f.CacheScale)
+	case f.Shards < 0:
+		return fmt.Errorf("-shards must be >= 0 (got %d)", f.Shards)
+	case f.concurrency < 1:
+		return fmt.Errorf("-concurrency must be >= 1 (got %d)", f.concurrency)
 	}
 	return nil
 }
 
-// cellOut is one cell in the machine-readable report.
-type cellOut struct {
-	Key      string          `json:"key"`
-	Source   string          `json:"source,omitempty"`
-	Worker   string          `json:"worker,omitempty"`
-	Attempts int             `json:"attempts"`
-	Error    string          `json:"error,omitempty"`
-	Result   json.RawMessage `json:"result,omitempty"`
-}
-
-type report struct {
-	Cells     []cellOut `json:"cells"`
-	FromStore int       `json:"from_store"`
-	RanWorker int       `json:"ran_worker"`
-	RanLocal  int       `json:"ran_local"`
-	Failed    int       `json:"failed"`
-}
-
-func buildReport(res *sweep.Result) report {
-	rep := report{
-		FromStore: res.FromStore, RanWorker: res.RanWorker,
-		RanLocal: res.RanLocal, Failed: res.Failed,
-	}
-	for _, cr := range res.Cells {
-		co := cellOut{Key: cr.Cell.Key, Source: string(cr.Source),
-			Worker: cr.Worker, Attempts: cr.Attempts, Result: cr.Payload}
-		if cr.Err != nil {
-			co.Error = cr.Err.Error()
-		}
-		rep.Cells = append(rep.Cells, co)
-	}
-	return rep
-}
-
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmtsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workers   = flag.String("workers", "", "comma-separated dmtserved base URLs (empty: run every cell in-process)")
-		storeDir  = flag.String("store", "", "durable result store directory (empty disables resume/dedupe)")
-		envs      = flag.String("envs", "native", "environments to sweep (comma-separated)")
-		designs   = flag.String("designs", "vanilla", "designs to sweep (comma-separated)")
-		workloads = flag.String("workloads", "GUPS", "workloads to sweep (comma-separated)")
-		thp       = flag.String("thp", "true", "THP settings to sweep (comma-separated booleans)")
-		seeds     = flag.String("seeds", "1", "seeds to sweep (comma-separated integers)")
+		storeDir  = fs.String("store", "", "durable result store directory (empty disables resume/dedupe)")
+		envs      = fs.String("envs", "native", "environments to sweep (comma-separated)")
+		designs   = fs.String("designs", "vanilla", "designs to sweep (comma-separated)")
+		workloads = fs.String("workloads", "GUPS", "workloads to sweep (comma-separated)")
+		thp       = fs.String("thp", "true", "THP settings to sweep (comma-separated booleans)")
+		seeds     = fs.String("seeds", "1", "seeds to sweep (comma-separated integers)")
 
-		ops        = flag.Int("ops", 0, "trace length per cell (0: engine default)")
-		wsMiB      = flag.Int("ws-mib", 0, "working-set MiB per cell (0: engine default)")
-		cacheScale = flag.Int("cache-scale", 0, "page-walk cache scale (0: engine default)")
-		shards     = flag.Int("shards", 0, "engine shards per cell (0: engine default)")
-		verify     = flag.Bool("verify", false, "run cells with sharding self-verification")
+		ops        = fs.Int("ops", 0, "trace length per cell (0: engine default)")
+		wsMiB      = fs.Int("ws-mib", 0, "working-set MiB per cell (0: engine default)")
+		cacheScale = fs.Int("cache-scale", 0, "page-walk cache scale (0: engine default)")
+		shards     = fs.Int("shards", 0, "engine shards per cell (0: engine default)")
+		verify     = fs.Bool("verify", false, "run cells with the differential oracle armed")
 
-		concurrency   = flag.Int("concurrency", 0, "cells in flight at once (0: 2 per worker, min 2)")
-		cellTimeout   = flag.Duration("cell-timeout", 2*time.Minute, "per-attempt deadline")
-		maxAttempts   = flag.Int("max-attempts", 4, "tries per cell, first included (0: default)")
-		backoffBase   = flag.Duration("backoff-base", 100*time.Millisecond, "first retry backoff")
-		backoffMax    = flag.Duration("backoff-max", 5*time.Second, "retry backoff cap")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge stragglers onto another worker after this long (0 disables)")
-		failThreshold = flag.Int("fail-threshold", 3, "consecutive transient failures that evict a worker")
-		cooldown      = flag.Duration("cooldown", 5*time.Second, "eviction cooldown before a readiness re-probe")
-		noLocal       = flag.Bool("no-local", false, "fail cells instead of degrading to in-process execution")
-
-		out   = flag.String("out", "", "write the result JSON to this file (default stdout)")
-		quiet = flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
+		concurrency = fs.Int("concurrency", 2, "cells in flight at once")
+		out         = fs.String("out", "", "write the report JSON to this file (default stdout)")
+		quiet       = fs.Bool("quiet", false, "suppress per-cell progress lines on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	badFlags := func(err error) int {
+		fmt.Fprintf(stderr, "dmtsweep: %v\n", err)
+		return 2
+	}
 
 	sds, err := parseSeeds(*seeds)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: %v\n", err)
-		return 2
+		return badFlags(err)
 	}
 	thps, err := parseBools(*thp, "-thp")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: %v\n", err)
-		return 2
+		return badFlags(err)
 	}
 	f := cliFlags{
-		workers: splitList(*workers), storeDir: *storeDir,
-		envs: splitList(*envs), designs: splitList(*designs),
-		workloads: splitList(*workloads), thp: thps, seeds: sds,
-		ops: *ops, wsMiB: *wsMiB, cacheScale: *cacheScale,
-		shards: *shards, verify: *verify,
-		concurrency: *concurrency, cellTimeout: *cellTimeout,
-		maxAttempts: *maxAttempts, backoffBase: *backoffBase,
-		backoffMax: *backoffMax, hedgeAfter: *hedgeAfter,
-		failThreshold: *failThreshold, cooldown: *cooldown,
-		noLocal: *noLocal, out: *out, quiet: *quiet,
+		Template: Template{
+			Envs: splitList(*envs), Designs: splitList(*designs),
+			Workloads: splitList(*workloads), THP: thps, Seeds: sds,
+			Ops: *ops, WSMiB: *wsMiB, CacheScale: *cacheScale,
+			Shards: *shards, Verify: *verify,
+		},
+		concurrency: *concurrency,
 	}
 	if err := f.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: %v\n", err)
-		return 2
+		return badFlags(err)
 	}
-
-	cells, err := sweep.Template{
-		Envs: f.envs, Designs: f.designs, Workloads: f.workloads,
-		THP: f.thp, Seeds: f.seeds,
-		Ops: f.ops, WSMiB: f.wsMiB, CacheScale: f.cacheScale,
-		Shards: f.shards, Verify: f.verify,
-	}.Expand()
+	cells, err := f.Expand()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: %v\n", err)
-		return 2
+		return badFlags(err)
 	}
-
 	var st *store.Store
-	if f.storeDir != "" {
-		st, err = store.Open(f.storeDir, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmtsweep: opening store: %v\n", err)
-			return 2
+	if *storeDir != "" {
+		if st, err = store.Open(*storeDir, obs.Default); err != nil {
+			return badFlags(err)
 		}
-	}
-
-	cfg := sweep.Config{
-		Workers: f.workers, Store: st, Registry: obs.Default,
-		Concurrency: f.concurrency, CellTimeout: f.cellTimeout,
-		MaxAttempts: f.maxAttempts, BackoffBase: f.backoffBase,
-		BackoffMax: f.backoffMax, HedgeAfter: f.hedgeAfter,
-		FailThreshold: f.failThreshold, Cooldown: f.cooldown,
-		DisableLocal: f.noLocal,
-	}
-	if !f.quiet {
-		cfg.OnUpdate = func(u sweep.Update) {
-			line := fmt.Sprintf("cell %d/%d %-9s", u.Cell+1, u.Total, u.Event)
-			if u.Attempt > 0 {
-				line += fmt.Sprintf(" attempt=%d", u.Attempt)
-			}
-			if u.Worker != "" {
-				line += " worker=" + u.Worker
-			}
-			if u.Err != "" {
-				line += " err=" + u.Err
-			}
-			fmt.Fprintf(os.Stderr, "%s  [%s]\n", line, u.Key)
-		}
-	}
-	coord, err := sweep.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: %v\n", err)
-		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "dmtsweep: %d cells, %d workers, store=%q\n",
-		len(cells), len(f.workers), f.storeDir)
+	// Acknowledge Ctrl-C at once, from its own goroutine (stderr must take
+	// concurrent writes): in-flight cells stop at their next step batch and
+	// no new cell starts.
+	defer context.AfterFunc(ctx, func() {
+		fmt.Fprintln(stderr, "dmtsweep: interrupted; stopping (re-run with the same -store to resume)")
+	})()
+	fmt.Fprintf(stderr, "dmtsweep: %d cells, store=%q\n", len(cells), *storeDir)
 
-	res, runErr := coord.Run(ctx, cells)
+	var mu sync.Mutex
+	progress := func(i int, c cellOut) {
+		if *quiet {
+			return
+		}
+		event := "done"
+		switch {
+		case c.Error != "":
+			event = "failed err=" + c.Error
+		case c.Source == sourceStore:
+			event = "store-hit"
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(stderr, "cell %d/%d %-9s [%s]\n", i+1, len(cells), event, c.Key)
+	}
+	rep := buildReport(sweep(ctx, st, cells, f.concurrency, progress))
 
-	rep := buildReport(res)
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: encoding report: %v\n", err)
+		fmt.Fprintf(stderr, "dmtsweep: encoding report: %v\n", err)
 		return 1
 	}
 	enc = append(enc, '\n')
-	if f.out != "" {
-		if err := os.WriteFile(f.out, enc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dmtsweep: writing %s: %v\n", f.out, err)
+	if *out != "" {
+		if err := os.WriteFile(*out, enc, 0o644); err != nil {
+			fmt.Fprintf(stderr, "dmtsweep: writing %s: %v\n", *out, err)
 			return 1
 		}
 	} else {
-		os.Stdout.Write(enc)
+		stdout.Write(enc)
 	}
 
-	fmt.Fprintf(os.Stderr, "dmtsweep: done: %d from store, %d on workers, %d local, %d failed\n",
-		res.FromStore, res.RanWorker, res.RanLocal, res.Failed)
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "dmtsweep: interrupted (%v); re-run with the same -store to resume\n", runErr)
-		return 1
+	fmt.Fprintf(stderr, "dmtsweep: done: %d from store, %d local, %d failed\n",
+		rep.FromStore, rep.RanLocal, rep.Failed)
+	code := 0
+	for i, c := range rep.Cells {
+		if c.putErr != nil {
+			fmt.Fprintf(stderr, "dmtsweep: cell %d/%d [%s] was not stored: %v\n",
+				i+1, len(cells), c.Key, c.putErr)
+			code = 1
+		}
 	}
-	if res.Failed > 0 {
-		return 1
+	if rep.Failed > 0 {
+		code = 1
 	}
-	return 0
+	return code
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -1,9 +1,9 @@
 // Package obs is the observability substrate of the simulator: power-of-two
 // latency histograms with exact extrema, fixed-size per-shard rings of
-// structured walk-trace events, and a named counter registry exported via
-// expvar. The package is built for the engine's determinism contract —
-// histograms, counters, and rings all merge commutatively across shards, so
-// a run's observability output is a pure function of (Config minus Workers)
+// structured walk-trace events, and a named counter registry. The package
+// is built for the engine's determinism contract — histograms, counters,
+// and rings all merge commutatively across shards, so a run's
+// observability output is a pure function of (Config minus Workers)
 // exactly like its Result (DESIGN.md §10).
 //
 // Cost model: histogram observation and counter snapshots are unconditional

@@ -237,15 +237,10 @@ func TestRegistryAccumulates(t *testing.T) {
 	r := NewRegistry()
 	r.Add("runs", 1)
 	r.Add("runs", 2)
-	r.Set("gauge", 7)
 	r.AddAll(Counters{"runs": 1, "other": 5})
 	snap := r.Snapshot()
-	if snap["runs"] != 4 || snap["gauge"] != 7 || snap["other"] != 5 {
+	if snap["runs"] != 4 || snap["other"] != 5 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	r.Reset()
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("Reset left counters behind")
 	}
 }
 

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -35,8 +32,7 @@ func (c Counters) Names() []string {
 	return names
 }
 
-// Dump renders the counters as sorted "name value" lines — the text
-// counterpart of the expvar export.
+// Dump renders the counters as sorted "name value" lines.
 func (c Counters) Dump() string {
 	var b strings.Builder
 	for _, k := range c.Names() {
@@ -45,10 +41,10 @@ func (c Counters) Dump() string {
 	return b.String()
 }
 
-// Registry is the process-wide counter/gauge accumulator behind the expvar
-// export: runs fold their merged Result counters into it, and the build
-// cache records clone-vs-cold-build traffic. It is concurrency-safe and
-// deliberately off the walk hot path — nothing in Step/Walk touches it.
+// Registry is the process-wide counter accumulator: runs fold their merged
+// Result counters into it, and the build cache records clone-vs-cold-build
+// traffic. It is concurrency-safe and deliberately off the walk hot path —
+// nothing in Step/Walk touches it.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]uint64
@@ -59,20 +55,13 @@ func NewRegistry() *Registry {
 	return &Registry{counters: map[string]uint64{}}
 }
 
-// Default is the registry PublishExpvar exposes and cmd/dmtsim dumps.
+// Default is the process-wide registry that cmd/dmtsim -counters dumps.
 var Default = NewRegistry()
 
 // Add increments a counter.
 func (r *Registry) Add(name string, v uint64) {
 	r.mu.Lock()
 	r.counters[name] += v
-	r.mu.Unlock()
-}
-
-// Set overwrites a gauge.
-func (r *Registry) Set(name string, v uint64) {
-	r.mu.Lock()
-	r.counters[name] = v
 	r.mu.Unlock()
 }
 
@@ -96,36 +85,5 @@ func (r *Registry) Snapshot() Counters {
 	return out
 }
 
-// Reset zeroes the registry (tests).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counters = map[string]uint64{}
-	r.mu.Unlock()
-}
-
 // Dump renders the registry as sorted text lines.
 func (r *Registry) Dump() string { return r.Snapshot().Dump() }
-
-// Handler returns an http.Handler rendering the registry as sorted
-// "name value" text lines — the plain-text counterpart of the expvar
-// export, mounted by the serving layer as /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, r.Dump())
-	})
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar exposes the default registry as the expvar variable
-// "dmtsim" (alongside Go's built-in memstats/cmdline vars on
-// /debug/vars when an HTTP server is mounted). Safe to call repeatedly;
-// expvar registration is process-global, hence the once.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("dmtsim", expvar.Func(func() interface{} {
-			return Default.Snapshot()
-		}))
-	})
-}

@@ -7,7 +7,7 @@ import (
 	"dmt/internal/core"
 )
 
-// The native-batch-walk guarantee (DESIGN.md §13): every design the registry
+// The native-batch-walk guarantee (DESIGN.md §12): every design the registry
 // knows, in every environment that assembles it, must hand the engine a
 // walker with a native WalkBatch. The engine would silently route a walker
 // without one through core.ScalarWalkBatch — correct, but paying per-op
@@ -45,7 +45,7 @@ func TestAllDesignsHaveNativeBatchWalk(t *testing.T) {
 					t.Fatalf("cell assembles but detDesigns does not list it; add %v/%s to the determinism matrix", env, d)
 				}
 				if in.bw == nil {
-					t.Fatalf("walker %q (%T) does not implement core.BatchWalker: the engine would fall back to ScalarWalkBatch, paying per-op interface dispatch — add a native WalkBatch (see DESIGN.md §13 checklist)",
+					t.Fatalf("walker %q (%T) does not implement core.BatchWalker: the engine would fall back to ScalarWalkBatch, paying per-op interface dispatch — add a native WalkBatch (see DESIGN.md §12 checklist)",
 						in.m.walker.Name(), in.m.walker)
 				}
 				if _, ok := in.m.walker.(core.BatchWalker); !ok {

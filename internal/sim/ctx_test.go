@@ -15,7 +15,7 @@ import (
 	"dmt/internal/obs"
 )
 
-// These tests pin the engine's cancellation contract (DESIGN.md §11): a
+// These tests pin the engine's cancellation contract (DESIGN.md §8): a
 // cancelled RunCtx/RunShardsCtx returns context.Canceled within one step
 // batch per running shard, a failing shard aborts its siblings instead of
 // letting them burn the full simulation cost, the error reported is

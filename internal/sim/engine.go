@@ -42,7 +42,7 @@ type Instance struct {
 	ops   int
 	done  bool
 
-	// Batched-walk state (DESIGN.md §13): the reusable request/result
+	// Batched-walk state (DESIGN.md §12): the reusable request/result
 	// buffers trace generation fills per span, the per-instance Batch the
 	// canonical loop runs against, the walker's batch entry point when it
 	// has one, and the latency buffer armed on rec during StepBatch. All
@@ -218,7 +218,7 @@ func (in *Instance) Step() error {
 }
 
 // StepBatch advances the trace by up to n operations through the batched
-// walk path (DESIGN.md §13) and returns how many completed. The batch is
+// walk path (DESIGN.md §12) and returns how many completed. The batch is
 // split into spans at fault-event boundaries — batchSpan sizes each span so
 // its end never overshoots the injector's next trigger op, which makes one
 // Tick per span bit-identical to the scalar path's per-op Tick (ticks

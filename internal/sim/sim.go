@@ -42,8 +42,8 @@ func (e Environment) String() string {
 	return fmt.Sprintf("Environment(%d)", int(e))
 }
 
-// ParseEnvironment maps an environment name (as accepted by the CLIs and
-// the serving API) to its Environment.
+// ParseEnvironment maps an environment name, as the CLIs accept it, to its
+// Environment.
 func ParseEnvironment(name string) (Environment, error) {
 	switch name {
 	case "native":
@@ -209,9 +209,24 @@ func (c Config) withDefaults() Config {
 // Normalized returns the configuration with the engine's defaults applied
 // — the form in which every result-determining field is explicit. Two
 // configurations with equal normalized result-determining fields (Workers
-// aside, which only schedules) produce bit-identical Results; the serving
-// layer keys request coalescing on exactly this form.
+// aside, which only schedules) produce bit-identical Results;
+// CanonicalKey renders exactly this form.
 func (c Config) Normalized() Config { return c.withDefaults() }
+
+// CanonicalKey renders the result-determining subset of a normalized
+// configuration as one stable text line: the durable identity of a
+// simulation, under which cmd/dmtsweep dedupes cells and addresses the
+// result store (internal/store). The leading version tag invalidates every
+// stored entry if the key schema ever changes. Workers is excluded (it
+// schedules, never changes results); the engine-only knobs a sweep does
+// not set (fault plans, TEA ablations, fragmentation targets) are not
+// part of the key.
+func CanonicalKey(cfg Config) string {
+	cfg = cfg.Normalized()
+	return fmt.Sprintf("v1 env=%s design=%s thp=%t wl=%s ws=%d scale=%d ops=%d seed=%d shards=%d verify=%t",
+		cfg.Env, cfg.Design, cfg.THP, cfg.Workload.Name, cfg.WSBytes,
+		cfg.CacheScale, cfg.Ops, cfg.Seed, cfg.Shards, cfg.Verify)
+}
 
 // genSeed is the seed driving this configuration's trace generator.
 func (c Config) genSeed() int64 {
@@ -566,8 +581,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fold the run's counter snapshot into the process-global registry the
-	// expvar endpoint exports; Result.Counters itself stays per-run.
+	// Fold the run's counter snapshot into the process-global registry
+	// (dmtsim -counters dumps it); Result.Counters itself stays per-run.
 	obs.Default.AddAll(res.Counters)
 	return res, nil
 }

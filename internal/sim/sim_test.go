@@ -189,3 +189,52 @@ func TestAblationKnobs(t *testing.T) {
 		t.Fatalf("fragmentation knob ineffective: coverage %.2f", frag.Coverage)
 	}
 }
+
+// TestCanonicalKeyStable pins the durable cell identity byte for byte (a
+// result store written under this text must keep resolving), requires it
+// to be normalization-invariant and blind to Workers, and requires every
+// one of the ten result-determining fields to change it.
+func TestCanonicalKeyStable(t *testing.T) {
+	gups, err := workload.ByName("GUPS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Env: EnvNative, Design: DesignDMT, THP: true, Workload: gups,
+		WSBytes: 24 << 20, Ops: 20_000, Seed: 3, Shards: 2}
+	key := CanonicalKey(cfg)
+	want := "v1 env=native design=dmt thp=true wl=GUPS ws=25165824 scale=16 ops=20000 seed=3 shards=2 verify=false"
+	if key != want {
+		t.Fatalf("CanonicalKey = %q, want %q", key, want)
+	}
+	if CanonicalKey(cfg.Normalized()) != key {
+		t.Fatal("CanonicalKey must be normalization-invariant")
+	}
+	workers := cfg
+	workers.Workers = 8
+	if CanonicalKey(workers) != key {
+		t.Fatal("CanonicalKey must ignore Workers (scheduling only)")
+	}
+
+	flips := []struct {
+		field string
+		flip  func(*Config)
+	}{
+		{"env", func(c *Config) { c.Env = EnvVirt }},
+		{"design", func(c *Config) { c.Design = DesignVanilla }},
+		{"thp", func(c *Config) { c.THP = false }},
+		{"workload", func(c *Config) { c.Workload.Name = "Redis" }},
+		{"ws", func(c *Config) { c.WSBytes = 32 << 20 }},
+		{"scale", func(c *Config) { c.CacheScale = 4 }},
+		{"ops", func(c *Config) { c.Ops = 30_000 }},
+		{"seed", func(c *Config) { c.Seed = 4 }},
+		{"shards", func(c *Config) { c.Shards = 4 }},
+		{"verify", func(c *Config) { c.Verify = true }},
+	}
+	for _, f := range flips {
+		c := cfg
+		f.flip(&c)
+		if CanonicalKey(c) == key {
+			t.Errorf("CanonicalKey ignores %s: %q", f.field, key)
+		}
+	}
+}

@@ -1,19 +1,19 @@
-// Package store is the durable, content-addressed result store of the
-// sweep fabric: the serving layer's coalescing key (the normalized,
-// result-determining configuration subset — serve.CanonicalKey) made
-// persistent on disk. Each entry maps that canonical key to one completed
-// simulation's result payload, wrapped in an envelope carrying a SHA-256
-// checksum and the key text itself. Completed cells therefore survive
-// coordinator crashes: a restarted sweep re-reads the store and re-runs
-// only the cells that are missing, and any later re-request of a known
-// configuration costs one file read instead of a simulation.
+// Package store is the durable, content-addressed result store behind
+// cmd/dmtsweep's resumable sweeps. Each entry maps a canonical
+// configuration key (sim.CanonicalKey: the normalized, result-determining
+// configuration subset) to one completed simulation's result payload,
+// wrapped in an envelope carrying a SHA-256 checksum and the key text
+// itself. Completed cells therefore survive an interrupted sweep: a re-run
+// re-reads the store and simulates only the cells that are missing, and
+// any later request for a known configuration costs one file read instead
+// of a simulation.
 //
 // Integrity contract: Get verifies the envelope checksum (and the embedded
 // key) on every read. A corrupt, truncated, or mismatched entry is treated
 // as a miss — it is removed so the cell re-simulates and overwrites it —
 // and is never returned as a result. Writes are atomic (temp file +
 // rename), so a crash mid-Put leaves either the old entry or none, never a
-// torn one. Layout and semantics are documented in DESIGN.md §12.
+// torn one. Layout and semantics are documented in DESIGN.md §11.
 package store
 
 import (
@@ -33,7 +33,7 @@ import (
 const envelopeVersion = 1
 
 // envelope is the on-disk form of one entry. Payload is the result JSON
-// exactly as the serving layer produced it; Checksum is the SHA-256 of
+// exactly as the caller produced it; Checksum is the SHA-256 of
 // those payload bytes; Key is the canonical key text, kept as a collision
 // and misfile guard (the filename is only a hash of it).
 type envelope struct {
