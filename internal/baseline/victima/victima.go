@@ -12,10 +12,10 @@
 // 4 KiB-granule entries (one 32 KiB-aligned VA window per block); an entry
 // records the mapping's true leaf size, so 2 MiB mappings reconstruct
 // exact PA/size. Block residency is tracked in the *real* simulated L2
-// (cache.Cache.Lookup / Insert on the block's machine address, stamped on
-// the hierarchy's own LRU clock): a probe that finds its block evicted by
-// data fills drops the block's entries and falls through to the inner
-// walker, charging one L2 round-trip for the probe either way.
+// (cache.Cache.Lookup / Insert on the block's machine address, aging in
+// the same LRU sets as demand traffic): a probe that finds its block
+// evicted by data fills drops the block's entries and falls through to the
+// inner walker, charging one L2 round-trip for the probe either way.
 package victima
 
 import (
@@ -210,7 +210,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	out.SeqSteps++
 	if way >= 0 {
 		bi := set*SpillWays + way
-		if w.Hier.L2.Lookup(addr, w.Hier.Tick()) {
+		if w.Hier.L2.Lookup(addr) {
 			slot := int(uint64(va)>>mem.PageShift4K) & (entriesPerBlock - 1)
 			if f := w.frames[bi*entriesPerBlock+slot]; f != 0 {
 				w.SpillHits++
@@ -262,7 +262,7 @@ func (w *Walker) fill(va mem.VAddr, set, way int, tag uint64, pa mem.PAddr, size
 	ei := (set*SpillWays+way)*entriesPerBlock + slot
 	w.frames[ei] = mem.AlignDownP(pa, size.Bytes()) + 1
 	w.sizes[ei] = size
-	w.Hier.L2.Insert(w.Store.BlockAddr(set, way), w.Hier.Tick())
+	w.Hier.L2.Insert(w.Store.BlockAddr(set, way))
 	w.Fills++
 }
 

@@ -47,20 +47,20 @@ type Config struct {
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * mem.CacheLineBytes) }
 
-// Cache is one set-associative LRU cache array. Tags and LRU stamps live
-// interleaved in one flat array — (tag, stamp) pairs, set-major — rather
-// than per-set slices or parallel arrays: a probe touches one contiguous
-// span per set instead of chasing pointers or straddling a tags array and
-// a stamps array, which matters because every simulated memory access
-// walks these arrays several times and the larger arrays (the LLC's) miss
-// the host's own caches.
+// Cache is one set-associative LRU cache array. Each set is a span of one
+// flat set-major tag array, kept in recency order: valid tags form a prefix
+// of the span, most recently used first, so the LRU line is simply the last
+// way and no per-way age is stored. A hit moves its tag to way 0, a fill
+// pushes the set down one way and drops the last. One word per way keeps a
+// probe to one contiguous span, which matters because every simulated
+// memory access walks these arrays several times and the larger arrays
+// (the LLC's) miss the host's own caches.
 type Cache struct {
-	cfg   Config
-	ways  int
-	wspan int // ways*2: elements per set in ents
-	nsets uint64
-	mask  uint64   // nsets-1 when nsets is a power of two, else 0 (modulo path)
-	ents  []uint64 // (tag, stamp) pairs; tag 0 = invalid (stored +1)
+	cfg  Config
+	ways int
+	mask uint64   // set count - 1 when the count is a power of two
+	mod  uint64   // the set count when it is not (modulo path), else 0
+	tags []uint64 // set-major, recency-ordered; tag 0 = invalid (stored +1)
 
 	Hits   uint64
 	Misses uint64
@@ -77,14 +77,14 @@ func NewCache(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: bad geometry %+v", cfg)
 	}
 	c := &Cache{
-		cfg:   cfg,
-		ways:  cfg.Ways,
-		wspan: cfg.Ways * 2,
-		nsets: uint64(n),
-		ents:  make([]uint64, n*cfg.Ways*2),
+		cfg:  cfg,
+		ways: cfg.Ways,
+		tags: make([]uint64, n*cfg.Ways),
 	}
 	if n&(n-1) == 0 {
 		c.mask = uint64(n) - 1
+	} else {
+		c.mod = uint64(n)
 	}
 	return c, nil
 }
@@ -92,31 +92,29 @@ func NewCache(cfg Config) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// locate returns the first element index of pa's set in ents and its match
-// tag. For power-of-two set counts (every Table 3 geometry, scaled or not)
-// the set index is a mask — bit-identical to the modulo it replaces — so
-// the hot path avoids a hardware divide.
-func (c *Cache) locate(pa mem.PAddr) (int, uint64) {
+// locate returns pa's set span in tags and its match tag. For power-of-two
+// set counts (every Table 3 geometry, scaled or not, down to a single set)
+// the set index is a mask — bit-identical to the modulo — so the hot path
+// avoids a hardware divide.
+func (c *Cache) locate(pa mem.PAddr) ([]uint64, uint64) {
 	line := uint64(pa) / mem.CacheLineBytes
 	var si uint64
-	if c.mask != 0 {
+	if c.mod == 0 {
 		si = line & c.mask
 	} else {
-		si = line % c.nsets
+		si = line % c.mod
 	}
-	return int(si) * c.wspan, line + 1 // +1 so tag 0 means invalid
+	base := int(si) * c.ways
+	return c.tags[base : base+c.ways], line + 1 // +1 so tag 0 means invalid
 }
 
-// Lookup probes for the line holding pa and refreshes LRU state on a hit.
-func (c *Cache) Lookup(pa mem.PAddr, now uint64) bool {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	// w < len(set)-1 (not w < len) so the compiler can prove the scan's
-	// element loads in bounds; wspan is even, so the iteration space is
-	// identical.
-	for w := 0; w < len(set)-1; w += 2 {
-		if set[w] == tag {
-			set[w+1] = now
+// Lookup probes for the line holding pa and makes it most recent on a hit.
+func (c *Cache) Lookup(pa mem.PAddr) bool {
+	set, tag := c.locate(pa)
+	for w, t := range set {
+		if t == tag {
+			copy(set[1:w+1], set[:w])
+			set[0] = tag
 			c.Hits++
 			return true
 		}
@@ -125,71 +123,52 @@ func (c *Cache) Lookup(pa mem.PAddr, now uint64) bool {
 	return false
 }
 
-// Insert fills the line holding pa, evicting the LRU victim.
-func (c *Cache) Insert(pa mem.PAddr, now uint64) {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < len(set)-1; w += 2 {
-		if set[w] == tag {
-			set[w+1] = now
-			return
-		}
-		if set[w] == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if s := set[w+1]; s < oldest {
-			victim, oldest = w, s
-		}
-	}
-	set[victim] = tag
-	set[victim+1] = now
+// Insert fills the line holding pa as most recent, evicting the LRU line
+// when the set is full (a resident line is just refreshed).
+func (c *Cache) Insert(pa mem.PAddr) {
+	set, tag := c.locate(pa)
+	fill(set, tag)
 }
 
-// lookupOrFill probes for the line holding pa and, on a miss, fills the
-// victim way within the same set scan. It is exactly Lookup followed by
-// Insert of the same line: valid tags always occupy a prefix of the set
-// (fills take the first empty way, evictions replace in place, and Flush
-// empties whole sets), so the first empty way encountered both proves the
-// tag absent and is the way Insert would pick. Hit/miss counters, LRU
-// stamps, and victim choice are bit-identical to the two-call sequence —
-// but the set span is touched once instead of twice, which matters on the
-// miss path where the span starts cold in the host's own caches.
-func (c *Cache) lookupOrFill(pa mem.PAddr, now uint64) bool {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < len(set)-1; w += 2 {
-		t := set[w]
+// fill makes tag the most recent line of set in one carry pass: each way
+// takes its predecessor's tag until the pass reaches tag itself (a hit: the
+// ways above it moved down one) or falls off the end, dropping the last way
+// — the LRU line when the set is full, an empty way otherwise. Empty ways
+// hold tag 0, which no line matches, so the pass needs no validity check.
+// It reports whether tag was already resident.
+func fill(set []uint64, tag uint64) bool {
+	carry := tag
+	for w, t := range set {
+		set[w] = carry
 		if t == tag {
-			set[w+1] = now
-			c.Hits++
 			return true
 		}
-		if t == 0 {
-			c.Misses++
-			set[w] = tag
-			set[w+1] = now
-			return false
-		}
-		if s := set[w+1]; s < oldest {
-			victim, oldest = w, s
-		}
+		carry = t
+	}
+	return false
+}
+
+// lookupOrFill probes for the line holding pa and, on a miss, fills it —
+// exactly Lookup followed by Insert of the same line, with the set span
+// touched once instead of twice, which matters on the miss path where the
+// span starts cold in the host's own caches.
+func (c *Cache) lookupOrFill(pa mem.PAddr) bool {
+	set, tag := c.locate(pa)
+	if len(set) > 0 && set[0] == tag { // a hit on the most recent line stores nothing
+		c.Hits++
+		return true
+	}
+	if fill(set, tag) {
+		c.Hits++
+		return true
 	}
 	c.Misses++
-	set[victim] = tag
-	set[victim+1] = now
 	return false
 }
 
 // Flush invalidates the entire array (used across simulated context
 // switches in tests).
-func (c *Cache) Flush() {
-	for i := 0; i < len(c.ents); i += 2 {
-		c.ents[i] = 0
-	}
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // HierarchyConfig describes the full memory system; DefaultConfig matches
 // Table 3 (Intel Xeon Gold 6138).
@@ -231,8 +210,6 @@ type Hierarchy struct {
 	L2  *Cache
 	LLC *Cache
 
-	now uint64
-
 	Accesses   uint64
 	MemFetches uint64
 }
@@ -264,17 +241,16 @@ type AccessResult struct {
 // round-trip latency and the serving level, and filling all levels above
 // the hit (inclusive allocation). Each level that misses is filled by its
 // own lookupOrFill as the probe cascades down — every miss level ends up
-// holding the line under the same LRU clock tick, exactly as the
-// lookup-then-backfill phrasing would leave it, without rescanning any set.
+// holding the line as its most recent, exactly as the lookup-then-backfill
+// phrasing would leave it, without rescanning any set.
 func (h *Hierarchy) Access(pa mem.PAddr) AccessResult {
-	h.now++
 	h.Accesses++
 	switch {
-	case h.L1D.lookupOrFill(pa, h.now):
+	case h.L1D.lookupOrFill(pa):
 		return AccessResult{h.cfg.L1D.LatencyRT, LevelL1}
-	case h.L2.lookupOrFill(pa, h.now):
+	case h.L2.lookupOrFill(pa):
 		return AccessResult{h.cfg.L2.LatencyRT, LevelL2}
-	case h.LLC.lookupOrFill(pa, h.now):
+	case h.LLC.lookupOrFill(pa):
 		return AccessResult{h.cfg.LLC.LatencyRT, LevelLLC}
 	default:
 		h.MemFetches++
@@ -284,7 +260,7 @@ func (h *Hierarchy) Access(pa mem.PAddr) AccessResult {
 
 // AccessBatch performs demand accesses to every pa in order, returning the
 // summed round-trip cycles. It is bit-identical to calling Access per
-// element — same lookup order, same inclusive fills, same LRU clock and
+// element — same lookup order, same inclusive fills, same recency order and
 // counters — but keeps the level pointers and per-level configs hot in one
 // loop, which matters on the batched engine's TLB-hit runs where the data
 // access is the only memory-system work per op.
@@ -296,14 +272,13 @@ func (h *Hierarchy) AccessBatch(pas []mem.PAddr) uint64 {
 	latMem := uint64(h.cfg.MemLatency)
 	var cycles uint64
 	for _, pa := range pas {
-		h.now++
 		h.Accesses++
 		switch {
-		case l1.lookupOrFill(pa, h.now):
+		case l1.lookupOrFill(pa):
 			cycles += latL1
-		case l2.lookupOrFill(pa, h.now):
+		case l2.lookupOrFill(pa):
 			cycles += latL2
-		case llc.lookupOrFill(pa, h.now):
+		case llc.lookupOrFill(pa):
 			cycles += latLLC
 		default:
 			h.MemFetches++
@@ -321,36 +296,23 @@ func (h *Hierarchy) AccessBatch(pas []mem.PAddr) uint64 {
 // it cannot hide (LevelL2 means the line was already close — nothing to
 // wait for).
 func (h *Hierarchy) Prefetch(pa mem.PAddr) Level {
-	h.now++
-	if h.L2.lookupOrFill(pa, h.now) {
+	if h.L2.lookupOrFill(pa) {
 		return LevelL2
 	}
-	if h.LLC.lookupOrFill(pa, h.now) {
+	if h.LLC.lookupOrFill(pa) {
 		return LevelLLC
 	}
 	h.MemFetches++
 	return LevelMem
 }
 
-// Tick advances the hierarchy's LRU clock by one and returns the new stamp.
-// Designs that manage individual cache arrays directly (Victima's TLB-spill
-// blocks live in stolen L2 ways) stamp their Lookup/Insert calls with it, so
-// their lines age on the same clock as demand traffic — mixing a private
-// counter in would make spilled lines look arbitrarily old or young to the
-// LRU victim scan.
-func (h *Hierarchy) Tick() uint64 {
-	h.now++
-	return h.now
-}
-
 // Contains reports whether pa is present at any level (test helper).
 func (h *Hierarchy) Contains(pa mem.PAddr) bool {
-	// Probe without disturbing LRU or stats: inspect tags directly.
-	for _, c := range []*Cache{h.L1D, h.L2, h.LLC} {
-		base, tag := c.locate(pa)
-		set := c.ents[base : base+c.wspan]
-		for w := 0; w < len(set); w += 2 {
-			if set[w] == tag {
+	// Probe without disturbing recency order or stats: inspect tags directly.
+	for _, c := range [...]*Cache{h.L1D, h.L2, h.LLC} {
+		set, tag := c.locate(pa)
+		for _, t := range set {
+			if t == tag {
 				return true
 			}
 		}

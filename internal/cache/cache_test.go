@@ -73,23 +73,17 @@ func TestLRUVictimSelection(t *testing.T) {
 	// Single set, 4 ways. Touch lines A,B,C,D then re-touch A; inserting E
 	// must evict B (the LRU), not A.
 	addrs := []mem.PAddr{0, 0x40 * 1, 0x40 * 2, 0x40 * 3}
-	now := uint64(0)
 	for _, a := range addrs {
-		now++
-		c.Insert(a, now)
+		c.Insert(a)
 	}
-	now++
-	if !c.Lookup(addrs[0], now) {
+	if !c.Lookup(addrs[0]) {
 		t.Fatal("A should be present")
 	}
-	now++
-	c.Insert(0x40*4, now) // E evicts LRU = B
-	now++
-	if !c.Lookup(addrs[0], now) {
+	c.Insert(0x40 * 4) // E evicts LRU = B
+	if !c.Lookup(addrs[0]) {
 		t.Error("A was evicted despite being MRU")
 	}
-	now++
-	if c.Lookup(addrs[1], now) {
+	if c.Lookup(addrs[1]) {
 		t.Error("B should have been the LRU victim")
 	}
 }

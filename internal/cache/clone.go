@@ -1,10 +1,10 @@
 package cache
 
-// Clone deep-copies one cache array: the interleaved tag/stamp entries and
-// hit/miss counters, so lookups on the clone age its own sets only.
+// Clone deep-copies one cache array: the recency-ordered tags and hit/miss
+// counters, so lookups on the clone reorder its own sets only.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	n.ents = append([]uint64(nil), c.ents...)
+	n.tags = append([]uint64(nil), c.tags...)
 	return &n
 }
 
@@ -17,7 +17,6 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		L1D:        h.L1D.Clone(),
 		L2:         h.L2.Clone(),
 		LLC:        h.LLC.Clone(),
-		now:        h.now,
 		Accesses:   h.Accesses,
 		MemFetches: h.MemFetches,
 	}

@@ -121,11 +121,11 @@ type BatchWalker interface {
 // Inside a run of consecutive TLB hits the per-op work decomposes into two
 // independent state machines: the TLB probe touches only TLB state (LRU,
 // promotion, hit counters) and the data access touches only hierarchy state
-// (fills, LRU clock, level counters) — and the checker reads neither. The
+// (fills, LRU order, level counters) — and the checker reads neither. The
 // loop therefore unzips each hit-run's L,D,L,D,… interleave into one
 // tlb.LookupBatch pass over the run followed by one cache.AccessBatch pass:
 // every structure is driven by a tight per-structure loop with its metadata
-// hot, and every counter, LRU stamp, and hit/miss outcome is bit-identical
+// hot, and every counter, LRU order, and hit/miss outcome is bit-identical
 // to the scalar interleave. The first miss ends the run (its walk touches
 // the hierarchy, so it must stay ordered after the run's data accesses).
 func RunBatch[W Walker](b *Batch, w W, reqs []Req, res []Res) int {

@@ -12,35 +12,21 @@ import (
 )
 
 // assoc is a small set-associative map from uint64 keys to uint64 values
-// with LRU replacement; it backs TLBs, PWCs, and nested walk caches. Keys,
-// values, and stamps live interleaved in one flat set-major array — (key,
-// val, stamp) triplets — so the walk hot path, which probes these
-// structures many times per translation, touches one contiguous span per
-// set: no pointer chase, no hardware divide (power-of-two set counts take
-// a mask), and a hit reads its value and writes its stamp on the cache
-// line it just scanned.
+// with LRU replacement; it backs TLBs, PWCs, and nested walk caches. Keys
+// and values live in two flat set-major arrays, and each set is kept in
+// recency order: valid entries form a prefix of the set, most recently used
+// first, so the LRU entry is the last valid way and no per-way age is
+// stored. Empty ways hold key 0, which no stored key+1 equals, so probes
+// need no separate validity check. The walk hot path, which probes these
+// structures many times per translation, scans one contiguous run of keys
+// per set — no pointer chase, no hardware divide (power-of-two set counts
+// take a mask) — and reads a value only on a hit.
 type assoc struct {
-	ents  []uint64 // (key+1, val, stamp) triplets; key 0 = invalid
-	ways  int
-	wspan int // ways*3: elements per set in ents
-	nsets uint64
-	mask  uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
-	now   uint64
-	hits  uint64
-	miss  uint64
-
-	// Miss stash: a failed lookup has already scanned the very set a
-	// follow-up insert of the same key will scan, so it records the victim
-	// way it would pick. insert consumes the stash for an O(1) fill when —
-	// and only when — the stashed probe was the immediately preceding
-	// operation on this assoc: every hit, insert, invalidate, and flush
-	// clears the stash, so a matching stash proves the set (tags and
-	// stamps, hence the victim choice) is exactly as the probe saw it.
-	// This is the TLB/PWC walk pattern — probe, miss, walk, install —
-	// with the install's set scan folded into the probe it always follows.
-	missKey    uint64 // key+1 of the stashed miss; 0 = no stash
-	missBase   int
-	missVictim int
+	keys []uint64 // key+1 per way; 0 = invalid
+	vals []uint64 // the value of the key in the same slot
+	ways int
+	mask uint64 // set count - 1 when the count is a power of two
+	mod  uint64 // the set count when it is not (modulo path), else 0
 }
 
 func newAssoc(entries, ways int) (*assoc, error) {
@@ -49,13 +35,14 @@ func newAssoc(entries, ways int) (*assoc, error) {
 	}
 	n := entries / ways
 	a := &assoc{
-		ents:  make([]uint64, entries*3),
-		ways:  ways,
-		wspan: ways * 3,
-		nsets: uint64(n),
+		keys: make([]uint64, entries),
+		vals: make([]uint64, entries),
+		ways: ways,
 	}
 	if n&(n-1) == 0 {
 		a.mask = uint64(n) - 1
+	} else {
+		a.mod = uint64(n)
 	}
 	return a, nil
 }
@@ -78,112 +65,73 @@ func normAssoc(entries, ways int) *assoc {
 	return a
 }
 
-// set returns the first element index of key's set in ents. The set index
-// computed by the mask fast path equals the modulo it replaces exactly, so
-// hit/miss patterns — and therefore every simulated metric — are unchanged.
-func (a *assoc) set(key uint64) int {
+// set returns key's set: its keys and values, way by way. The set index
+// computed by the mask fast path (power-of-two set counts, a single set
+// included) equals the modulo exactly, so the two paths place every key
+// alike.
+func (a *assoc) set(key uint64) (keys, vals []uint64) {
 	// Mix the key so consecutive VPNs spread across sets.
 	h := key * 0x9e3779b97f4a7c15
 	var si uint64
-	if a.mask != 0 {
+	if a.mod == 0 {
 		si = (h >> 32) & a.mask
 	} else {
-		si = (h >> 32) % a.nsets
+		si = (h >> 32) % a.mod
 	}
-	return int(si) * a.wspan
+	base := int(si) * a.ways
+	return a.keys[base : base+a.ways], a.vals[base : base+a.ways]
 }
 
+// lookup returns key's value and makes it the most recent entry of its set.
 func (a *assoc) lookup(key uint64) (uint64, bool) {
-	a.now++
-	base := a.set(key)
-	set := a.ents[base : base+a.wspan]
-	victim, oldest, empty := 0, ^uint64(0), -1
-	// w < len(set)-2 (not w < len) so the compiler can prove the scan's
-	// element loads in bounds; wspan is a multiple of 3, so the iteration
-	// space is identical.
-	for w := 0; w < len(set)-2; w += 3 {
-		k := set[w]
+	ks, vs := a.set(key)
+	vs = vs[:len(ks)] // equal lengths: lets the compiler drop bounds checks
+	for w, k := range ks {
 		if k == key+1 {
-			set[w+2] = a.now
-			a.hits++
-			a.missKey = 0
-			return set[w+1], true
-		}
-		if k == 0 {
-			if empty < 0 {
-				empty = w
+			v := vs[w]
+			for ; w > 0; w-- {
+				ks[w], vs[w] = ks[w-1], vs[w-1]
 			}
-			continue
-		}
-		if s := set[w+2]; s < oldest {
-			victim, oldest = w, s
+			ks[0], vs[0] = k, v
+			return v, true
 		}
 	}
-	a.miss++
-	// Stash the way insert would choose: the first empty way if any
-	// (invalidate can leave holes anywhere in a set), else the LRU way.
-	if empty >= 0 {
-		victim = empty
-	}
-	a.missKey = key + 1
-	a.missBase = base
-	a.missVictim = victim
 	return 0, false
 }
 
+// insert makes (key, val) the most recent entry of its set in one carry
+// pass: each way takes its predecessor's entry until the pass reaches key
+// itself (its old value is dropped) or falls off the end, dropping the last
+// way — the LRU entry when the set is full, an empty way otherwise.
 func (a *assoc) insert(key, val uint64) {
-	a.now++
-	if a.missKey == key+1 {
-		// The set is untouched since the stashed miss probe of this key:
-		// the key is known absent and the stashed way is exactly the
-		// victim the scan below would pick.
-		a.missKey = 0
-		w := a.missBase + a.missVictim
-		a.ents[w] = key + 1
-		a.ents[w+1] = val
-		a.ents[w+2] = a.now
-		return
-	}
-	a.missKey = 0
-	base := a.set(key)
-	set := a.ents[base : base+a.wspan]
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < len(set)-2; w += 3 {
-		if set[w] == key+1 {
-			set[w+1] = val
-			set[w+2] = a.now
+	ks, vs := a.set(key)
+	vs = vs[:len(ks)]
+	ck, cv := key+1, val
+	for w, k := range ks {
+		v := vs[w]
+		ks[w], vs[w] = ck, cv
+		if k == key+1 {
 			return
 		}
-		if set[w] == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if s := set[w+2]; s < oldest {
-			victim, oldest = w, s
-		}
+		ck, cv = k, v
 	}
-	set[victim] = key + 1
-	set[victim+1] = val
-	set[victim+2] = a.now
 }
 
+// invalidate drops key, closing the gap so valid entries stay a prefix in
+// recency order.
 func (a *assoc) invalidate(key uint64) {
-	a.missKey = 0
-	base := a.set(key)
-	set := a.ents[base : base+a.wspan]
-	for w := 0; w < len(set); w += 3 {
-		if set[w] == key+1 {
-			set[w] = 0
+	ks, vs := a.set(key)
+	for w, k := range ks {
+		if k == key+1 {
+			copy(ks[w:], ks[w+1:])
+			copy(vs[w:], vs[w+1:])
+			ks[len(ks)-1] = 0
+			return
 		}
 	}
 }
 
-func (a *assoc) flush() {
-	a.missKey = 0
-	for i := 0; i < len(a.ents); i += 3 {
-		a.ents[i] = 0
-	}
-}
+func (a *assoc) flush() { clear(a.keys) }
 
 // Config describes the two-level TLB; DefaultConfig matches Table 3.
 type Config struct {
@@ -204,12 +152,10 @@ type TLB struct {
 
 	// seen[size] records whether any entry of that page-size class has been
 	// inserted since the last full flush. Probing a size class with no
-	// resident entries can never hit, and a missing probe leaves nothing
-	// observable behind (only the assoc's internal clock, whose absolute
-	// value no replacement decision reads — victim choice depends on stamp
-	// order, which skipping cannot change), so the lookup loops try only
-	// the classes that can possibly hold a translation. With THP off that
-	// halves-to-thirds the probe work of every single lookup.
+	// resident entries can never hit, and a missing probe leaves every set
+	// exactly as it found it (only a hit reorders one), so the lookup loops
+	// try only the classes that can possibly hold a translation. With THP
+	// off that halves-to-thirds the probe work of every single lookup.
 	seen [3]bool
 
 	L1Hits, L2Hits, Misses uint64
