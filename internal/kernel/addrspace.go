@@ -60,64 +60,27 @@ type AddressSpace struct {
 
 // rmapTable is the reverse map from data frames to the page mapping them.
 // Each entry packs the (4 KiB-aligned) VA with the leaf size + 1 in the low
-// bits, held in a frame-indexed dense slice grown by amortized doubling,
-// with a sparse overflow map for physical addresses beyond the dense
-// range — the same hybrid the page-table node pool uses, keeping the
-// demand-paging hot path free of map operations.
+// bits, so a zero word means "unmapped". It is a mem.FrameMap — the same
+// frame index the page-table node pool uses — keeping the demand-paging hot
+// path free of map operations, and a clone's copy limited to the 2 MiB
+// frame chunks that hold mapped data (one entry per chunk under THP).
 type rmapTable struct {
-	dense  []uint64
-	sparse map[mem.PAddr]uint64
+	frames mem.FrameMap[uint64]
 }
 
-// rmapDenseFrames caps the dense array at 16 GiB of physical address space.
-const rmapDenseFrames = 1 << 22
-
 func (r *rmapTable) set(pa mem.PAddr, va mem.VAddr, size mem.PageSize) {
-	enc := uint64(va) | (uint64(size) + 1)
-	f := uint64(pa) >> mem.PageShift4K
-	if f < rmapDenseFrames {
-		if f >= uint64(len(r.dense)) {
-			if f < uint64(cap(r.dense)) {
-				r.dense = r.dense[:f+1]
-			} else {
-				newCap := 2 * (f + 1)
-				if newCap > rmapDenseFrames {
-					newCap = rmapDenseFrames
-				}
-				grown := make([]uint64, f+1, newCap)
-				copy(grown, r.dense)
-				r.dense = grown
-			}
-		}
-		r.dense[f] = enc
-		return
-	}
-	if r.sparse == nil {
-		r.sparse = make(map[mem.PAddr]uint64)
-	}
-	r.sparse[pa] = enc
+	r.frames.Set(pa, uint64(va)|(uint64(size)+1))
 }
 
 func (r *rmapTable) get(pa mem.PAddr) (mem.VAddr, mem.PageSize, bool) {
-	var enc uint64
-	if f := uint64(pa) >> mem.PageShift4K; f < uint64(len(r.dense)) {
-		enc = r.dense[f]
-	} else if f >= rmapDenseFrames && r.sparse != nil {
-		enc = r.sparse[pa]
-	}
+	enc := r.frames.Get(pa)
 	if enc == 0 {
 		return 0, 0, false
 	}
 	return mem.VAddr(enc &^ (mem.PageBytes4K - 1)), mem.PageSize(enc&(mem.PageBytes4K-1)) - 1, true
 }
 
-func (r *rmapTable) del(pa mem.PAddr) {
-	if f := uint64(pa) >> mem.PageShift4K; f < uint64(len(r.dense)) {
-		r.dense[f] = 0
-	} else if f >= rmapDenseFrames && r.sparse != nil {
-		delete(r.sparse, pa)
-	}
-}
+func (r *rmapTable) del(pa mem.PAddr) { r.frames.Delete(pa) }
 
 // NewAddressSpace builds a process address space backed by pa.
 func NewAddressSpace(pa *phys.Allocator, cfg Config) (*AddressSpace, error) {

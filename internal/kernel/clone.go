@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"dmt/internal/mem"
-	"dmt/internal/phys"
-)
+import "dmt/internal/phys"
 
 // Clone returns a deep structural copy of the address space on top of an
 // independently-cloned physical allocator (pa must be as.Phys.Clone(), made
@@ -48,12 +45,5 @@ func (v *VMA) clone() *VMA {
 }
 
 func (r *rmapTable) clone() rmapTable {
-	c := rmapTable{dense: append([]uint64(nil), r.dense...)}
-	if r.sparse != nil {
-		c.sparse = make(map[mem.PAddr]uint64, len(r.sparse))
-		for k, v := range r.sparse {
-			c.sparse[k] = v
-		}
-	}
-	return c
+	return rmapTable{frames: r.frames.Clone()}
 }

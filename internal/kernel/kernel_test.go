@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"dmt/internal/mem"
@@ -300,5 +301,43 @@ func TestUnmapPageTHP(t *testing.T) {
 	}
 	if _, _, ok := as.PT.Lookup(0x40000000); ok {
 		t.Fatal("2M leaf survived UnmapPage")
+	}
+}
+
+// TestCloneRmapBytesFollowTouchedChunks pins the reverse map's clone cost
+// to the 2 MiB frame chunks holding mapped data: a THP address space with
+// a few scattered huge pages high in a 1 GiB machine has one rmap entry
+// per huge page, and its clone copies a handful of chunks, not a slice up
+// to the highest data frame.
+func TestCloneRmapBytesFollowTouchedChunks(t *testing.T) {
+	as := newAS(t, 1<<18, Config{THP: true})
+	const start = mem.VAddr(1 << 30)
+	if _, err := as.MMap(start, 512<<20, VMAHeap, "heap"); err != nil {
+		t.Fatal(err)
+	}
+	var highest mem.PAddr
+	for i := 0; i < 8; i++ {
+		va := start + mem.VAddr(i)*64<<20
+		if _, err := as.Touch(va, true); err != nil {
+			t.Fatal(err)
+		}
+		pa, size, ok := as.PT.Lookup(va)
+		if !ok || size != mem.Size2M {
+			t.Fatalf("precondition: %#x not huge-mapped (ok=%v size=%v)", uint64(va), ok, size)
+		}
+		highest = max(highest, pa)
+	}
+	if highest < 512<<20 {
+		t.Fatalf("precondition: highest data frame %#x sits below 512 MiB", uint64(highest))
+	}
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		_ = as.rmap.clone()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= 64<<10 {
+		t.Fatalf("cloning the reverse map of 8 huge pages allocates %d bytes, want under 64 KiB", got)
 	}
 }

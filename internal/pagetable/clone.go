@@ -1,14 +1,13 @@
 package pagetable
 
-import "dmt/internal/mem"
-
 // Clone deep-copies the table into a fresh Pool, preserving every node's
 // physical placement (clones translate identically, PTE addresses included)
 // while sharing no arena or index storage with the original. Because nodes
 // reference their children by nodeID rather than pointer, the copy is a flat
-// memcpy of the arena slabs plus the frame index — no recursive traversal,
-// no pointer rewriting — so clone cost is proportional to arena size with
-// slab-copy constants, not to tree shape. The placement callbacks are NOT
+// memcpy of the slots in use plus the frame index's allocated chunks — no
+// recursive traversal, no pointer rewriting — so clone bytes follow the live
+// nodes and the 2 MiB frame chunks they sit in, not the slab size, the
+// highest node frame, or the tree shape. The placement callbacks are NOT
 // copied: they close over the prototype's allocator and TEA manager, so the
 // caller must supply replacements bound to the cloned substrate
 // (kernel.AddressSpace.Clone passes its own allocNode/freeNode).
@@ -23,30 +22,26 @@ func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 	}
 }
 
-// clone copies the pool: slab contents, freelist, and both frame indexes.
-// nodeIDs are arena-relative, so they remain valid verbatim in the copy;
-// released slots are zeroed at release time, so copying them leaks nothing.
+// clone copies the pool: the slots ever handed out, the freelist, and the
+// frame index. The clone's slabs are carved from one arena allocation, each
+// capped at slabNodes so none can ever grow into its neighbour; slots past
+// the high-water mark are never written, so they are left to make's zeroing
+// rather than copied. nodeIDs are arena-relative, so they remain valid
+// verbatim in the copy; released slots are zeroed at release time, so
+// copying them leaks nothing.
 func (p *Pool) clone() *Pool {
-	c := &Pool{used: p.used, count: p.count}
+	c := &Pool{used: p.used, index: p.index.Clone()}
+	arena := make([]Node, len(p.slabs)*slabNodes)
 	c.slabs = make([][]Node, len(p.slabs))
 	for i, s := range p.slabs {
-		ns := make([]Node, slabNodes)
-		copy(ns, s)
+		lo := i * slabNodes
+		ns := arena[lo : lo+slabNodes : lo+slabNodes]
+		copy(ns, s[:min(slabNodes, p.used-lo)])
 		c.slabs[i] = ns
 	}
 	if len(p.free) > 0 {
 		c.free = make([]nodeID, len(p.free))
 		copy(c.free, p.free)
-	}
-	if len(p.dense) > 0 {
-		c.dense = make([]nodeID, len(p.dense))
-		copy(c.dense, p.dense)
-	}
-	if len(p.sparse) > 0 {
-		c.sparse = make(map[mem.PAddr]nodeID, len(p.sparse))
-		for k, v := range p.sparse {
-			c.sparse[k] = v
-		}
 	}
 	return c
 }

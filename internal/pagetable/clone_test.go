@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"runtime"
 	"testing"
 
 	"dmt/internal/mem"
@@ -161,5 +162,142 @@ func TestCloneAfterChurnCopiesFreelist(t *testing.T) {
 	}
 	if r := clone.Walk(0x7d00_0000_0000); r.OK {
 		t.Fatal("parent's refill mapping leaked into the clone")
+	}
+}
+
+// TestCloneMultiSlabChurnDoesNotAlias runs the no-aliasing contract on a
+// table whose arena spans several slabs and whose freelist holds slots from
+// more than one of them, so the clone's per-slab copy, its high-water
+// bound and its freelist all matter.
+func TestCloneMultiSlabChurnDoesNotAlias(t *testing.T) {
+	parent := newTestTable(t)
+	// Each VA sits in its own 1 GiB region: a level-2 and a level-1 node
+	// apiece, so 40 of them need 82 nodes, six 16-node slabs.
+	va := func(i int) mem.VAddr { return mem.VAddr(0x7f00_0000_0000 + uint64(i)<<30) }
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := parent.Map(va(i), mem.PAddr(0x40_000000+i*0x1000), mem.Size4K, mem.PTEWritable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if slabs := len(parent.Pool().slabs); slabs < 4 {
+		t.Fatalf("precondition: arena spans %d slabs, want at least 4", slabs)
+	}
+	// Churn: release every third region's nodes, spread over all slabs.
+	for i := 0; i < n; i += 3 {
+		if err := parent.Unmap(va(i), mem.Size4K); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(parent.Pool().free) == 0 {
+		t.Fatal("precondition: churn left no recycled slots")
+	}
+	before := make(map[mem.VAddr]snapshot)
+	for i := 0; i < n; i++ {
+		before[va(i)] = snap(parent, va(i))
+	}
+	parentNodes := parent.Pool().NodeCount()
+
+	clone := parent.Clone(BumpAlloc(0x8000000), nil)
+	for i := 0; i < n; i++ {
+		requireSnap(t, clone, va(i), before[va(i)], "fresh clone")
+	}
+	if got := clone.Pool().NodeCount(); got != parentNodes {
+		t.Fatalf("clone NodeCount = %d, want %d", got, parentNodes)
+	}
+
+	// The clone refills the recycled slots, grows past the high-water
+	// mark, unmaps, relocates and sets A bits.
+	for i := 0; i < n; i += 3 {
+		if err := clone.Map(va(i)+0x20_0000, mem.PAddr(0x50_000000+i*0x1000), mem.Size4K, mem.PTEWritable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n; i < n+20; i++ {
+		if err := clone.Map(va(i), mem.PAddr(0x60_000000+i*0x1000), mem.Size4K, mem.PTEWritable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := clone.Unmap(va(1), mem.Size4K); err != nil {
+		t.Fatal(err)
+	}
+	if err := clone.RelocateL1(va(2), 0x9000000); err != nil {
+		t.Fatal(err)
+	}
+	if !clone.SetAccessed(va(4), true) {
+		t.Fatal("SetAccessed missed a mapped leaf")
+	}
+	for i := 0; i < n; i++ {
+		requireSnap(t, parent, va(i), before[va(i)], "parent after clone mutation")
+	}
+	if got := parent.Pool().NodeCount(); got != parentNodes {
+		t.Fatalf("parent NodeCount = %d after clone mutation, want %d", got, parentNodes)
+	}
+	if pte, _ := parent.LeafPTE(va(4)); pte.Accessed() {
+		t.Fatal("parent leaf picked up the clone's A bit")
+	}
+	if _, ok := parent.Pool().NodeAt(0x9000000); ok {
+		t.Fatal("parent pool indexes the clone's relocated node")
+	}
+	for i := 0; i < n; i += 3 {
+		if r := parent.Walk(va(i) + 0x20_0000); r.OK {
+			t.Fatalf("clone's refill of region %d leaked into the parent", i)
+		}
+	}
+	for i := n; i < n+20; i++ {
+		if r := parent.Walk(va(i)); r.OK {
+			t.Fatalf("clone's new region %d leaked into the parent", i)
+		}
+	}
+
+	// And the reverse: the parent refills its own freelist.
+	cloneSnap := make(map[mem.VAddr]snapshot)
+	for i := 0; i < n+20; i++ {
+		cloneSnap[va(i)] = snap(clone, va(i))
+		cloneSnap[va(i)+0x20_0000] = snap(clone, va(i)+0x20_0000)
+	}
+	for i := 0; i < n; i += 3 {
+		if err := parent.Map(va(i)+0x40_0000, mem.PAddr(0x70_000000+i*0x1000), mem.Size4K, mem.PTEWritable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := parent.Unmap(va(5), mem.Size4K); err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range cloneSnap {
+		requireSnap(t, clone, v, want, "clone after parent mutation")
+	}
+}
+
+// cloneAllocBytes returns the average heap bytes one Clone of tbl
+// allocates.
+func cloneAllocBytes(tbl *Table) uint64 {
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		_ = tbl.Clone(nil, nil)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / rounds
+}
+
+// TestCloneBytesFollowLiveState pins clone cost to live state: a 4-node
+// table whose nodes sit near frame 200K (where the simulated workloads put
+// them) clones in under 256 KiB — one slab plus the chunk its nodes sit
+// in — with nothing sized by the highest node frame.
+func TestCloneBytesFollowLiveState(t *testing.T) {
+	tbl, err := New(NewPool(), mem.Levels4, BumpAlloc(0x3200_0000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Map(0x7f00_0000_0000, 0x40_000000, mem.Size4K, mem.PTEWritable); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Pool().NodeCount(); got != 4 {
+		t.Fatalf("precondition: %d nodes, want 4", got)
+	}
+	if got := cloneAllocBytes(tbl); got >= 256<<10 {
+		t.Fatalf("cloning a 4-node table allocates %d bytes, want under 256 KiB", got)
 	}
 }

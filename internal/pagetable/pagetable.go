@@ -43,8 +43,8 @@ type NodeFreeFunc func(level int, pa mem.PAddr)
 type nodeID int32
 
 const (
-	slabShift = 8
-	slabNodes = 1 << slabShift // nodes per slab (~1.6 MiB of arena each)
+	slabShift = 4
+	slabNodes = 1 << slabShift // nodes per slab (~96 KiB of arena each)
 	slabMask  = slabNodes - 1
 )
 
@@ -71,32 +71,25 @@ func (n *Node) EntryAddr(idx int) mem.PAddr {
 // components (the DMT fetcher) that compute PTE locations arithmetically
 // rather than walking.
 //
-// Storage is arena-backed: nodes live in fixed-size contiguous slabs and are
-// addressed by nodeID, so node creation is a slot bump (no per-node heap
-// allocation), a walk descends by index into memory the previous level's
-// fetch just pulled near, and Clone is a flat copy of the slabs. Slab
-// backing arrays are append-only and never reallocate, so *Node pointers
-// handed out (NodeAt, NodeForLevel) stay valid for the Pool's lifetime.
-// Released slots are zeroed and recycled through a freelist, bounding arena
-// growth under map/unmap churn.
+// Storage is arena-backed: nodes live in small fixed-size contiguous slabs
+// and are addressed by nodeID, so node creation is a slot bump (no per-node
+// heap allocation), a walk descends by index into memory the previous
+// level's fetch just pulled near, and Clone is a flat copy of the slabs in
+// use. Slab backing arrays are append-only and never reallocate, so *Node
+// pointers handed out (NodeAt, NodeForLevel) stay valid for the Pool's
+// lifetime. Released slots are zeroed and recycled through a freelist,
+// bounding arena growth under map/unmap churn.
 //
-// The frame index is a slice rather than a map: NodeAt sits on the walk hot
-// path (every DMT fetch reads a PTE through it). Frames beyond denseFrames
-// (simulated physical memory is far smaller) fall back to a map so arbitrary
-// addresses — property tests, sentinel placements — stay cheap instead of
-// forcing a multi-terabyte slice.
+// The frame index is a mem.FrameMap: NodeAt sits on the walk hot path
+// (every DMT fetch reads a PTE through it) and stays free of map operations
+// for simulated physical memory, while its storage — and a clone's copy of
+// it — follows the 2 MiB chunks holding nodes, not the highest node frame.
 type Pool struct {
-	slabs  [][]Node // fixed-size slabs; backing arrays never reallocate
-	used   int      // slots ever handed out (arena high-water mark)
-	free   []nodeID // recycled slots, zeroed on release
-	dense  []nodeID // indexed by frame number (base PA >> 12); 0 = none
-	sparse map[mem.PAddr]nodeID
-	count  int
+	slabs [][]Node             // fixed-size slabs; backing arrays never reallocate
+	used  int                  // slots ever handed out (arena high-water mark)
+	free  []nodeID             // recycled slots, zeroed on release
+	index mem.FrameMap[nodeID] // base frame → node
 }
-
-// denseFrames bounds the frame-indexed slice: 1<<22 frames covers 16 GiB of
-// simulated physical memory, beyond anything the experiments configure.
-const denseFrames = 1 << 22
 
 // NewPool creates an empty node pool.
 func NewPool() *Pool { return &Pool{} }
@@ -128,78 +121,17 @@ func (p *Pool) allocSlot() nodeID {
 // allocation (and every slab copy a Clone takes) starts from a blank node.
 func (p *Pool) release(id nodeID) {
 	n := p.node(id)
-	p.unindex(n.Base)
+	p.index.Delete(n.Base)
 	*n = Node{}
 	p.free = append(p.free, id)
 }
 
 // NodeAt returns the node based at the frame containing pa.
 func (p *Pool) NodeAt(pa mem.PAddr) (*Node, bool) {
-	if id, ok := p.idAt(pa); ok {
+	if id := p.index.Get(pa); id != 0 {
 		return p.node(id), true
 	}
 	return nil, false
-}
-
-// idAt is NodeAt at the nodeID level.
-func (p *Pool) idAt(pa mem.PAddr) (nodeID, bool) {
-	f := uint64(pa) >> mem.PageShift4K
-	if f < uint64(len(p.dense)) {
-		if id := p.dense[f]; id != 0 {
-			return id, true
-		}
-		return 0, false
-	}
-	if f < denseFrames || p.sparse == nil {
-		return 0, false
-	}
-	id, ok := p.sparse[pa&^mem.PAddr(mem.PageBytes4K-1)]
-	return id, ok
-}
-
-func (p *Pool) put(base mem.PAddr, id nodeID) {
-	f := uint64(base) >> mem.PageShift4K
-	if f < denseFrames {
-		if f >= uint64(len(p.dense)) {
-			if f >= uint64(cap(p.dense)) {
-				// Amortized doubling: frames arrive mostly ascending, and
-				// growing by exactly one would copy the slice per node.
-				newCap := 2 * (f + 1)
-				if newCap > denseFrames {
-					newCap = denseFrames
-				}
-				grown := make([]nodeID, f+1, newCap)
-				copy(grown, p.dense)
-				p.dense = grown
-			} else {
-				p.dense = p.dense[:f+1]
-			}
-		}
-		p.dense[f] = id
-	} else {
-		if p.sparse == nil {
-			p.sparse = make(map[mem.PAddr]nodeID)
-		}
-		p.sparse[base] = id
-	}
-	p.count++
-}
-
-// unindex drops the frame-index entry for base without touching the node's
-// arena slot — the index half of a release, and all a relocation needs.
-func (p *Pool) unindex(base mem.PAddr) {
-	f := uint64(base) >> mem.PageShift4K
-	if f < uint64(len(p.dense)) {
-		if p.dense[f] != 0 {
-			p.dense[f] = 0
-			p.count--
-		}
-		return
-	}
-	if _, ok := p.sparse[base]; ok {
-		delete(p.sparse, base)
-		p.count--
-	}
 }
 
 // ReadPTE reads the PTE word stored at physical address pa, which must lie
@@ -217,22 +149,17 @@ func (p *Pool) ReadPTE(pa mem.PAddr) (mem.PTE, bool) {
 
 // NodeCount returns the number of live page-table nodes (×4 KiB gives the
 // page-table memory footprint reported in §6.3).
-func (p *Pool) NodeCount() int { return p.count }
+func (p *Pool) NodeCount() int { return p.index.Len() }
 
 // CountNodes returns how many live nodes satisfy pred (e.g. how many are
 // placed inside TEAs, for the §6.3 memory-overhead accounting).
 func (p *Pool) CountNodes(pred func(*Node) bool) int {
 	n := 0
-	for _, id := range p.dense {
-		if id != 0 && pred(p.node(id)) {
-			n++
-		}
-	}
-	for _, id := range p.sparse {
+	p.index.Range(func(_ mem.PAddr, id nodeID) {
 		if pred(p.node(id)) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -282,13 +209,13 @@ func (t *Table) newNode(level int, va mem.VAddr) (nodeID, error) {
 	if !mem.IsAligned(uint64(pa), mem.PageBytes4K) {
 		return 0, fmt.Errorf("pagetable: node placement %#x unaligned", uint64(pa))
 	}
-	if _, exists := t.pool.idAt(pa); exists {
+	if t.pool.index.Get(pa) != 0 {
 		return 0, fmt.Errorf("pagetable: node placement %#x already in use", uint64(pa))
 	}
 	id := t.pool.allocSlot()
 	n := t.pool.node(id)
 	n.Level, n.Base = level, pa
-	t.pool.put(pa, id)
+	t.pool.index.Set(pa, id)
 	return id, nil
 }
 
@@ -520,7 +447,7 @@ func (t *Table) RelocateNode(va mem.VAddr, level int, newBase mem.PAddr) error {
 	if level < 1 || level >= t.levels {
 		return fmt.Errorf("pagetable: cannot relocate level-%d node", level)
 	}
-	if _, exists := t.pool.idAt(newBase); exists {
+	if t.pool.index.Get(newBase) != 0 {
 		return fmt.Errorf("pagetable: relocation target %#x occupied", uint64(newBase))
 	}
 	parent := t.NodeForLevel(va, level+1)
@@ -534,9 +461,9 @@ func (t *Table) RelocateNode(va mem.VAddr, level int, newBase mem.PAddr) error {
 	}
 	node := t.pool.node(id)
 	old := node.Base
-	t.pool.unindex(old)
+	t.pool.index.Delete(old)
 	node.Base = newBase
-	t.pool.put(newBase, id)
+	t.pool.index.Set(newBase, id)
 	parent.entries[idx] = mem.MakePTE(newBase, 0)
 	if t.free != nil {
 		t.free(level, old)

@@ -17,19 +17,47 @@ import (
 // guest-physical range is machine-contiguous and aligned; otherwise the
 // leaf is splintered into base pages, as real shadow paging must.
 func BuildShadowVA(vm *VM, guestAS *kernel.AddressSpace) (*pagetable.Table, error) {
-	return buildShadow(vm, shadowSources(guestAS), func(gpa mem.PAddr) (mem.PAddr, bool) {
-		return vm.MachineAddr(gpa)
-	})
+	return buildShadow(vm, shadowSources(guestAS), newMachineCursor(vm))
 }
 
 // BuildNestedShadow constructs the compressed shadow table of nested
 // virtualization (Figure 3): L2PA → L0PA, combining the L1 table
 // (L2PA→L1PA) with the L0 table (L1PA→L0PA). vm must be an L2 VM.
 func BuildNestedShadow(vm *VM) (*pagetable.Table, error) {
-	srcs := shadowSources(vm.HostAS)
-	return buildShadow(vm, srcs, func(l1pa mem.PAddr) (mem.PAddr, bool) {
-		return vm.Parent.MachineAddr(l1pa)
-	})
+	return buildShadow(vm, shadowSources(vm.HostAS), newMachineCursor(vm.Parent))
+}
+
+// machineCursor is VM.MachineAddr through one pagetable.Cursor per host
+// table on the way down to the machine, so a run of lookups inside one
+// 2 MiB span at every depth costs one walk per depth instead of a walk
+// from each root per page. The shadow builders resolve guest frames in
+// ascending order and a guest huge leaf's 512 base pages in a row.
+//
+// The cursors are never Reset: building a shadow table only takes single
+// page-table frames from the machine allocator, which maps nothing into
+// and relocates nothing out of the host tables the cursors hold.
+type machineCursor []pagetable.Cursor
+
+// newMachineCursor returns a cursor resolving vm's guest-physical
+// addresses to machine addresses, as vm.MachineAddr does.
+func newMachineCursor(vm *VM) machineCursor {
+	var mc machineCursor
+	for v := vm; v != nil; v = v.Parent {
+		mc = append(mc, v.HostAS.PT.Cursor())
+	}
+	return mc
+}
+
+// resolve is VM.MachineAddr through the cursors.
+func (mc machineCursor) resolve(pa mem.PAddr) (mem.PAddr, bool) {
+	for i := range mc {
+		next, _, ok := mc[i].Lookup(mem.VAddr(pa))
+		if !ok {
+			return 0, false
+		}
+		pa = next
+	}
+	return pa, true
 }
 
 type shadowSource struct {
@@ -51,7 +79,7 @@ func shadowSources(as *kernel.AddressSpace) []shadowSource {
 	return srcs
 }
 
-func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr, bool)) (*pagetable.Table, error) {
+func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Table, error) {
 	machine := vm.Hyp.MachinePhys
 	pool := pagetable.NewPool()
 	spt, err := pagetable.New(pool, mem.Levels4,
@@ -67,7 +95,7 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 	cur := spt.Cursor()
 	for _, s := range srcs {
 		if s.size == mem.Size4K {
-			m, ok := resolve(s.dst)
+			m, ok := mc.resolve(s.dst)
 			if !ok {
 				continue
 			}
@@ -79,7 +107,7 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 		}
 		// Huge leaf: keep it huge only if the machine backing is
 		// contiguous and aligned.
-		if base, ok := contiguousMachine(s, resolve); ok {
+		if base, ok := contiguousMachine(s, mc); ok {
 			if err := cur.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
 				return nil, err
 			}
@@ -87,7 +115,7 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 			continue
 		}
 		for off := uint64(0); off < s.size.Bytes(); off += mem.PageBytes4K {
-			m, ok := resolve(s.dst + mem.PAddr(off))
+			m, ok := mc.resolve(s.dst + mem.PAddr(off))
 			if !ok {
 				continue
 			}
@@ -100,13 +128,13 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 	return spt, nil
 }
 
-func contiguousMachine(s shadowSource, resolve func(mem.PAddr) (mem.PAddr, bool)) (mem.PAddr, bool) {
-	base, ok := resolve(s.dst)
+func contiguousMachine(s shadowSource, mc machineCursor) (mem.PAddr, bool) {
+	base, ok := mc.resolve(s.dst)
 	if !ok || !mem.IsAligned(uint64(base), s.size.Bytes()) {
 		return 0, false
 	}
 	for off := uint64(mem.PageBytes4K); off < s.size.Bytes(); off += mem.PageBytes4K {
-		m, ok := resolve(s.dst + mem.PAddr(off))
+		m, ok := mc.resolve(s.dst + mem.PAddr(off))
 		if !ok || m != base+mem.PAddr(off) {
 			return 0, false
 		}

@@ -392,6 +392,54 @@ func TestNestedShadowBaseline(t *testing.T) {
 	}
 }
 
+// TestShadowBuildersMatchMachineAddr checks every page the shadow builders
+// resolve through their per-depth cursors against a from-the-root
+// MachineAddr, with and without THP (contiguous huge leaves kept, others
+// splintered): the whole guest heap for the virt shadow and for a shadow
+// of the L2 guest, the whole of L2's RAM for the compressed nested shadow.
+func TestShadowBuildersMatchMachineAddr(t *testing.T) {
+	for _, thp := range []bool{false, true} {
+		e := newVEnv(t, thp, false)
+		spt, err := BuildShadowVA(e.vm, e.guest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < e.heap.Size(); off += mem.PageBytes4K {
+			va := e.heap.Start + mem.VAddr(off)
+			got, _, ok := spt.Lookup(va)
+			if want := e.machineOf(t, va); !ok || got != want {
+				t.Fatalf("thp=%v: shadow(%#x) = %#x %v, want %#x", thp, uint64(va), uint64(got), ok, uint64(want))
+			}
+		}
+
+		n := newNestedEnv(t, thp)
+		nspt, err := BuildNestedShadow(n.l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gpa := mem.PAddr(0); gpa < mem.PAddr(n.l2.RAMVMA.Size()); gpa += mem.PageBytes4K {
+			got, _, ok := nspt.Lookup(mem.VAddr(gpa))
+			want, wok := n.l2.MachineAddr(gpa)
+			if ok != wok || got != want {
+				t.Fatalf("thp=%v: nested shadow(%#x) = %#x %v, want %#x %v", thp, uint64(gpa), uint64(got), ok, uint64(want), wok)
+			}
+		}
+		// A shadow of the L2 guest itself composes through both host
+		// tables: two cursors.
+		l2spt, err := BuildShadowVA(n.l2, n.guest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < n.heap.Size(); off += mem.PageBytes4K {
+			va := n.heap.Start + mem.VAddr(off)
+			got, _, ok := l2spt.Lookup(va)
+			if want := n.machineOf(t, va); !ok || got != want {
+				t.Fatalf("thp=%v: L2 shadow(%#x) = %#x %v, want %#x", thp, uint64(va), uint64(got), ok, uint64(want))
+			}
+		}
+	}
+}
+
 func TestPvDMTNestedThreeRefs(t *testing.T) {
 	e := newNestedEnv(t, false)
 	spt, err := BuildNestedShadow(e.l2)
