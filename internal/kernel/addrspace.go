@@ -311,22 +311,16 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
 			// Fragmented: fall through to a base page.
 		}
 	}
-	return as.mapBasePage(as.PT, v, mem.AlignDown(va, mem.PageBytes4K))
-}
-
-// leafMapper is what mapBasePage installs through: the page table itself,
-// or Populate's cursor on the page's level-1 node.
-type leafMapper interface {
-	Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error
+	return as.mapBasePage(v, mem.AlignDown(va, mem.PageBytes4K))
 }
 
 // mapBasePage backs the 4 KiB page at base with a fresh movable frame.
-func (as *AddressSpace) mapBasePage(m leafMapper, v *VMA, base mem.VAddr) error {
+func (as *AddressSpace) mapBasePage(v *VMA, base mem.VAddr) error {
 	pa, err := as.Phys.AllocFrame(phys.KindMovable)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
 	}
-	if err := m.Map(base, pa, mem.Size4K, mem.PTEWritable); err != nil {
+	if err := as.PT.Map(base, pa, mem.Size4K, mem.PTEWritable); err != nil {
 		as.Phys.FreeFrame(pa)
 		return err
 	}
@@ -422,16 +416,21 @@ func (as *AddressSpace) Populate(v *VMA) error {
 			}
 		}
 	}
-	// The sweep keeps a cursor on the current 2 MiB span's level-1 node, so
-	// a page costs slot accesses rather than four root-to-leaf walks. The
-	// first absent page of a span with no level-1 node takes the demand
-	// fault path (Touch), where node allocation, TEA placement and the THP
-	// attempt happen, and the cursor re-resolves after it. Once the node
-	// exists, Touch would take exactly the cursor path's steps: a live
-	// level-1 node rules out a THP, and mapping into it allocates no node.
+	// The sweep keeps a cursor on the current 2 MiB span's level-1 node and
+	// maps it in runs: the absent pages up to the next present slot, the
+	// span's end or the VMA's end. The first absent page of a span with no
+	// level-1 node takes the demand fault path (Touch), where node
+	// allocation, TEA placement and the THP attempt happen, and the cursor
+	// re-resolves after it. Once the node exists, Touch would take the same
+	// steps for every page of a run: a live level-1 node rules out a THP,
+	// mapping into it allocates no node, and each page takes one movable
+	// frame and a written, accessed PTE. So a run costs one AllocFrames and
+	// one MapRun, and leaves the machine the per-page faults would.
+	var frames [mem.EntriesPerNode]mem.PAddr
 	cur := as.PT.Cursor()
-	for va := v.Start; va < v.End; va += mem.PageBytes4K {
+	for va := v.Start; va < v.End; {
 		if _, _, ok := cur.Lookup(va); ok {
+			va += mem.PageBytes4K
 			continue
 		}
 		if !cur.SpanMapped(va) { // no level-1 node: a huge leaf would have mapped va
@@ -439,13 +438,21 @@ func (as *AddressSpace) Populate(v *VMA) error {
 				return err
 			}
 			cur.Reset()
+			va += mem.PageBytes4K
 			continue
 		}
-		if err := as.mapBasePage(&cur, v, va); err != nil {
-			return err
+		run := frames[:cur.AbsentRun(va, v.End)]
+		n, err := as.Phys.AllocFrames(phys.KindMovable, run)
+		cur.MapRun(va, run[:n], mem.PTEWritable|mem.PTEAccessed|mem.PTEDirty)
+		for _, pa := range run[:n] {
+			v.setPresent(va, mem.Size4K, false)
+			as.rmap.set(pa, va, mem.Size4K)
+			va += mem.PageBytes4K
 		}
-		cur.SetAccessed(va, true)
-		as.Faults++
+		as.Faults += uint64(n)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		}
 	}
 	return nil
 }

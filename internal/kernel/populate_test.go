@@ -120,8 +120,28 @@ type machineState struct {
 	FreeFrames int
 	Frames     []phys.Kind
 	Stats      phys.Stats
+	Drain      []mem.PAddr // what a clone of the allocator hands out next
+	Rmap       []kernel.RmapEntry
 	Pages      []string
 }
+
+// drainOrder empties a clone of pa with Allocs cycling through every
+// order and returns what each handed out (failedAlloc on failure). Equal
+// free stacks hand out equal blocks in the same order at every size.
+func drainOrder(pa *phys.Allocator) []mem.PAddr {
+	c := pa.Clone()
+	var out []mem.PAddr
+	for i := 0; c.FreeFrames() > 0; i++ {
+		p, err := c.Alloc(i%(phys.MaxOrder+1), phys.KindUnmovable)
+		if err != nil {
+			p = failedAlloc
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+const failedAlloc = ^mem.PAddr(0)
 
 func captureState(tb testing.TB, e *populateEnv) machineState {
 	tb.Helper()
@@ -133,6 +153,7 @@ func captureState(tb testing.TB, e *populateEnv) machineState {
 		NodeCount: as.Pool.NodeCount(), Mapped: as.PT.Mapped,
 		Faults: as.Faults, THPMapped: as.THPMapped,
 		FreeFrames: e.pa.FreeFrames(), Stats: e.pa.Stats,
+		Drain: drainOrder(e.pa), Rmap: as.RmapEntries(),
 	}
 	as.Pool.CountNodes(func(n *pagetable.Node) bool {
 		s.Nodes = append(s.Nodes, fmt.Sprintf("L%d@%#x", n.Level, uint64(n.Base)))
@@ -209,6 +230,10 @@ func TestPopulateMatchesPerPage(t *testing.T) {
 		"enomem":             {Frames: 700, Pages: 1024},
 		"enomem-thp-frag":    {THP: true, Fragment: true, Frames: 2048, Pages: 1536, Seed: 6, Touches: 20},
 		"enomem-dmt":         {DMT: true, Frames: 900, StartPg: 9, Pages: 1024},
+		// The allocator runs dry inside the first run, in a span whose
+		// level-1 node the neighbour already created.
+		"enomem-mid-run":     {Frames: 400, StartPg: 100, Pages: 1024, Neighbor: true},
+		"enomem-mid-run-dmt": {DMT: true, Frames: 400, StartPg: 100, Pages: 1024, Neighbor: true},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -115,3 +115,36 @@ func (c *Cursor) SetAccessed(va mem.VAddr, write bool) bool {
 	c.leaf.entries[idx] = c.leaf.entries[idx].WithAccessed(write)
 	return true
 }
+
+// AbsentRun returns how many consecutive 4 KiB slots from va hold no entry
+// in va's level-1 node, stopping at end or at the span's end, whichever
+// comes first. It is 0 when the span has no level-1 node.
+func (c *Cursor) AbsentRun(va, end mem.VAddr) int {
+	c.seek(va)
+	if c.leaf == nil {
+		return 0
+	}
+	if spanEnd := c.span + mem.PageBytes2M; end > spanEnd {
+		end = spanEnd
+	}
+	first := mem.Index(va, 1)
+	i, last := first, first+int((end-va)>>mem.PageShift4K)
+	for i < last && !c.leaf.entries[i].Present() {
+		i++
+	}
+	return i - first
+}
+
+// MapRun maps pas[i] at va + i·4 KiB with flags, writing the entries and
+// bookkeeping that len(pas) 4 KiB Map calls would. The slots must be ones
+// AbsentRun(va, …) counted, and every pas[i] 4 KiB-aligned.
+func (c *Cursor) MapRun(va mem.VAddr, pas []mem.PAddr, flags mem.PTE) {
+	c.seek(va)
+	first := mem.Index(va, 1)
+	slots := c.leaf.entries[first : first+len(pas)]
+	for i, pa := range pas {
+		slots[i] = mem.MakePTE(pa, flags)
+	}
+	c.leaf.live += len(pas)
+	c.t.Mapped[mem.Size4K] += len(pas)
+}

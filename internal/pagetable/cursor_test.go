@@ -24,7 +24,7 @@ func TestCursorMatchesTable(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			va := randVA()
 			pa := mem.PAddr(rng.Intn(1<<20)) << mem.PageShift4K
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(11); {
 			case r < 6:
 				errA := cur.Map(va, pa, mem.Size4K, mem.PTEWritable)
 				errB := b.Map(va, pa, mem.Size4K, mem.PTEWritable)
@@ -50,6 +50,36 @@ func TestCursorMatchesTable(t *testing.T) {
 					t.Fatalf("seed %d op %d: unmap: %v vs %v", seed, op, errA, errB)
 				}
 				cur.Reset()
+			case r < 10:
+				// A run fill must equal per-page Map + SetAccessed(write).
+				end := va + mem.VAddr(rng.Intn(600))<<mem.PageShift4K
+				want := 0
+				if b.NodeForLevel(va, 1) != nil {
+					spanEnd := mem.AlignDown(va, mem.PageBytes2M) + mem.PageBytes2M
+					for p := va; p < end && p < spanEnd; p += mem.PageBytes4K {
+						if _, _, ok := b.Lookup(p); ok {
+							break
+						}
+						want++
+					}
+				}
+				n := cur.AbsentRun(va, end)
+				if n != want {
+					t.Fatalf("seed %d op %d: AbsentRun(%#x, %#x) = %d, want %d", seed, op, uint64(va), uint64(end), n, want)
+				}
+				if n == 0 {
+					break
+				}
+				pas := make([]mem.PAddr, n)
+				for i := range pas {
+					pas[i] = pa + mem.PAddr(i)<<mem.PageShift4K
+					page := va + mem.VAddr(i)<<mem.PageShift4K
+					if err := b.Map(page, pas[i], mem.Size4K, mem.PTEWritable); err != nil {
+						t.Fatal(err)
+					}
+					b.SetAccessed(page, true)
+				}
+				cur.MapRun(va, pas, mem.PTEWritable|mem.PTEAccessed|mem.PTEDirty)
 			default:
 				write := rng.Intn(2) == 0
 				if gotA, gotB := cur.SetAccessed(va, write), b.SetAccessed(va, write); gotA != gotB {

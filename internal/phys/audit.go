@@ -9,29 +9,21 @@ import "fmt"
 // kernel/TEA/virt plumbing above surfaces at the event that caused it
 // rather than as an unexplained drift millions of events later.
 //
-// Invariants checked:
-//   - freeFrames equals the population count of the free bitmap;
+// A frame is free exactly when its kind is KindFree. Invariants checked:
+//   - freeFrames equals the number of KindFree frames;
 //   - every free-block head (blockOrder[f] >= 0) is naturally aligned,
-//     in bounds, and covers only free KindFree frames;
-//   - every free frame is covered by exactly one free-block head;
-//   - allocated frames carry a non-free Kind and are not block heads.
+//     in bounds, and covers only KindFree frames;
+//   - every KindFree frame is covered by exactly one free-block head;
+//   - allocated frames are not block heads.
 //
 // Audit is O(frames) and performs no allocation beyond the coverage bitmap.
 func (a *Allocator) Audit() error {
 	var freeCount uint32
 	for f := uint32(0); f < a.frames; f++ {
-		if a.free[f] {
+		if a.kind[f] == KindFree {
 			freeCount++
-			if a.kind[f] != KindFree {
-				return fmt.Errorf("phys: free frame %d has kind %v", f, a.kind[f])
-			}
-		} else {
-			if a.kind[f] == KindFree {
-				return fmt.Errorf("phys: allocated frame %d has kind free", f)
-			}
-			if a.blockOrder[f] >= 0 {
-				return fmt.Errorf("phys: allocated frame %d is a free-block head (order %d)", f, a.blockOrder[f])
-			}
+		} else if a.blockOrder[f] >= 0 {
+			return fmt.Errorf("phys: allocated frame %d is a free-block head (order %d)", f, a.blockOrder[f])
 		}
 	}
 	if freeCount != a.freeFrames {
@@ -54,7 +46,7 @@ func (a *Allocator) Audit() error {
 			return fmt.Errorf("phys: order-%d free block at frame %d overruns the zone", o, f)
 		}
 		for i := f; i < f+n; i++ {
-			if !a.free[i] {
+			if a.kind[i] != KindFree {
 				return fmt.Errorf("phys: order-%d free block at frame %d covers allocated frame %d", o, f, i)
 			}
 			if covered[i] {
@@ -64,7 +56,7 @@ func (a *Allocator) Audit() error {
 		}
 	}
 	for f := uint32(0); f < a.frames; f++ {
-		if a.free[f] && !covered[f] {
+		if a.kind[f] == KindFree && !covered[f] {
 			return fmt.Errorf("phys: free frame %d not covered by any free block", f)
 		}
 	}

@@ -12,7 +12,6 @@ func (a *Allocator) Clone() *Allocator {
 		base:       a.base,
 		frames:     a.frames,
 		blockOrder: append([]int8(nil), a.blockOrder...),
-		free:       append([]bool(nil), a.free...),
 		kind:       append([]Kind(nil), a.kind...),
 		freeFrames: a.freeFrames,
 		Stats:      a.Stats,

@@ -70,7 +70,7 @@ func (a *Allocator) FreeContig(pa mem.PAddr, nframes int) {
 		panic("phys: FreeContig beyond managed region")
 	}
 	for i := f; i < f+n; i++ {
-		if a.free[i] {
+		if a.kind[i] == KindFree {
 			panic(fmt.Sprintf("phys: double free of frame %d", i))
 		}
 	}
@@ -90,7 +90,7 @@ func (a *Allocator) ExpandContigInPlace(pa mem.PAddr, cur, extra int) bool {
 		return false
 	}
 	for i := start; i < end; i++ {
-		if !a.free[i] {
+		if a.kind[i] != KindFree {
 			return false
 		}
 	}
@@ -135,7 +135,7 @@ func (a *Allocator) releaseAllocated(f, n uint32) {
 func (a *Allocator) findWindow(n uint32, allowMovable bool) (uint32, bool) {
 	var runStart, runLen uint32
 	for f := uint32(0); f < a.frames; f++ {
-		ok := a.free[f] || (allowMovable && a.kind[f] == KindMovable)
+		ok := a.kind[f] == KindFree || (allowMovable && a.kind[f] == KindMovable)
 		if !ok {
 			runLen = 0
 			continue
@@ -156,7 +156,7 @@ func (a *Allocator) findWindow(n uint32, allowMovable bool) (uint32, bool) {
 // migrated frames at their new homes) if any migration fails.
 func (a *Allocator) migrateOut(start, n uint32) bool {
 	for f := start; f < start+n; f++ {
-		if a.free[f] || a.kind[f] != KindMovable {
+		if a.kind[f] != KindMovable {
 			continue
 		}
 		if !a.migrateFrame(f, start, n) {
@@ -198,7 +198,7 @@ func (a *Allocator) findFreeOutside(wStart, wLen uint32) (uint32, bool) {
 		if i >= wStart && i < wStart+wLen {
 			continue
 		}
-		if a.free[i] {
+		if a.kind[i] == KindFree {
 			return i, true
 		}
 	}
@@ -215,7 +215,6 @@ func (a *Allocator) carveFrame(f uint32) {
 		half := uint32(1) << (order - 1)
 		if f < head+half {
 			a.insertFree(head+half, order-1)
-			a.blockOrder[head+half] = int8(order - 1)
 		} else {
 			a.insertFree(head, order-1)
 			head += half
@@ -224,8 +223,8 @@ func (a *Allocator) carveFrame(f uint32) {
 		order--
 		a.Stats.Splits++
 	}
-	// f == head: an order-0 detached frame, still free but unlisted. The
-	// caller claims it (clearing free and adjusting freeFrames) next.
+	// f == head: an order-0 detached frame, still KindFree but unlisted.
+	// The caller claims it (setting its kind and adjusting freeFrames) next.
 	a.blockOrder[f] = -1
 }
 
@@ -244,11 +243,10 @@ func (a *Allocator) containingFreeBlock(f uint32) (uint32, int) {
 // blocks that straddle its edges.
 func (a *Allocator) claimWindow(start, n uint32, kind Kind) {
 	for f := start; f < start+n; f++ {
-		if !a.free[f] {
+		if a.kind[f] != KindFree {
 			panic("phys: claimWindow over non-free frame")
 		}
 		a.carveFrame(f)
-		a.free[f] = false
 		a.kind[f] = kind
 	}
 	a.freeFrames -= n
@@ -266,11 +264,11 @@ func (a *Allocator) Compact() int {
 	lo, hi := uint32(0), a.frames
 	for lo < hi {
 		// Advance lo to the next free frame.
-		for lo < hi && !a.free[lo] {
+		for lo < hi && a.kind[lo] != KindFree {
 			lo++
 		}
 		// Retreat hi to the next movable frame.
-		for lo < hi && (hi == 0 || a.free[hi-1] || a.kind[hi-1] != KindMovable) {
+		for lo < hi && (hi == 0 || a.kind[hi-1] != KindMovable) {
 			hi--
 		}
 		if lo >= hi || hi == 0 {

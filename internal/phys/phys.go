@@ -73,9 +73,9 @@ type Allocator struct {
 	// blockOrder[f] is the order of the free block headed at frame f,
 	// or -1 when f is allocated or interior to a free block.
 	blockOrder []int8
-	// free[f] reports whether frame f belongs to any free block.
-	free []bool
-	// kind[f] records the owner class of an allocated frame.
+	// kind[f] is the owner class of frame f; KindFree means f belongs to
+	// a free block. Splitting or coalescing free blocks leaves it alone:
+	// only frames changing hands between free and allocated are written.
 	kind []Kind
 
 	// freeStacks holds candidate free-block heads per order with lazy
@@ -116,8 +116,7 @@ func New(base mem.PAddr, frames int) *Allocator {
 		base:       base,
 		frames:     uint32(frames),
 		blockOrder: make([]int8, frames),
-		free:       make([]bool, frames),
-		kind:       make([]Kind, frames),
+		kind:       make([]Kind, frames), // all KindFree
 	}
 	for i := range a.blockOrder {
 		a.blockOrder[i] = -1
@@ -151,11 +150,7 @@ func (a *Allocator) FreeFrames() int { return int(a.freeFrames) }
 
 // FrameKind returns the owner class of the frame containing pa.
 func (a *Allocator) FrameKind(pa mem.PAddr) Kind {
-	f := a.frameOf(pa)
-	if a.free[f] {
-		return KindFree
-	}
-	return a.kind[f]
+	return a.kind[a.frameOf(pa)]
 }
 
 func (a *Allocator) frameOf(pa mem.PAddr) uint32 {
@@ -173,12 +168,11 @@ func (a *Allocator) addrOf(f uint32) mem.PAddr {
 	return a.base + mem.PAddr(uint64(f)<<mem.PageShift4K)
 }
 
+// insertFree makes f the head of a free block of the given order and
+// pushes it on that order's stack. The block's frames must already be
+// KindFree.
 func (a *Allocator) insertFree(f uint32, order int) {
 	a.blockOrder[f] = int8(order)
-	for i := f; i < f+1<<order; i++ {
-		a.free[i] = true
-		a.kind[i] = KindFree
-	}
 	stack := append(a.freeStacks[order], f)
 	// Lazy deletion leaves stale entries behind; over a multi-million-event
 	// aging run (carveFrame detaches heads without popping them) the stacks
@@ -241,22 +235,14 @@ func (a *Allocator) Alloc(order int, kind Kind) (mem.PAddr, error) {
 	if kind == KindFree {
 		return 0, errors.New("phys: cannot allocate KindFree")
 	}
-	for o := order; o <= MaxOrder; o++ {
-		f, ok := a.popFree(o)
-		if !ok {
-			continue
-		}
-		// Split down to the requested order, freeing upper halves.
-		for cur := o; cur > order; cur-- {
-			half := uint32(1) << (cur - 1)
-			a.insertFree(f+half, cur-1)
-			a.Stats.Splits++
-		}
-		a.claim(f, uint32(1)<<order, kind)
-		a.Stats.Allocs++
-		return a.addrOf(f), nil
+	f, o, ok := a.popSmallest(order)
+	if !ok {
+		return 0, ErrNoMemory
 	}
-	return 0, ErrNoMemory
+	a.split(f, o, order)
+	a.claim(f, uint32(1)<<order, kind)
+	a.Stats.Allocs++
+	return a.addrOf(f), nil
 }
 
 // AllocFrame allocates a single 4 KiB frame.
@@ -264,10 +250,68 @@ func (a *Allocator) AllocFrame(kind Kind) (mem.PAddr, error) {
 	return a.Alloc(0, kind)
 }
 
+// AllocFrames fills dst with single 4 KiB frames, leaving exactly the
+// frames, block map, free stacks and Stats that len(dst) AllocFrame calls
+// would. On exhaustion it returns how many frames it allocated with
+// ErrNoMemory.
+//
+// An order-0 allocation pops the smallest order holding a valid head, and
+// splitting that block pushes its upper halves onto lower orders that the
+// search has just drained. The next 2^k allocations therefore take the
+// block's frames in ascending order, so a block no larger than what is
+// left of dst is claimed whole; a larger one is split as Alloc does.
+func (a *Allocator) AllocFrames(kind Kind, dst []mem.PAddr) (int, error) {
+	if kind == KindFree {
+		return 0, errors.New("phys: cannot allocate KindFree")
+	}
+	n := 0
+	for n < len(dst) {
+		f, order, ok := a.popSmallest(0)
+		if !ok {
+			return n, ErrNoMemory
+		}
+		size := uint32(1) << order
+		if int(size) > len(dst)-n {
+			a.split(f, order, 0)
+			size = 1
+		} else {
+			a.Stats.Splits += uint64(size) - 1
+		}
+		a.claim(f, size, kind)
+		a.Stats.Allocs += uint64(size)
+		for i := uint32(0); i < size; i++ {
+			dst[n] = a.addrOf(f + i)
+			n++
+		}
+	}
+	return n, nil
+}
+
+// popSmallest pops a valid free-block head of the smallest order at or
+// above from that holds one, draining the stale entries of every order it
+// passes on the way.
+func (a *Allocator) popSmallest(from int) (uint32, int, bool) {
+	for o := from; o <= MaxOrder; o++ {
+		if f, ok := a.popFree(o); ok {
+			return f, o, true
+		}
+	}
+	return 0, 0, false
+}
+
+// split halves the detached free block of the given order at f down to
+// order to, returning each upper half to the free lists; f then heads a
+// detached block of order to.
+func (a *Allocator) split(f uint32, order, to int) {
+	for ; order > to; order-- {
+		a.insertFree(f+uint32(1)<<(order-1), order-1)
+		a.Stats.Splits++
+	}
+}
+
 func (a *Allocator) claim(f, n uint32, kind Kind) {
 	a.blockOrder[f] = -1
 	for i := f; i < f+n; i++ {
-		a.free[i] = false
 		a.kind[i] = kind
 	}
 	a.freeFrames -= n
@@ -281,7 +325,7 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 		panic("phys: Free of unaligned block")
 	}
 	for i := f; i < f+n; i++ {
-		if a.free[i] {
+		if a.kind[i] == KindFree {
 			panic(fmt.Sprintf("phys: double free of frame %d", i))
 		}
 	}
@@ -290,8 +334,13 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 	a.freeBlock(f, order)
 }
 
-// freeBlock inserts a block and coalesces with its buddy while possible.
+// freeBlock returns the allocated block of 2^order frames at f to the free
+// lists, coalescing with its buddy while possible. Only the block's own
+// frames change kind; the buddies it absorbs are already KindFree.
 func (a *Allocator) freeBlock(f uint32, order int) {
+	for i := f; i < f+1<<order; i++ {
+		a.kind[i] = KindFree
+	}
 	for order < MaxOrder {
 		buddy := f ^ (1 << order)
 		if buddy >= a.frames || a.blockOrder[buddy] != int8(order) {

@@ -262,7 +262,7 @@ func TestFragmentationIndexBounds(t *testing.T) {
 
 // TestFreeFramesInvariant checks, under a random alloc/free workload, that
 // the allocator's free-frame accounting always matches a direct count of
-// the free bitmap, and that no two live allocations overlap.
+// the KindFree frames, and that no two live allocations overlap.
 func TestFreeFramesInvariant(t *testing.T) {
 	type block struct {
 		pa    mem.PAddr
@@ -288,7 +288,7 @@ func TestFreeFramesInvariant(t *testing.T) {
 		}
 		count := 0
 		for f := uint32(0); f < a.frames; f++ {
-			if a.free[f] {
+			if a.kind[f] == KindFree {
 				count++
 			}
 		}

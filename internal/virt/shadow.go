@@ -67,7 +67,11 @@ type shadowSource struct {
 }
 
 func shadowSources(as *kernel.AddressSpace) []shadowSource {
-	var srcs []shadowSource
+	n := 0
+	for _, v := range as.VMAs() {
+		n += v.PopulatedPages()
+	}
+	srcs := make([]shadowSource, 0, n)
 	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
