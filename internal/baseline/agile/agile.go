@@ -283,11 +283,3 @@ func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, b
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker, keeping the per-process mode table and the nested
-// dimension's cache sets hot across consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

@@ -146,14 +146,6 @@ func hit(va mem.VAddr, i int) bool {
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker, keeping the prefetch-stage address sources and the
-// wrapped walker's set metadata hot across consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}
 
 // LastTwoLevelSource builds a single-stage AddrSource from a walk-step
 // oracle: the level-2 and level-1 PTE lines (native ASAP). The returned

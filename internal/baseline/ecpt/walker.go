@@ -211,14 +211,6 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker, keeping the cuckoo ways' cache sets and the size
-// tables' slot lines hot across consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}
 
 // VirtWalker is Nested ECPT (§6.2.1): guest cuckoo tables in guest-physical
 // memory and host cuckoo tables in machine memory, three sequential steps
@@ -336,11 +328,3 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 }
 
 var _ core.Walker = (*VirtWalker)(nil)
-var _ core.BatchWalker = (*VirtWalker)(nil)
-
-// WalkBatch runs a batch of 2D translations through the canonical loop
-// against the concrete walker, keeping the guest and host cuckoo slot lines
-// and the candidate fan-out's cache sets hot across consecutive ops.
-func (w *VirtWalker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

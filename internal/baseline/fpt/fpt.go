@@ -248,14 +248,6 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker, keeping the flattened table's root and leaf slot
-// lines hot across consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}
 
 // VirtWalker is FPT in a virtualized environment: a two-dimensional walk
 // over a guest flattened table (in guest-physical memory) and a host
@@ -419,11 +411,3 @@ func (w *VirtWalker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAdd
 }
 
 var _ core.Walker = (*VirtWalker)(nil)
-var _ core.BatchWalker = (*VirtWalker)(nil)
-
-// WalkBatch runs a batch of 2D translations through the canonical loop
-// against the concrete walker, keeping both dimensions' flattened-table
-// slot lines hot across consecutive ops.
-func (w *VirtWalker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

@@ -310,12 +310,4 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
 var _ core.CounterSource = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop
-// against the concrete walker, keeping the RestSeg set lines hot across
-// consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

@@ -267,12 +267,4 @@ func (w *Walker) fill(va mem.VAddr, set, way int, tag uint64, pa mem.PAddr, size
 }
 
 var _ core.Walker = (*Walker)(nil)
-var _ core.BatchWalker = (*Walker)(nil)
 var _ core.CounterSource = (*Walker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop
-// against the concrete walker, keeping the spill metadata and the stolen
-// L2 ways hot across consecutive ops.
-func (w *Walker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

@@ -39,26 +39,11 @@ func matrixConfig(env sim.Environment, d sim.Design, thp bool, plan fault.Plan) 
 	}
 }
 
-func designs(env sim.Environment) []sim.Design {
-	switch env {
-	case sim.EnvNative:
-		return []sim.Design{sim.DesignVanilla, sim.DesignDMT, sim.DesignECPT, sim.DesignFPT, sim.DesignASAP,
-			sim.DesignVictima, sim.DesignUtopia}
-	case sim.EnvVirt:
-		return []sim.Design{sim.DesignVanilla, sim.DesignShadow, sim.DesignDMT, sim.DesignPvDMT,
-			sim.DesignECPT, sim.DesignFPT, sim.DesignAgile, sim.DesignASAP,
-			sim.DesignVictima, sim.DesignUtopia}
-	case sim.EnvNested:
-		return []sim.Design{sim.DesignVanilla, sim.DesignPvDMT, sim.DesignVictima, sim.DesignUtopia}
-	}
-	return nil
-}
-
 // TestFaultMatrix runs every (environment, design, schedule) cell with THP
 // enabled (so the huge-flip schedule bites) and asserts zero mismatches.
 func TestFaultMatrix(t *testing.T) {
 	for _, env := range []sim.Environment{sim.EnvNative, sim.EnvVirt, sim.EnvNested} {
-		for _, d := range designs(env) {
+		for _, d := range sim.Designs(env) {
 			for _, plan := range fault.Suite(matrixOps) {
 				t.Run(fmt.Sprintf("%v/%s/%s", env, d, plan.Name), func(t *testing.T) {
 					res, err := sim.Run(matrixConfig(env, d, true, plan))

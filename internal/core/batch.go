@@ -7,7 +7,7 @@ import (
 
 // This file is the batch-walk entry point (DESIGN.md §12). The simulation
 // engine generates trace operations into a reusable buffer and hands whole
-// batches to the walker, so per-op harness work (injector ticks, context
+// batches to RunBatch, so per-op harness work (injector ticks, context
 // checks, histogram flushes) is hoisted to batch boundaries while the
 // per-op machine semantics — TLB probe, walk on miss, TLB refill, data
 // access, in exactly that order for every op — are preserved bit for bit.
@@ -15,7 +15,7 @@ import (
 // refill mutates state the next op observes, so batching restructures the
 // loop around the ops, never the ops themselves. What the batch buys is
 // locality (TLB/PWC/cache-set metadata stays hot in host caches across
-// consecutive walks) and the removal of per-op dispatch and bookkeeping.
+// consecutive walks) and the removal of per-op bookkeeping.
 
 // Req is one translation request of a batch: the trace operation's virtual
 // address.
@@ -84,27 +84,11 @@ func (b *Batch) Reserve(n int) {
 	}
 }
 
-// NewBatch returns a Batch over the given machine state; rec and chk may be
-// nil (interface fields must stay nil, not hold typed nils, for the loop's
-// presence checks to work).
+// NewBatch returns a Batch over the given machine state. rec and chk may be
+// nil interfaces; a typed nil would pass the loop's presence checks, so
+// callers convert only non-nil values.
 func NewBatch(mmu *MMU, hier *cache.Hierarchy, sink *RefSink, rec WalkRecorder, chk TranslateChecker) *Batch {
-	b := &Batch{MMU: mmu, Hier: hier, Sink: sink}
-	if rec != nil {
-		b.Rec = rec
-	}
-	if chk != nil {
-		b.Chk = chk
-	}
-	return b
-}
-
-// BatchWalker is a walker with a batch entry point. The engine feeds any
-// design through the canonical loop via ScalarWalkBatch; designs on the
-// paper's critical path (radix, DMT, pvDMT, nested 2D) implement the
-// interface so their batches run against a concrete walker type.
-type BatchWalker interface {
-	Walker
-	WalkBatch(b *Batch, reqs []Req, res []Res) int
+	return &Batch{MMU: mmu, Hier: hier, Sink: sink, Rec: rec, Chk: chk}
 }
 
 // RunBatch is the canonical batch loop: for each request, in op order —
@@ -118,6 +102,7 @@ type BatchWalker interface {
 // no TLB refill or data access happened — the caller resolves the fault
 // (demand paging) and resumes from that index, which is precisely the
 // scalar engine's retry behaviour.
+//
 // Inside a run of consecutive TLB hits the per-op work decomposes into two
 // independent state machines: the TLB probe touches only TLB state (LRU,
 // promotion, hit counters) and the data access touches only hierarchy state
@@ -128,7 +113,7 @@ type BatchWalker interface {
 // hot, and every counter, LRU order, and hit/miss outcome is bit-identical
 // to the scalar interleave. The first miss ends the run (its walk touches
 // the hierarchy, so it must stay ordered after the run's data accesses).
-func RunBatch[W Walker](b *Batch, w W, reqs []Req, res []Res) int {
+func RunBatch(b *Batch, w Walker, reqs []Req, res []Res) int {
 	m := b.MMU
 	n := len(reqs)
 	b.Reserve(n)
@@ -179,11 +164,4 @@ func RunBatch[W Walker](b *Batch, w W, reqs []Req, res []Res) int {
 		i++
 	}
 	return n
-}
-
-// ScalarWalkBatch drives a walker without a batch entry point through the
-// canonical loop — the adapter that keeps every design working under the
-// batched engine.
-func ScalarWalkBatch(b *Batch, w Walker, reqs []Req, res []Res) int {
-	return RunBatch(b, w, reqs, res)
 }

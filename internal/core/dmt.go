@@ -200,12 +200,3 @@ func (w *DMTWalker) CoverageCounts() (hits, total uint64) {
 }
 
 var _ Walker = (*DMTWalker)(nil)
-var _ BatchWalker = (*DMTWalker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker. DMT's one-reference fast path makes the per-op
-// harness overhead proportionally largest, so it gains the most from the
-// batched loop keeping TLB and translation-table lines resident.
-func (w *DMTWalker) WalkBatch(b *Batch, reqs []Req, res []Res) int {
-	return RunBatch(b, w, reqs, res)
-}

@@ -98,11 +98,3 @@ func (w *RadixWalker) refillPWC(va mem.VAddr, steps []pagetable.Step) {
 }
 
 var _ Walker = (*RadixWalker)(nil)
-var _ BatchWalker = (*RadixWalker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker. Consecutive radix walks share PWC sets and the upper
-// page-table lines, so batching keeps that metadata hot across ops.
-func (w *RadixWalker) WalkBatch(b *Batch, reqs []Req, res []Res) int {
-	return RunBatch(b, w, reqs, res)
-}

@@ -11,23 +11,6 @@ import (
 	"dmt/internal/workload"
 )
 
-// faultDesigns lists the walker designs each environment supports, the
-// same matrix the differential tests in internal/check exercise.
-func faultDesigns(env sim.Environment) []sim.Design {
-	switch env {
-	case sim.EnvNative:
-		return []sim.Design{sim.DesignVanilla, sim.DesignDMT, sim.DesignECPT, sim.DesignFPT, sim.DesignASAP,
-			sim.DesignVictima, sim.DesignUtopia}
-	case sim.EnvVirt:
-		return []sim.Design{sim.DesignVanilla, sim.DesignShadow, sim.DesignDMT, sim.DesignPvDMT,
-			sim.DesignECPT, sim.DesignFPT, sim.DesignAgile, sim.DesignASAP,
-			sim.DesignVictima, sim.DesignUtopia}
-	case sim.EnvNested:
-		return []sim.Design{sim.DesignVanilla, sim.DesignPvDMT, sim.DesignVictima, sim.DesignUtopia}
-	}
-	return nil
-}
-
 // FaultCampaign runs every (environment × design × fault schedule) cell
 // with the differential oracle armed and renders the graceful-degradation
 // table: register coverage, fallback rate, walk-latency inflation over the
@@ -66,7 +49,7 @@ func faultCampaignFor(ctx context.Context, opt Options, wl workload.Spec) (strin
 	}
 	totalChecked := uint64(0)
 	for _, env := range []sim.Environment{sim.EnvNative, sim.EnvVirt, sim.EnvNested} {
-		for _, d := range faultDesigns(env) {
+		for _, d := range sim.Designs(env) {
 			if err := ctx.Err(); err != nil {
 				return "", err
 			}

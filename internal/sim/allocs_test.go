@@ -14,7 +14,7 @@ func TestStepBatchZeroAllocs(t *testing.T) {
 	const runs = 4
 	wl := detWorkload(t)
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			t.Run(fmt.Sprintf("%v/%s", env, d), func(t *testing.T) {
 				in, err := NewInstance(Config{
 					Env: env, Design: d, Workload: wl,

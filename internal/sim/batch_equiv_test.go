@@ -13,8 +13,9 @@ import (
 // histogram bucket, and trace event must be bit-identical to the per-op
 // reference path, for every environment, design, fault plan, verification
 // mode, and batch size, including sizes that don't divide the op count.
-// These are metamorphic tests: the scalar leg (Config.scalarWalk) is the
-// oracle for the batched leg, and CI runs the suite under -race.
+// These are metamorphic tests: the scalar leg (runShardsWith driving
+// Instance.Step per trace operation) is the oracle for the batched leg, and
+// CI runs the suite under -race.
 
 // batchEquivConfig is detConfig plus the observability surfaces the
 // equivalence must cover: trace capture on (with a small ring so the
@@ -30,19 +31,54 @@ func batchEquivConfig(t *testing.T, env Environment, d Design, plan *fault.Plan,
 	return cfg
 }
 
-// runBatchVsScalar runs cfg through both engine loops and asserts
-// bit-identical Results.
-func runBatchVsScalar(t *testing.T, cfg Config) (*Result, *Result) {
+// runShardsWith is RunShards followed by MergeShards with the engine's
+// step loop replaced by step, which advances an instance by at least one
+// op. Shards run serially; results do not depend on scheduling.
+func runShardsWith(t *testing.T, cfg Config, step func(*Instance) error) *Result {
 	t.Helper()
-	scfg := cfg
-	scfg.scalarWalk = true
-	want, err := Run(scfg)
-	if err != nil {
-		t.Fatalf("scalar leg: %v", err)
+	cfg = cfg.withDefaults()
+	parts := make([]ShardResult, cfg.Shards)
+	for s := range parts {
+		in, err := newShardInstance(cfg, s, cfg.Shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for in.op < in.ops {
+			if err := step(in); err != nil {
+				t.Fatalf("shard %d: %v", s, err)
+			}
+		}
+		res, err := in.Finish()
+		if err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+		parts[s] = ShardResult{Shard: s, Res: res}
 	}
-	got, err := Run(cfg)
+	res, err := MergeShards(cfg, parts)
 	if err != nil {
-		t.Fatalf("batched leg: %v", err)
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runBatchVsScalar runs cfg through the per-op reference loop and through
+// the batched one, and asserts bit-identical Results. With batchCap 0 the
+// batched leg is the engine itself (Run, at BatchOps, shards on
+// cfg.Workers goroutines); a positive cap drives StepBatch(batchCap).
+func runBatchVsScalar(t *testing.T, cfg Config, batchCap int) (*Result, *Result) {
+	t.Helper()
+	want := runShardsWith(t, cfg, (*Instance).Step)
+	var got *Result
+	if batchCap == 0 {
+		var err error
+		if got, err = Run(cfg); err != nil {
+			t.Fatalf("batched leg: %v", err)
+		}
+	} else {
+		got = runShardsWith(t, cfg, func(in *Instance) error {
+			_, err := in.StepBatch(batchCap)
+			return err
+		})
 	}
 	requireEqualResults(t, want, got)
 	return want, got
@@ -59,7 +95,7 @@ func TestBatchScalarEquivalenceMatrix(t *testing.T) {
 	churn := &suite[0]
 
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			for _, plan := range []*fault.Plan{nil, churn} {
 				for _, verify := range []bool{false, true} {
 					name := fmt.Sprintf("%v/%s/verify=%v", env, d, verify)
@@ -68,7 +104,7 @@ func TestBatchScalarEquivalenceMatrix(t *testing.T) {
 					}
 					t.Run(name, func(t *testing.T) {
 						cfg := batchEquivConfig(t, env, d, plan, verify)
-						want, _ := runBatchVsScalar(t, cfg)
+						want, _ := runBatchVsScalar(t, cfg, 0)
 						if want.Walks == 0 || want.TLBMisses == 0 {
 							t.Fatalf("degenerate run: %d walks, %d misses", want.Walks, want.TLBMisses)
 						}
@@ -109,8 +145,7 @@ func TestBatchCapSweep(t *testing.T) {
 				cfg := batchEquivConfig(t, cell.env, cell.d, churn, true)
 				cfg.Ops = oddOps
 				cfg.TraceCap = 32 // exercise ring overwrite on both legs
-				cfg.batchCap = cap
-				want, _ := runBatchVsScalar(t, cfg)
+				want, _ := runBatchVsScalar(t, cfg, cap)
 				if want.Ops != oddOps {
 					t.Fatalf("merged Ops = %d, want %d", want.Ops, oddOps)
 				}
@@ -195,9 +230,8 @@ func fuzzBatchWalkCell(t *testing.T, env Environment, d Design, rawOps uint16, r
 	cfg := batchEquivConfig(t, env, d, plan, true)
 	cfg.Ops = ops
 	cfg.Seed = seed
-	cfg.batchCap = int(rawCap)%BatchOps + 1
 	cfg.TraceCap = 32
-	runBatchVsScalar(t, cfg)
+	runBatchVsScalar(t, cfg, int(rawCap)%BatchOps+1)
 }
 
 // FuzzBatchWalkECPT covers a baseline walker whose walks fan out into many

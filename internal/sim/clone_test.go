@@ -31,7 +31,7 @@ func TestDeterminismCloneEquality(t *testing.T) {
 
 	ResetBuildCache()
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			for _, plan := range []*fault.Plan{nil, churn} {
 				for _, verify := range []bool{false, true} {
 					name := fmt.Sprintf("%v/%s/verify=%v", env, d, verify)
@@ -233,7 +233,7 @@ func TestDeterminismStageReuse(t *testing.T) {
 	before := map[stageKey]string{}
 	for _, thp := range []bool{false, true} {
 		for _, env := range []Environment{EnvVirt, EnvNested} {
-			for _, d := range detDesigns(env) {
+			for _, d := range Designs(env) {
 				for _, wl := range wls {
 					cfg := detConfig(env, d, nil)
 					cfg.THP = thp

@@ -88,7 +88,7 @@ func TestRunCtxCancelPromptlyMatrix(t *testing.T) {
 	wl := detWorkload(t)
 	goroutinesBefore := runtime.NumGoroutine()
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			t.Run(fmt.Sprintf("%v/%s", env, d), func(t *testing.T) {
 				cfg := Config{
 					Env: env, Design: d, THP: true, Workload: wl,

@@ -30,21 +30,6 @@ func detWorkload(t testing.TB) workload.Spec {
 	return wl
 }
 
-func detDesigns(env Environment) []Design {
-	switch env {
-	case EnvNative:
-		return []Design{DesignVanilla, DesignDMT, DesignECPT, DesignFPT, DesignASAP,
-			DesignVictima, DesignUtopia}
-	case EnvVirt:
-		return []Design{DesignVanilla, DesignShadow, DesignDMT, DesignPvDMT,
-			DesignECPT, DesignFPT, DesignAgile, DesignASAP,
-			DesignVictima, DesignUtopia}
-	case EnvNested:
-		return []Design{DesignVanilla, DesignPvDMT, DesignVictima, DesignUtopia}
-	}
-	return nil
-}
-
 // requireEqualResults asserts two results are identical in every measured
 // field (Config aside, which legitimately records the differing Workers).
 func requireEqualResults(t *testing.T, a, b *Result) {
@@ -84,7 +69,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	plans = append(plans, churn)
 
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			for _, plan := range plans {
 				name := fmt.Sprintf("%v/%s", env, d)
 				if plan != nil {

@@ -44,12 +44,11 @@ type Instance struct {
 
 	// Batched-walk state (DESIGN.md §12): the reusable request/result
 	// buffers trace generation fills per span, the per-instance Batch the
-	// canonical loop runs against, the walker's batch entry point when it
-	// has one, and the latency buffer armed on rec during StepBatch. All
-	// fixed-size and allocated at assembly, so stepping allocates nothing
-	// and clone cost stays independent of trace length.
+	// canonical loop runs against, and the latency buffer armed on rec
+	// during StepBatch. All fixed-size and allocated at assembly, so
+	// stepping allocates nothing and clone cost stays independent of trace
+	// length.
 	rec   *recordingWalker
-	bw    core.BatchWalker
 	batch *core.Batch
 	reqs  []core.Req
 	bres  []core.Res
@@ -103,7 +102,7 @@ func coldBuild(scfg Config) (*machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.wireParts(scfg)
+	return wireMachine(scfg, p.spec, p.parts)
 }
 
 // assembleInstance wires the measurement harness (recorder, TLB, MMU,
@@ -165,7 +164,6 @@ func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instanc
 	in.reqs = make([]core.Req, BatchOps)
 	in.bres = make([]core.Res, BatchOps)
 	in.lats = make([]uint64, 0, BatchOps)
-	in.bw, _ = m.walker.(core.BatchWalker)
 	// The checker converts to its interface only when present: boxing a nil
 	// *check.Checker would read as a non-nil TranslateChecker and crash the
 	// loop's presence check.
@@ -223,11 +221,11 @@ func (in *Instance) Step() error {
 // its end never overshoots the injector's next trigger op, which makes one
 // Tick per span bit-identical to the scalar path's per-op Tick (ticks
 // between events are no-ops). Trace generation fills the reusable request
-// buffer, the canonical loop (the walker's own WalkBatch when it has one,
-// the scalar adapter otherwise) runs the span, and failed translations are
-// demand-faulted back in and resumed exactly as Step does. Histogram
-// observation and the data-cycle fold happen once per call, on every exit
-// path. n is clamped to both BatchOps and the remaining op budget.
+// buffer, the canonical loop (core.RunBatch) runs the span, and failed
+// translations are demand-faulted back in and resumed exactly as Step
+// does. Histogram observation and the data-cycle fold happen once per
+// call, on every exit path. n is clamped to both BatchOps and the
+// remaining op budget.
 func (in *Instance) StepBatch(n int) (int, error) {
 	if n > BatchOps {
 		n = BatchOps
@@ -266,7 +264,7 @@ func (in *Instance) StepBatch(n int) (int, error) {
 			reqs[k].VA, _ = in.m.gen()
 		}
 		for k := 0; k < span; {
-			k += in.walkBatch(reqs[k:span], bres[k:span])
+			k += core.RunBatch(in.batch, in.m.walker, reqs[k:span], bres[k:span])
 			if k >= span {
 				break
 			}
@@ -279,7 +277,7 @@ func (in *Instance) StepBatch(n int) (int, error) {
 					return total + k, fmt.Errorf("sim: refault at %#x (op %d): %w", uint64(va), i+k, err)
 				}
 				in.res.DemandFaults++
-				if in.walkBatch(reqs[k:k+1], bres[k:k+1]) == 1 {
+				if core.RunBatch(in.batch, in.m.walker, reqs[k:k+1], bres[k:k+1]) == 1 {
 					k++
 					continue
 				}
@@ -291,15 +289,6 @@ func (in *Instance) StepBatch(n int) (int, error) {
 		total += span
 	}
 	return total, nil
-}
-
-// walkBatch dispatches a span to the walker's batch entry point, falling
-// back to the canonical adapter for designs without one.
-func (in *Instance) walkBatch(reqs []core.Req, res []core.Res) int {
-	if in.bw != nil {
-		return in.bw.WalkBatch(in.batch, reqs, res)
-	}
-	return core.ScalarWalkBatch(in.batch, in.m.walker, reqs, res)
 }
 
 // batchSpan returns how many ops, starting at op, a span may run before the
@@ -461,35 +450,15 @@ func RunShardsCtx(ctx context.Context, cfg Config) ([]ShardResult, error) {
 		// Account executed steps once per shard (off the hot path); the
 		// abort regression tests bound this across a failing campaign.
 		defer func() { obs.Default.Add("engine.steps_run", uint64(in.op)) }()
-		if cfg.scalarWalk {
-			// The pre-batch reference loop, kept verbatim for the
-			// metamorphic batch-vs-scalar suite.
-			for i := 0; i < in.ops; i++ {
-				if i > 0 && i%BatchOps == 0 {
-					if err := ctx.Err(); err != nil {
-						obs.Default.Add("engine.shard_aborts", 1)
-						return err
-					}
-				}
-				if err := in.Step(); err != nil {
+		for in.op < in.ops {
+			if in.op > 0 {
+				if err := ctx.Err(); err != nil {
+					obs.Default.Add("engine.shard_aborts", 1)
 					return err
 				}
 			}
-		} else {
-			lim := cfg.batchCap
-			if lim <= 0 || lim > BatchOps {
-				lim = BatchOps
-			}
-			for in.op < in.ops {
-				if in.op > 0 {
-					if err := ctx.Err(); err != nil {
-						obs.Default.Add("engine.shard_aborts", 1)
-						return err
-					}
-				}
-				if _, err := in.StepBatch(lim); err != nil {
-					return err
-				}
+			if _, err := in.StepBatch(BatchOps); err != nil {
+				return err
 			}
 		}
 		res, err := in.Finish()

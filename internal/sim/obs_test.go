@@ -23,7 +23,7 @@ func TestDeterminismObservability(t *testing.T) {
 	plans := []*fault.Plan{nil, &suite[0]}
 
 	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
-		for _, d := range detDesigns(env) {
+		for _, d := range Designs(env) {
 			for _, plan := range plans {
 				name := fmt.Sprintf("%v/%s", env, d)
 				if plan != nil {

@@ -58,10 +58,9 @@ func buildKeyFor(cfg Config) buildKey {
 // drivable machine is wired over a structural clone of its parts, so
 // concurrent NewInstance calls from shard workers only ever read it.
 type Prototype struct {
-	cfg    Config
-	native *nativeParts
-	virt   *virtParts
-	nested *nestedParts
+	cfg   Config
+	spec  *envSpec
+	parts *parts
 }
 
 // buildFailureHook, when non-nil, may veto a prototype build. Tests install
@@ -88,28 +87,15 @@ func buildPrototype(cfg Config, stage func(stageKey) (*vmStage, error)) (*Protot
 			return nil, err
 		}
 	}
-	p := &Prototype{cfg: cfg}
-	var err error
-	switch cfg.Env {
-	case EnvNative:
-		p.native, err = buildNativeParts(cfg)
-	case EnvVirt, EnvNested:
-		var st *vmStage
-		if st, err = stage(stageKeyFor(cfg)); err != nil {
-			return nil, err
-		}
-		if cfg.Env == EnvVirt {
-			p.virt, err = buildVirtParts(cfg, st)
-		} else {
-			p.nested, err = buildNestedParts(cfg, st)
-		}
-	default:
-		err = fmt.Errorf("sim: unknown environment %v", cfg.Env)
-	}
+	spec, err := specFor(cfg.Env, cfg.Design)
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	p, err := buildParts(cfg, spec, stage)
+	if err != nil {
+		return nil, err
+	}
+	return &Prototype{cfg: cfg, spec: spec, parts: p}, nil
 }
 
 // wire clones the prototype's parts and wires a drivable machine for cfg,
@@ -117,39 +103,16 @@ func buildPrototype(cfg Config, stage func(stageKey) (*vmStage, error)) (*Protot
 // guarantees this; Prototype.NewInstance checks it).
 func (p *Prototype) wire(cfg Config) (*machine, error) {
 	start := time.Now()
-	c := &Prototype{cfg: p.cfg}
-	var err error
-	switch {
-	case p.native != nil:
-		c.native, err = p.native.clone()
-	case p.virt != nil:
-		c.virt, err = p.virt.clone()
-	case p.nested != nil:
-		c.nested, err = p.nested.clone()
-	}
+	c, err := p.parts.clone()
 	if err != nil {
 		return nil, err
 	}
-	m, err := c.wireParts(cfg)
+	m, err := wireMachine(cfg, p.spec, c)
 	if err != nil {
 		return nil, err
 	}
 	addCloneNs(time.Since(start).Nanoseconds())
 	return m, nil
-}
-
-// wireParts wires a drivable machine directly over the prototype's own
-// parts, consuming the prototype.
-func (p *Prototype) wireParts(cfg Config) (*machine, error) {
-	switch {
-	case p.native != nil:
-		return wireNative(cfg, p.native)
-	case p.virt != nil:
-		return wireVirt(cfg, p.virt)
-	case p.nested != nil:
-		return wireNested(cfg, p.nested)
-	}
-	return nil, fmt.Errorf("sim: empty prototype")
 }
 
 // NewInstance clones the prototype into a fresh, unstarted full-trace

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"dmt/internal/cache"
 	"dmt/internal/check"
@@ -78,24 +79,16 @@ const (
 	DesignUtopia  Design = "utopia"
 )
 
-// allDesigns is the design registry: ParseDesign validates against it, and
-// the batch-walk registry test walks it to assert every design's walker in
-// every supported environment implements core.BatchWalker (no silent
-// ScalarWalkBatch fallback). Register new designs here.
-var allDesigns = []Design{
-	DesignVanilla, DesignShadow, DesignDMT, DesignPvDMT,
-	DesignECPT, DesignFPT, DesignAgile, DesignASAP,
-	DesignVictima, DesignUtopia,
-}
-
-// ParseDesign validates a design name against the known set.
+// ParseDesign validates a design name against the registry (designs.go).
 func ParseDesign(name string) (Design, error) {
-	for _, d := range allDesigns {
+	names := make([]string, len(allDesigns))
+	for i, d := range allDesigns {
 		if Design(name) == d {
 			return d, nil
 		}
+		names[i] = string(d)
 	}
-	return "", fmt.Errorf("sim: unknown design %q (want vanilla, shadow, dmt, pvdmt, ecpt, fpt, agile, asap, victima, utopia)", name)
+	return "", fmt.Errorf("sim: unknown design %q (want %s)", name, strings.Join(names, ", "))
 }
 
 // Config describes one run.
@@ -166,18 +159,6 @@ type Config struct {
 	// fragmentation) stays identical across replicas while each shard
 	// draws a decorrelated reference stream.
 	traceSeed int64
-
-	// scalarWalk forces the engine's pre-batch per-op loop (Instance.Step
-	// per trace operation). The batched loop is bit-identical by contract —
-	// the metamorphic suite in batch_equiv_test.go drives both paths over
-	// the full env×design matrix — so this knob exists only as that suite's
-	// reference leg, never for production runs.
-	scalarWalk bool
-	// batchCap, when positive, caps the engine's walk-batch size below
-	// BatchOps. Results are independent of the cap (spans only restructure
-	// the loop around the ops); the metamorphic suite sweeps awkward caps
-	// (1, 7, sizes not dividing Ops) to prove it.
-	batchCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -535,7 +516,7 @@ func refLabel(ref core.MemRef) string {
 	return ref.Dim
 }
 
-// machine is the assembled simulation target returned by the builders.
+// machine is the assembled simulation target wireMachine returns.
 type machine struct {
 	hier   *cache.Hierarchy
 	walker core.Walker
@@ -545,12 +526,11 @@ type machine struct {
 	// integers so shard merges stay bit-exact.
 	coverage func() (hits, total uint64)
 	footer   func(*Result) // copies counters (exits, footprints) at the end
-	// sink is the shared ref buffer installed into sink-aware walker
-	// chains (vanilla/shadow/DMT/pvDMT); nil for designs whose wrappers
-	// still allocate per walk.
+	// sink is the ref buffer the whole walker chain streams into; the
+	// recorder resets it before every walk.
 	sink *core.RefSink
 
-	// Fault/verification harness, filled by the builders.
+	// Fault/verification harness, filled by wireMachine.
 	target     fault.Target         // handles the injector perturbs
 	ref        check.Ref            // ground-truth translation (live PTs)
 	fastPath   func(mem.VAddr) bool // side-effect-free DMT fast-path probe

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dmt/internal/workload"
@@ -170,16 +172,26 @@ func TestShadowCheaperWalkButExits(t *testing.T) {
 
 func TestAblationKnobs(t *testing.T) {
 	wl := workload.Redis()
-	// One register covers only the largest mapping: coverage must drop
-	// far below the default-16 run.
-	cfg := small(EnvNative, DesignDMT, false, wl)
-	cfg.TEARegisters = 1
-	cfg.TEAMergeThreshold = -1
-	one := run(t, cfg)
-	cfg16 := small(EnvNative, DesignDMT, false, wl)
-	full := run(t, cfg16)
-	if one.Coverage >= 0.5 || full.Coverage < 0.99 {
-		t.Fatalf("register knob ineffective: 1-reg coverage %.2f, 16-reg %.2f", one.Coverage, full.Coverage)
+	for _, c := range []struct {
+		env Environment
+		d   Design
+	}{
+		{EnvNative, DesignDMT},
+		{EnvVirt, DesignPvDMT},
+		{EnvNested, DesignPvDMT},
+	} {
+		t.Run(fmt.Sprintf("%v/%s", c.env, c.d), func(t *testing.T) {
+			// One register covers only the largest mapping: coverage must
+			// drop far below the default-16 run.
+			cfg := small(c.env, c.d, false, wl)
+			cfg.TEARegisters = 1
+			cfg.TEAMergeThreshold = -1
+			one := run(t, cfg)
+			full := run(t, small(c.env, c.d, false, wl))
+			if one.Coverage >= 0.5 || full.Coverage < 0.99 {
+				t.Fatalf("register knob ineffective: 1-reg coverage %.2f, 16-reg %.2f", one.Coverage, full.Coverage)
+			}
+		})
 	}
 	// Fragmentation forces splits and costs coverage.
 	fcfg := small(EnvNative, DesignDMT, false, workload.GUPS())
@@ -187,6 +199,20 @@ func TestAblationKnobs(t *testing.T) {
 	frag := run(t, fcfg)
 	if frag.Coverage >= 0.9 {
 		t.Fatalf("fragmentation knob ineffective: coverage %.2f", frag.Coverage)
+	}
+}
+
+// TestFragmentTargetNativeOnly pins the clean failure of a knob only the
+// native build reads: a virtualized or nested run with FragmentTarget set
+// is refused rather than silently built unfragmented.
+func TestFragmentTargetNativeOnly(t *testing.T) {
+	for _, env := range []Environment{EnvVirt, EnvNested} {
+		cfg := small(env, DesignPvDMT, false, workload.GUPS())
+		cfg.FragmentTarget = 0.5
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "FragmentTarget") {
+			t.Fatalf("%v: Run with FragmentTarget = %v, want an error naming FragmentTarget", env, err)
+		}
 	}
 }
 

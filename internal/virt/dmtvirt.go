@@ -303,13 +303,3 @@ func pteLeafValid(pte mem.PTE, s mem.PageSize) bool {
 }
 
 var _ core.Walker = (*DMTVirtWalker)(nil)
-var _ core.BatchWalker = (*DMTVirtWalker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker. Like native DMT, the direct fetch's short reference
-// chain makes per-op dispatch proportionally expensive, so the virt variant
-// gains the most from the batched loop keeping its translation-table and
-// host-fallback lines resident.
-func (w *DMTVirtWalker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

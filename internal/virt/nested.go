@@ -207,11 +207,3 @@ func (w *NestedWalker) refillGuestPWC(gva mem.VAddr, steps []pagetable.Step) {
 }
 
 var _ core.Walker = (*NestedWalker)(nil)
-var _ core.BatchWalker = (*NestedWalker)(nil)
-
-// WalkBatch runs a batch of 2D translations through the canonical loop
-// against the concrete walker, keeping the nested walk cache and both
-// dimensions' PWC sets hot across consecutive ops.
-func (w *NestedWalker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}

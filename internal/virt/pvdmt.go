@@ -238,12 +238,3 @@ func NewPvDMTNestedWalker(l2 *VM, guestMgr *tea.Manager, guestPool *pagetable.Po
 		Fallback: fallback,
 	}
 }
-
-var _ core.BatchWalker = (*PvDMTWalker)(nil)
-
-// WalkBatch runs a batch of translations through the canonical loop against
-// the concrete walker, keeping pvDMT's guest translation-table lines and the
-// host fallback's cache sets hot across consecutive ops.
-func (w *PvDMTWalker) WalkBatch(b *core.Batch, reqs []core.Req, res []core.Res) int {
-	return core.RunBatch(b, w, reqs, res)
-}
