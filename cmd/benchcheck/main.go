@@ -1,18 +1,20 @@
-// Command benchcheck is the benchmark-regression gate: it compares a freshly
-// emitted benchmark record (go test -run EmitBenchJSON -benchjson fresh.json .)
-// against the committed BENCH_sim.json and exits non-zero when a tracked
-// metric regressed beyond the tolerance.
+// Command benchcheck is the benchmark's regression gate. It compares runs of
+// bench/run.sh on the parent commit with runs on the change, made on the same
+// runner, and applies the end-to-end bounds BENCHMARK.json declares:
 //
-// Time-based metrics (ns/walk, matrix seconds) are never compared raw —
-// the CI runner and the machine that produced the committed baseline differ
-// in clock speed, cache size, and load. Instead benchcheck computes the
-// per-metric current/baseline ratio, takes the geometric mean across all
-// time metrics as the host-speed factor, and flags only metrics whose ratio
-// exceeds that common factor by more than the tolerance. A change that slows
-// one walk path sticks out against the others; a uniform shift is absorbed
-// as host speed. (The known blind spot: a perfectly uniform slowdown of
-// every path is indistinguishable from a slower host.) Allocation counts are
-// machine-independent and compared strictly.
+//	go run ./cmd/benchcheck -parent p1.txt,p2.txt,p3.txt -change c1.txt,c2.txt,c3.txt
+//
+// Each file holds one run's standard output: its "# bench workload=NAME"
+// header names the workload, and its last non-empty line is the JSON result.
+// For each workload and each end-to-end metric, benchcheck takes the median of
+// each side and fails when the change is worse than the parent by more than
+// the metric's bound in its better direction. It also fails when a change run
+// reports correct: false, or when the change fails a larger share of the
+// operations it attempted than the parent. Both sides run on one host, so host
+// speed cancels out of the comparison instead of being estimated.
+//
+// Exit status: 0 when every bound holds, 1 on a regression, 2 on bad input
+// (a missing file, workload or metric is an error, never a pass).
 package main
 
 import (
@@ -20,215 +22,213 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"dmt/internal/stats"
 )
 
-type walkRecord struct {
-	NsPerWalk     float64 `json:"ns_per_walk"`
-	AllocsPerWalk float64 `json:"allocs_per_walk"`
-	BytesPerWalk  float64 `json:"bytes_per_walk"`
-	// Schema v3: simulated walk-latency quantiles from the observability
-	// histogram (internal/obs). Simulated cycles are a deterministic
-	// function of the configuration — host speed never enters — so these
-	// are compared directly, like allocation counts. Zero means the
-	// baseline predates v3 and the field is skipped.
-	P50WalkCycles float64 `json:"p50_walk_cycles,omitempty"`
-	P90WalkCycles float64 `json:"p90_walk_cycles,omitempty"`
-	P99WalkCycles float64 `json:"p99_walk_cycles,omitempty"`
-	MaxWalkCycles float64 `json:"max_walk_cycles,omitempty"`
+// bound is one end-to-end metric of BENCHMARK.json.
+type bound struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
-// buildRecord is one environment's machine-construction cost (schema v2).
-// The ns figures are host-dependent and join the normalized time pool; the
-// clone/build ratio is measured within a single host and compared directly.
-type buildRecord struct {
-	BuildNs           float64 `json:"build_ns"`
-	CloneNs           float64 `json:"clone_ns"`
-	CloneVsBuildRatio float64 `json:"clone_vs_build_ratio"`
+// result is bench/run.sh's JSON result line, tagged with its workload.
+type result struct {
+	workload  string
+	Correct   bool  `json:"correct"`
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
-type benchDoc struct {
-	Schema string                `json:"schema"`
-	Walks  map[string]walkRecord `json:"walks"`
-	Matrix struct {
-		SerialSeconds   float64 `json:"serial_seconds"`
-		Workers8Seconds float64 `json:"workers8_seconds"`
-		// NumCPU is recorded with the cell because workers8_seconds only
-		// measures parallel speed on a multi-core host; on one CPU the eight
-		// workers oversubscribe the core and the figure is scheduling noise.
-		NumCPU int `json:"numcpu"`
-	} `json:"matrix"`
-	Build struct {
-		Envs             map[string]buildRecord `json:"envs"`
-		MatrixBuildShare float64                `json:"matrix_build_share"`
-	} `json:"build"`
+// parseResult reads one run's output: the workload from its header line and
+// the result from its last non-empty line.
+func parseResult(name, out string) (result, error) {
+	var r result
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	for _, l := range lines {
+		if rest, ok := strings.CutPrefix(l, "# bench workload="); ok {
+			r.workload, _, _ = strings.Cut(rest, " ")
+		}
+	}
+	if r.workload == "" {
+		return r, fmt.Errorf("%s: no \"# bench workload=\" line", name)
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+		return r, fmt.Errorf("%s: last line is not a result: %w", name, err)
+	}
+	return r, nil
 }
 
-func load(path string) (*benchDoc, error) {
+// check compares the two sides workload by workload. It returns one report
+// line per metric and one line per violation; an error means the inputs
+// cannot be compared.
+func check(bounds []bound, parent, change []result) (report, bad []string, err error) {
+	if len(bounds) == 0 {
+		return nil, nil, fmt.Errorf("no end-to-end metrics declared")
+	}
+	ps, cs := map[string][]result{}, map[string][]result{}
+	for _, r := range parent {
+		ps[r.workload] = append(ps[r.workload], r)
+	}
+	for _, r := range change {
+		cs[r.workload] = append(cs[r.workload], r)
+	}
+	var names []string
+	for w := range ps {
+		names = append(names, w)
+	}
+	for w := range cs {
+		if ps[w] == nil {
+			names = append(names, w)
+		}
+	}
+	sort.Strings(names)
+	for _, w := range names {
+		p, c := ps[w], cs[w]
+		if p == nil || c == nil {
+			return nil, nil, fmt.Errorf("workload %s: %d parent and %d change runs", w, len(p), len(c))
+		}
+		for i, r := range c {
+			if !r.Correct {
+				bad = append(bad, fmt.Sprintf("%s: change run %d reports correct: false", w, i+1))
+			}
+		}
+		if pf, cf := failedShare(p), failedShare(c); cf > pf {
+			bad = append(bad, fmt.Sprintf("%s: change fails %.3g of its operations, parent %.3g", w, cf, pf))
+		}
+		for _, b := range bounds {
+			pm, err := median(w, b.Name, p)
+			if err != nil {
+				return nil, nil, fmt.Errorf("parent: %w", err)
+			}
+			cm, err := median(w, b.Name, c)
+			if err != nil {
+				return nil, nil, fmt.Errorf("change: %w", err)
+			}
+			rel := cm/pm - 1
+			worse := rel > b.Bound
+			if b.Better == "higher" {
+				worse = -rel > b.Bound
+			}
+			line := fmt.Sprintf("%s %s: parent %.4g, change %.4g (%+.1f %%, bound %.1f %%, %s is better)",
+				w, b.Name, pm, cm, 100*rel, 100*b.Bound, b.Better)
+			report = append(report, line)
+			if worse {
+				bad = append(bad, line)
+			}
+		}
+	}
+	return report, bad, nil
+}
+
+func failedShare(rs []result) float64 {
+	var att, failed int64
+	for _, r := range rs {
+		att, failed = att+r.Attempted, failed+r.Failed
+	}
+	if att == 0 {
+		return 1
+	}
+	return float64(failed) / float64(att)
+}
+
+// median is the nearest-rank median: the lower middle for an even count.
+func median(workload, metric string, rs []result) (float64, error) {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		m, ok := r.Metrics[metric]
+		if !ok {
+			return 0, fmt.Errorf("workload %s: run %d has no metric %s", workload, i+1, metric)
+		}
+		xs[i] = m.Value
+	}
+	return stats.Percentile(xs, 50), nil
+}
+
+// readBounds reads the end-to-end metrics of a benchmark declaration.
+func readBounds(path string) ([]bound, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var d benchDoc
-	if err := json.Unmarshal(buf, &d); err != nil {
+	var spec struct {
+		EndToEnd []bound `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(buf, &spec); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// v1 lacks the build section and v2 the walk-latency quantiles; both are
-	// still accepted so the gate can run against pre-snapshot baselines (the
-	// missing metrics are then skipped).
-	switch d.Schema {
-	case "dmt-bench/v1", "dmt-bench/v2", "dmt-bench/v3":
-	default:
-		return nil, fmt.Errorf("%s: unsupported schema %q", path, d.Schema)
+	for _, b := range spec.EndToEnd {
+		if b.Better != "lower" && b.Better != "higher" {
+			return nil, fmt.Errorf("%s: metric %s: better is %q, want lower or higher", path, b.Name, b.Better)
+		}
 	}
-	return &d, nil
+	return spec.EndToEnd, nil
 }
 
-// timeMetric is one time-based measurement present in both records.
-type timeMetric struct {
-	name      string
-	base, cur float64
+func load(files string) ([]result, error) {
+	var rs []result
+	for _, f := range strings.Split(files, ",") {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		r, err := parseResult(f, string(buf))
+		if err != nil {
+			return nil, err
+		}
+		rs = append(rs, r)
+	}
+	return rs, nil
 }
 
-// quantileMetric names one of the simulated-cycle quantile fields so the
-// per-walk comparison loop and its violation messages stay table-driven.
-type quantileMetric struct {
-	name      string
-	base, cur float64
-}
-
-// compare returns a human-readable violation per regressed metric, empty if
-// the current record is within tolerance of the baseline. A degenerate
-// record — an empty walks section, or a time pool too small to estimate the
-// host-speed factor — is an error, not a pass: a gate that silently compares
-// nothing would report success on garbage input.
-func compare(base, cur *benchDoc, tol float64) ([]string, error) {
-	if len(base.Walks) == 0 {
-		return nil, fmt.Errorf("baseline walks section is empty")
+func run(parentFiles, changeFiles string) (int, error) {
+	if parentFiles == "" || changeFiles == "" {
+		return 2, fmt.Errorf("-parent and -change are both required")
 	}
-	if len(cur.Walks) == 0 {
-		return nil, fmt.Errorf("current walks section is empty")
-	}
-	var bad []string
-	var times []timeMetric
-	for name, b := range base.Walks {
-		c, ok := cur.Walks[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("walk %s: missing from current record", name))
-			continue
-		}
-		if c.AllocsPerWalk > b.AllocsPerWalk+0.5 {
-			bad = append(bad, fmt.Sprintf("walk %s: allocs/walk %.1f, baseline %.1f (machine-independent; no tolerance)",
-				name, c.AllocsPerWalk, b.AllocsPerWalk))
-		}
-		// Simulated walk-latency quantiles (schema v3) are deterministic
-		// cycle counts, so host speed cancels and they compare directly.
-		// Pre-v3 baselines carry zeros and are skipped.
-		for _, q := range []quantileMetric{
-			{"p50 cycles", b.P50WalkCycles, c.P50WalkCycles},
-			{"p90 cycles", b.P90WalkCycles, c.P90WalkCycles},
-			{"p99 cycles", b.P99WalkCycles, c.P99WalkCycles},
-			{"max cycles", b.MaxWalkCycles, c.MaxWalkCycles},
-		} {
-			if q.base > 0 && q.cur > q.base*(1+tol) {
-				bad = append(bad, fmt.Sprintf("walk %s: %s %.0f, baseline %.0f (simulated, host-independent, tolerance %d%%)",
-					name, q.name, q.cur, q.base, int(tol*100)))
-			}
-		}
-		if b.NsPerWalk > 0 && c.NsPerWalk > 0 {
-			times = append(times, timeMetric{"walk " + name + " ns/walk", b.NsPerWalk, c.NsPerWalk})
-		}
-	}
-	if base.Matrix.SerialSeconds > 0 && cur.Matrix.SerialSeconds > 0 {
-		times = append(times, timeMetric{"matrix serial seconds", base.Matrix.SerialSeconds, cur.Matrix.SerialSeconds})
-	}
-	// workers8_seconds joins the time pool only when both records come from
-	// multi-core hosts (numcpu recorded with the cell). A single-CPU side
-	// turns the eight-worker run into pure oversubscription — slower than
-	// serial by scheduling noise alone — and comparing it would poison the
-	// host-speed factor for every real metric. Records predating the numcpu
-	// field carry 0 and are likewise skipped.
-	if base.Matrix.Workers8Seconds > 0 && cur.Matrix.Workers8Seconds > 0 &&
-		base.Matrix.NumCPU > 1 && cur.Matrix.NumCPU > 1 {
-		times = append(times, timeMetric{"matrix workers8 seconds", base.Matrix.Workers8Seconds, cur.Matrix.Workers8Seconds})
-	}
-	for name, b := range base.Build.Envs {
-		c, ok := cur.Build.Envs[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("build %s: missing from current record", name))
-			continue
-		}
-		if b.BuildNs > 0 && c.BuildNs > 0 {
-			times = append(times, timeMetric{"build " + name + " ns", b.BuildNs, c.BuildNs})
-		}
-		if b.CloneNs > 0 && c.CloneNs > 0 {
-			times = append(times, timeMetric{"clone " + name + " ns", b.CloneNs, c.CloneNs})
-		}
-		// Both sides of the ratio come from one host, so host speed cancels
-		// and the comparison is direct: a clone drifting toward build cost
-		// means the snapshot stopped paying for itself.
-		if b.CloneVsBuildRatio > 0 && c.CloneVsBuildRatio > b.CloneVsBuildRatio*(1+tol) {
-			bad = append(bad, fmt.Sprintf("build %s: clone/build ratio %.3f, baseline %.3f (host-independent, tolerance %d%%)",
-				name, c.CloneVsBuildRatio, b.CloneVsBuildRatio, int(tol*100)))
-		}
-	}
-	if len(times) < 2 {
-		// With fewer than two time metrics there is no cross-metric signal
-		// to separate host speed from regression. stats.GeoMean would hand
-		// back 0 for an empty pool and the gate would compare nothing —
-		// name the contributing sections instead of passing vacuously.
-		return nil, fmt.Errorf("time pool has %d shared metric(s) from walks (%d baseline), matrix, and build (%d baseline envs); need at least 2 to estimate the host-speed factor",
-			len(times), len(base.Walks), len(base.Build.Envs))
-	}
-	ratios := make([]float64, len(times))
-	for i, t := range times {
-		ratios[i] = t.cur / t.base
-	}
-	host, err := stats.GeoMean(ratios)
+	bounds, err := readBounds("BENCHMARK.json")
 	if err != nil {
-		return nil, fmt.Errorf("time pool: %w", err)
+		return 2, err
 	}
-	for i, t := range times {
-		if ratios[i] > host*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: %.1f vs baseline %.1f (%.2fx, host factor %.2fx, tolerance %d%%)",
-				t.name, t.cur, t.base, ratios[i], host, int(tol*100)))
+	parent, err := load(parentFiles)
+	if err != nil {
+		return 2, err
+	}
+	change, err := load(changeFiles)
+	if err != nil {
+		return 2, err
+	}
+	report, bad, err := check(bounds, parent, change)
+	if err != nil {
+		return 2, err
+	}
+	for _, l := range report {
+		fmt.Println(l)
+	}
+	if len(bad) > 0 {
+		fmt.Printf("benchcheck: %d violation(s):\n", len(bad))
+		for _, l := range bad {
+			fmt.Println("  " + l)
 		}
+		return 1, nil
 	}
-	return bad, nil
+	fmt.Printf("benchcheck: every end-to-end metric within its bound (%d parent, %d change runs)\n",
+		len(parent), len(change))
+	return 0, nil
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_sim.json", "committed benchmark record")
-	current := flag.String("current", "", "freshly emitted benchmark record (required)")
-	tol := flag.Float64("tolerance", 0.15, "allowed per-metric slowdown beyond the common host factor")
+	parent := flag.String("parent", "", "comma-separated bench/run.sh outputs of the parent commit")
+	change := flag.String("change", "", "comma-separated bench/run.sh outputs of the change")
 	flag.Parse()
-	if *current == "" {
-		fmt.Fprintln(os.Stderr, "benchcheck: -current is required")
-		os.Exit(2)
-	}
-	base, err := load(*baseline)
+	code, err := run(*parent, *change)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
 	}
-	cur, err := load(*current)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	bad, err := compare(base, cur, *tol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d regression(s) vs %s:\n", len(bad), *baseline)
-		for _, v := range bad {
-			fmt.Fprintln(os.Stderr, "  "+v)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("benchcheck: %d walk metrics, %d build/clone cells, and matrix wall clock within %d%% of %s\n",
-		len(base.Walks), len(base.Build.Envs), int(*tol*100), *baseline)
+	os.Exit(code)
 }

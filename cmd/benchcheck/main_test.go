@@ -1,290 +1,153 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func doc(nsScale float64, allocs float64, extra map[string]float64) *benchDoc {
-	d := &benchDoc{Schema: "dmt-bench/v3", Walks: map[string]walkRecord{}}
-	base := map[string]float64{
-		"NativeVanilla": 700, "NativeDMT": 550, "VirtVanilla": 1500,
-		"VirtPvDMT": 800, "NestedPvDMT": 1050,
-	}
-	for name, ns := range base {
-		scale := nsScale
-		if s, ok := extra[name]; ok {
-			scale = s
-		}
-		// Quantiles are simulated cycle counts: identical across hosts, so
-		// they deliberately do NOT scale with nsScale.
-		d.Walks[name] = walkRecord{
-			NsPerWalk: ns * scale, AllocsPerWalk: allocs,
-			P50WalkCycles: ns / 4, P90WalkCycles: ns / 2,
-			P99WalkCycles: ns, MaxWalkCycles: 2 * ns,
-		}
-	}
-	d.Matrix.SerialSeconds = 3.0 * nsScale
-	d.Matrix.Workers8Seconds = 1.1 * nsScale
-	d.Matrix.NumCPU = 8
-	d.Build.Envs = map[string]buildRecord{}
-	for name, buildNs := range map[string]float64{"native": 1.5e8, "virt": 4e8, "nested": 6e8} {
-		b := buildNs * nsScale
-		c := buildNs * 0.01 * nsScale // clones ~100x cheaper than builds
-		d.Build.Envs[name] = buildRecord{BuildNs: b, CloneNs: c, CloneVsBuildRatio: c / b}
-	}
-	d.Build.MatrixBuildShare = 0.1
-	return d
+// out is one bench/run.sh output: the header naming the workload, then the
+// result line.
+func out(workload string, correct bool, failed int64, opNs, opsPerS float64) string {
+	return fmt.Sprintf("# bench workload=%s seed=11 seconds=5 quick=false trace=false repeat=1\n"+
+		`{"correct":%v,"attempted":1000,"failed":%d,"metrics":{"op_ns_p50":{"value":%g,"unit":"ns"},"ops_per_s":{"value":%g,"unit":"1/s"}}}`+"\n",
+		workload, correct, failed, opNs, opsPerS)
 }
 
-// mustCompare runs compare and fails the test on a degenerate-record error —
-// the helper for the many tests that only inspect violations.
-func mustCompare(t *testing.T, base, cur *benchDoc, tol float64) []string {
+var testBounds = []bound{{"op_ns_p50", "lower", 0.25}, {"ops_per_s", "higher", 0.25}}
+
+func parseAll(t *testing.T, outs []string) []result {
 	t.Helper()
-	bad, err := compare(base, cur, tol)
-	if err != nil {
-		t.Fatalf("compare: %v", err)
-	}
-	return bad
-}
-
-func TestCompareIdentical(t *testing.T) {
-	base := doc(1, 0, nil)
-	if bad := mustCompare(t, base, doc(1, 0, nil), 0.15); len(bad) != 0 {
-		t.Fatalf("identical records flagged: %v", bad)
-	}
-}
-
-func TestCompareUniformSlowdownIsHostSpeed(t *testing.T) {
-	// A 2x-slower host shifts every time metric equally; the common-factor
-	// normalization must absorb it.
-	base := doc(1, 0, nil)
-	if bad := mustCompare(t, base, doc(2, 0, nil), 0.15); len(bad) != 0 {
-		t.Fatalf("uniform 2x slowdown flagged: %v", bad)
-	}
-}
-
-func TestCompareSinglePathRegression(t *testing.T) {
-	// One walk path 60% slower on an otherwise identical host must stick
-	// out against the common factor.
-	base := doc(1, 0, nil)
-	bad := mustCompare(t, base, doc(1, 0, map[string]float64{"NativeDMT": 1.6}), 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "NativeDMT") {
-		t.Fatalf("want one NativeDMT violation, got %v", bad)
-	}
-}
-
-func TestCompareAllocRegressionIsStrict(t *testing.T) {
-	// Allocations are machine-independent: any growth past rounding fails
-	// even on a much faster host.
-	base := doc(1, 0, nil)
-	bad := mustCompare(t, base, doc(0.5, 1, nil), 0.15)
-	if len(bad) != len(base.Walks) {
-		t.Fatalf("want %d alloc violations, got %v", len(base.Walks), bad)
-	}
-	for _, v := range bad {
-		if !strings.Contains(v, "allocs/walk") {
-			t.Fatalf("unexpected violation %q", v)
-		}
-	}
-}
-
-func TestCompareMissingWalk(t *testing.T) {
-	base := doc(1, 0, nil)
-	cur := doc(1, 0, nil)
-	delete(cur.Walks, "VirtPvDMT")
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "missing") {
-		t.Fatalf("want one missing-walk violation, got %v", bad)
-	}
-}
-
-func TestCompareMatrixRegression(t *testing.T) {
-	base := doc(1, 0, nil)
-	cur := doc(1, 0, nil)
-	cur.Matrix.SerialSeconds *= 1.5
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "matrix serial") {
-		t.Fatalf("want one matrix violation, got %v", bad)
-	}
-}
-
-func TestCompareWorkers8Regression(t *testing.T) {
-	// With both records from multi-core hosts, the workers8 wall clock is a
-	// real parallel-speed signal and a 60% regression must be flagged.
-	base := doc(1, 0, nil)
-	cur := doc(1, 0, nil)
-	cur.Matrix.Workers8Seconds *= 1.6
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "workers8") {
-		t.Fatalf("want one workers8 violation, got %v", bad)
-	}
-}
-
-func TestCompareWorkers8SkippedOnSingleCPU(t *testing.T) {
-	// On a 1-CPU host the eight workers oversubscribe the core, so the
-	// workers8 figure is scheduling noise: whichever side reports numcpu==1
-	// (or predates the field, carrying 0) disables the comparison entirely,
-	// no matter how wild the number.
-	for _, ncpu := range []int{0, 1} {
-		base := doc(1, 0, nil)
-		cur := doc(1, 0, nil)
-		cur.Matrix.NumCPU = ncpu
-		cur.Matrix.Workers8Seconds *= 10
-		if bad := mustCompare(t, base, cur, 0.15); len(bad) != 0 {
-			t.Fatalf("numcpu=%d current: workers8 noise flagged: %v", ncpu, bad)
-		}
-		base.Matrix.NumCPU = ncpu
-		base.Matrix.Workers8Seconds /= 10
-		if bad := mustCompare(t, base, doc(1, 0, nil), 0.15); len(bad) != 0 {
-			t.Fatalf("numcpu=%d baseline: workers8 noise flagged: %v", ncpu, bad)
-		}
-	}
-}
-
-func TestCompareBuildRegression(t *testing.T) {
-	// One environment's cold build 60% slower on an otherwise identical
-	// host must stick out of the normalized time pool like a walk path.
-	base := doc(1, 0, nil)
-	cur := doc(1, 0, nil)
-	r := cur.Build.Envs["virt"]
-	r.BuildNs *= 1.6
-	r.CloneVsBuildRatio = r.CloneNs / r.BuildNs
-	cur.Build.Envs["virt"] = r
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "build virt ns") {
-		t.Fatalf("want one virt build-ns violation, got %v", bad)
-	}
-}
-
-func TestCompareCloneRatioRegressionIsHostIndependent(t *testing.T) {
-	// Clones drifting toward build cost must be flagged even on a uniformly
-	// 2x-slower host: the ratio is measured within one machine, so the
-	// host-speed normalization never excuses it.
-	base := doc(1, 0, nil)
-	cur := doc(2, 0, nil)
-	r := cur.Build.Envs["native"]
-	r.CloneNs *= 3
-	r.CloneVsBuildRatio = r.CloneNs / r.BuildNs
-	cur.Build.Envs["native"] = r
-	bad := mustCompare(t, base, cur, 0.15)
-	found := false
-	for _, v := range bad {
-		if strings.Contains(v, "clone/build ratio") && strings.Contains(v, "native") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("want a native clone/build ratio violation, got %v", bad)
-	}
-}
-
-func TestCompareMissingBuildEnv(t *testing.T) {
-	base := doc(1, 0, nil)
-	cur := doc(1, 0, nil)
-	delete(cur.Build.Envs, "nested")
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "build nested: missing") {
-		t.Fatalf("want one missing-build violation, got %v", bad)
-	}
-}
-
-func TestCompareV1BaselineSkipsBuild(t *testing.T) {
-	// A pre-snapshot (v1) baseline carries no build section; the gate must
-	// still run the walk/matrix comparison without inventing violations.
-	base := doc(1, 0, nil)
-	base.Schema = "dmt-bench/v1"
-	base.Build.Envs = nil
-	for name, w := range base.Walks {
-		w.P50WalkCycles, w.P90WalkCycles, w.P99WalkCycles, w.MaxWalkCycles = 0, 0, 0, 0
-		base.Walks[name] = w
-	}
-	if bad := mustCompare(t, base, doc(1, 0, nil), 0.15); len(bad) != 0 {
-		t.Fatalf("v1 baseline flagged: %v", bad)
-	}
-}
-
-func TestCompareQuantileRegressionIsHostIndependent(t *testing.T) {
-	// Simulated p99 cycles doubling must be flagged even when the current
-	// record came from a uniformly 2x-slower host: the quantiles are
-	// deterministic cycle counts, so the host factor never excuses them.
-	base := doc(1, 0, nil)
-	cur := doc(2, 0, nil)
-	w := cur.Walks["VirtPvDMT"]
-	w.P99WalkCycles *= 2
-	cur.Walks["VirtPvDMT"] = w
-	bad := mustCompare(t, base, cur, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "VirtPvDMT") || !strings.Contains(bad[0], "p99 cycles") {
-		t.Fatalf("want one VirtPvDMT p99 violation, got %v", bad)
-	}
-}
-
-func TestCompareQuantileSkippedForPreV3Baseline(t *testing.T) {
-	// A v2 baseline has zero quantile fields; the current record growing
-	// real quantiles must not be compared against those zeros.
-	base := doc(1, 0, nil)
-	base.Schema = "dmt-bench/v2"
-	for name, w := range base.Walks {
-		w.P50WalkCycles, w.P90WalkCycles, w.P99WalkCycles, w.MaxWalkCycles = 0, 0, 0, 0
-		base.Walks[name] = w
-	}
-	if bad := mustCompare(t, base, doc(1, 0, nil), 0.15); len(bad) != 0 {
-		t.Fatalf("v2 baseline flagged on quantiles: %v", bad)
-	}
-}
-
-func TestCompareEmptyWalksIsError(t *testing.T) {
-	// The empty-pool guard: a record with no walks must be a hard error
-	// naming the starved section, never a vacuous pass.
-	empty := doc(1, 0, nil)
-	empty.Walks = nil
-	if _, err := compare(empty, doc(1, 0, nil), 0.15); err == nil || !strings.Contains(err.Error(), "baseline walks") {
-		t.Fatalf("empty baseline walks: err = %v, want named-section error", err)
-	}
-	if _, err := compare(doc(1, 0, nil), empty, 0.15); err == nil || !strings.Contains(err.Error(), "current walks") {
-		t.Fatalf("empty current walks: err = %v, want named-section error", err)
-	}
-}
-
-func TestCompareStarvedTimePoolIsError(t *testing.T) {
-	// Records whose shared time metrics are all zeroed leave nothing to
-	// estimate the host-speed factor from; the gate must refuse rather
-	// than let stats.GeoMean's empty-input zero flow into the comparison.
-	zeroTimes := func() *benchDoc {
-		d := doc(1, 0, nil)
-		for name, w := range d.Walks {
-			w.NsPerWalk = 0
-			d.Walks[name] = w
-		}
-		d.Matrix.SerialSeconds = 0
-		d.Build.Envs = nil
-		return d
-	}
-	_, err := compare(zeroTimes(), zeroTimes(), 0.15)
-	if err == nil || !strings.Contains(err.Error(), "time pool") {
-		t.Fatalf("starved time pool: err = %v, want time-pool error", err)
-	}
-}
-
-func TestLoadSchemaVersions(t *testing.T) {
-	dir := t.TempDir()
-	write := func(schema string) string {
-		p := filepath.Join(dir, strings.ReplaceAll(schema, "/", "_")+".json")
-		if err := os.WriteFile(p, []byte(`{"schema":"`+schema+`"}`), 0o644); err != nil {
+	rs := make([]result, len(outs))
+	for i, o := range outs {
+		r, err := parseResult(fmt.Sprint("run", i), o)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		rs[i] = r
 	}
-	for _, ok := range []string{"dmt-bench/v1", "dmt-bench/v2", "dmt-bench/v3"} {
-		if _, err := load(write(ok)); err != nil {
-			t.Errorf("schema %s rejected: %v", ok, err)
+	return rs
+}
+
+func TestCheck(t *testing.T) {
+	ok := out("w1", true, 0, 100, 1e6)
+	three := func(s string) []string { return []string{s, s, s} }
+	for _, tc := range []struct {
+		name           string
+		parent, change []string
+		bad            []string // per expected violation, a substring of its line
+		err            string   // substring of the expected error
+	}{
+		{name: "identical sides pass", parent: three(ok), change: three(ok)},
+		{name: "lower is better and worse than its bound",
+			parent: three(ok), change: three(out("w1", true, 0, 130, 1e6)), bad: []string{"w1 op_ns_p50"}},
+		{name: "higher is better and worse than its bound",
+			parent: three(ok), change: three(out("w1", true, 0, 100, 0.7e6)), bad: []string{"w1 ops_per_s"}},
+		{name: "worse inside the bound passes",
+			parent: three(ok), change: three(out("w1", true, 0, 124, 0.76e6))},
+		{name: "better by more than the bound passes",
+			parent: three(ok), change: three(out("w1", true, 0, 50, 2e6))},
+		{name: "median leaves one outlier per side out",
+			parent: []string{ok, out("w1", true, 0, 300, 0.1e6), ok},
+			change: []string{out("w1", true, 0, 90, 1e6), out("w1", true, 0, 200, 0.5e6), ok}},
+		{name: "median of three runs worse than its bound",
+			parent: three(ok),
+			change: []string{out("w1", true, 0, 130, 1e6), out("w1", true, 0, 140, 1e6), out("w1", true, 0, 90, 1e6)},
+			bad:    []string{"w1 op_ns_p50"}},
+		{name: "correct false fails",
+			parent: three(ok), change: []string{ok, out("w1", false, 0, 100, 1e6), ok}, bad: []string{"run 2 reports correct: false"}},
+		{name: "higher failed share fails",
+			parent: three(ok), change: []string{ok, out("w1", true, 1, 100, 1e6), ok}, bad: []string{"w1: change fails"}},
+		{name: "only the worse workload is named",
+			parent: []string{ok, out("w2", true, 0, 100, 1e6)},
+			change: []string{ok, out("w2", true, 0, 130, 1e6)}, bad: []string{"w2 op_ns_p50"}},
+		{name: "metric missing on the change side is an error",
+			parent: three(ok), change: []string{"# bench workload=w1\n" + `{"correct":true,"attempted":1,"metrics":{"op_ns_p50":{"value":100}}}`},
+			err: "change: workload w1: run 1 has no metric ops_per_s"},
+		{name: "metric missing on the parent side is an error",
+			parent: []string{"# bench workload=w1\n" + `{"correct":true,"attempted":1,"metrics":{"ops_per_s":{"value":1e6}}}`}, change: three(ok),
+			err: "parent: workload w1: run 1 has no metric op_ns_p50"},
+		{name: "workload missing on the change side is an error",
+			parent: []string{ok, out("w2", true, 0, 100, 1e6)}, change: three(ok), err: "workload w2: 1 parent and 0 change runs"},
+		{name: "workload missing on the parent side is an error",
+			parent: three(ok), change: []string{ok, out("w2", true, 0, 100, 1e6)}, err: "workload w2: 0 parent and 1 change runs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			report, bad, err := check(testBounds, parseAll(t, tc.parent), parseAll(t, tc.change))
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("error = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(report) == 0 || len(report)%len(testBounds) != 0 {
+				t.Errorf("%d report lines, want one per workload and metric:\n%s", len(report), strings.Join(report, "\n"))
+			}
+			if len(bad) != len(tc.bad) {
+				t.Fatalf("violations %q, want %d matching %q", bad, len(tc.bad), tc.bad)
+			}
+			for i, want := range tc.bad {
+				if !strings.Contains(bad[i], want) {
+					t.Errorf("violation %q does not name %q", bad[i], want)
+				}
+			}
+		})
+	}
+}
+
+// fullStdout is bench/run.sh's standard output as it prints it, shortened.
+const fullStdout = `# bench workload=hit-btree-thp seed=11 seconds=10 quick=true trace=false repeat=1
+# host numcpu=2 gomaxprocs=2 go=go1.24.0 commit=f7c3651 workers=1 shards=1
+# 1 timed passes in 0.3 s after a warm-up pass; per cell, the median over passes
+# cell              spans/pass  p50 ns/op  p90 ns/op
+# native.vanilla            16       41.8       42.6
+# ops_per_s                             2.21124e+07 1/s
+{"correct":true,"attempted":688128,"failed":0,"metrics":{"ok_share":{"value":1,"unit":"ratio"},"op_ns_p50":{"value":42.48,"unit":"ns"}}}
+
+`
+
+func TestParseResult(t *testing.T) {
+	r, err := parseResult("stdout", fullStdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.workload != "hit-btree-thp" || !r.Correct || r.Attempted != 688128 || r.Metrics["op_ns_p50"].Value != 42.48 {
+		t.Errorf("parsed %+v", r)
+	}
+	for in, want := range map[string]string{
+		strings.Replace(fullStdout, "# bench ", "# ", 1):        `no "# bench workload=" line`,
+		strings.SplitAfter(fullStdout, "1/s\n")[0] + "# cell\n": "last line is not a result",
+	} {
+		if _, err := parseResult("stdout", in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("error = %v, want one containing %q", err, want)
 		}
 	}
-	for _, bad := range []string{"dmt-bench/v4", ""} {
-		if _, err := load(write(bad)); err == nil {
-			t.Errorf("schema %q accepted, want error", bad)
+}
+
+func TestReadBounds(t *testing.T) {
+	bounds, err := readBounds(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bound{}
+	for _, b := range bounds {
+		got[b.Name] = b
+	}
+	for _, want := range []bound{{"op_ns_p50", "lower", 0.25}, {"ok_share", "higher", 0.001}} {
+		if got[want.Name] != want {
+			t.Errorf("%s = %+v, want %+v", want.Name, got[want.Name], want)
 		}
+	}
+	bad := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(bad, []byte(`{"end_to_end":[{"name":"x","better":"up","bound":0.1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readBounds(bad); err == nil {
+		t.Error("better: up accepted")
 	}
 }

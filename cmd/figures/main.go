@@ -103,6 +103,7 @@ func jobList(f cliFlags) []job {
 		{"Table 5", experiments.Table5, f.table == 5},
 		{"Table 6", experiments.Table6, f.table == 6},
 		{"§6.3 overheads", experiments.Overheads, f.overheads},
+		{"Ablations", experiments.Ablations, f.overheads},
 		{"Walk-latency tails", experiments.LatencyTails, f.tails},
 		{"Head-to-head: DMT vs Victima vs Utopia", experiments.HeadToHead, f.headToHead},
 	}
@@ -128,7 +129,7 @@ func main() {
 	var f cliFlags
 	flag.IntVar(&f.fig, "fig", 0, "figure to regenerate (4, 5, 14, 15, 16, 17)")
 	flag.IntVar(&f.table, "table", 0, "table to regenerate (1, 5, 6)")
-	flag.BoolVar(&f.overheads, "overheads", false, "run the §6.3 overhead analyses")
+	flag.BoolVar(&f.overheads, "overheads", false, "run the §6.3 overhead analyses and the design ablations")
 	flag.BoolVar(&f.tails, "tails", false, "render the walk-latency tail table (p50/p90/p99/max)")
 	flag.BoolVar(&f.faults, "faults", false, "run the fault-injection degradation campaign")
 	flag.BoolVar(&f.headToHead, "headtohead", false, "render the DMT vs Victima vs Utopia comparison table")

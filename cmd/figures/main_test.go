@@ -86,7 +86,7 @@ func TestJobSelectionMatrix(t *testing.T) {
 		{"-table 1", cliFlags{table: 1}, []string{"Table 1"}},
 		{"-table 5", cliFlags{table: 5}, []string{"Table 5"}},
 		{"-fig 4 -table 6", cliFlags{fig: 4, table: 6}, []string{"Figure 4", "Table 6"}},
-		{"-overheads", cliFlags{overheads: true}, []string{"§6.3 overheads"}},
+		{"-overheads", cliFlags{overheads: true}, []string{"§6.3 overheads", "Ablations"}},
 		{"-tails", cliFlags{tails: true}, []string{"Walk-latency tails"}},
 		{"-headtohead", cliFlags{headToHead: true},
 			[]string{"Head-to-head: DMT vs Victima vs Utopia"}},

@@ -9,7 +9,10 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root-level benchmarks (bench_test.go) regenerate each experiment:
+// cmd/figures regenerates every experiment, and the golden tests under
+// internal/experiments lock its tables; bench/ is the simulator's own
+// benchmark:
 //
-//	go test -bench=. -benchmem .
+//	go run ./cmd/figures -all -q
+//	bash bench/run.sh --workload walk-gups4k --seconds 20 --trace 0
 package dmt

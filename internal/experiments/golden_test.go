@@ -90,6 +90,8 @@ func TestGoldenSimFigures(t *testing.T) {
 		{"table5", Table5},
 		{"table6", Table6},
 		{"headtohead", HeadToHead},
+		{"ablations", Ablations},
+		{"tails", LatencyTails},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := tc.fn(r)

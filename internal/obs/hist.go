@@ -10,7 +10,8 @@
 // and allocation-free (two array increments per walk; counters are read once
 // at Finish); per-walk trace capture is opt-in (sim.Config.Trace) and writes
 // into a preallocated ring, so the walk hot path allocates nothing either
-// way. The BenchmarkWalk_* 0 allocs/op pin enforces this.
+// way. sim.TestStepBatchZeroAllocs pins this at 0 allocs per batch in every
+// environment × design cell, with tracing off and on.
 package obs
 
 import (
