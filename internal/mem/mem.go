@@ -54,17 +54,15 @@ const (
 	Size1G
 )
 
-// Shift returns log2 of the page size in bytes.
+// Shift returns log2 of the page size in bytes: each size is 512 (2^9)
+// times the one below it. The panic message is a constant so that Shift,
+// and Bytes, PageOffset and PageNumber through it, stay within the
+// compiler's inlining budget; they sit on every TLB hit.
 func (s PageSize) Shift() uint {
-	switch s {
-	case Size4K:
-		return PageShift4K
-	case Size2M:
-		return PageShift2M
-	case Size1G:
-		return PageShift1G
+	if s > Size1G {
+		panic("mem: invalid page size")
 	}
-	panic(fmt.Sprintf("mem: invalid page size %d", s))
+	return PageShift4K + 9*uint(s)
 }
 
 // Bytes returns the page size in bytes.

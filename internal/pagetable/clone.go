@@ -2,12 +2,13 @@ package pagetable
 
 // Clone deep-copies the table into a fresh Pool, preserving every node's
 // physical placement (clones translate identically, PTE addresses included)
-// while sharing no arena or index storage with the original. Because nodes
-// reference their children by nodeID rather than pointer, the copy is a flat
-// memcpy of the slots in use plus the frame index's allocated chunks — no
-// recursive traversal, no pointer rewriting — so clone bytes follow the live
-// nodes and the 2 MiB frame chunks they sit in, not the slab size, the
-// highest node frame, or the tree shape. The placement callbacks are NOT
+// while sharing no arena or index storage with the original. Nodes hold no
+// references: a PTE names its child by frame, and the frame index maps that
+// frame to an arena-relative nodeID. So the copy is a flat memcpy of the
+// slots in use plus the frame index's allocated chunks, with no recursive
+// traversal and no pointer rewriting, and clone bytes follow the live nodes
+// and the 2 MiB frame chunks they sit in, not the slab size, the highest
+// node frame, or the tree shape. The placement callbacks are NOT
 // copied: they close over the prototype's allocator and TEA manager, so the
 // caller must supply replacements bound to the cloned substrate
 // (kernel.AddressSpace.Clone passes its own allocNode/freeNode).

@@ -284,8 +284,8 @@ func cloneAllocBytes(tbl *Table) uint64 {
 
 // TestCloneBytesFollowLiveState pins clone cost to live state: a 4-node
 // table whose nodes sit near frame 200K (where the simulated workloads put
-// them) clones in under 256 KiB — one slab plus the chunk its nodes sit
-// in — with nothing sized by the highest node frame.
+// them) clones in under 96 KiB — one slab of 4 KiB nodes plus the chunk
+// its nodes sit in — with nothing sized by the highest node frame.
 func TestCloneBytesFollowLiveState(t *testing.T) {
 	tbl, err := New(NewPool(), mem.Levels4, BumpAlloc(0x3200_0000), nil)
 	if err != nil {
@@ -297,7 +297,7 @@ func TestCloneBytesFollowLiveState(t *testing.T) {
 	if got := tbl.Pool().NodeCount(); got != 4 {
 		t.Fatalf("precondition: %d nodes, want 4", got)
 	}
-	if got := cloneAllocBytes(tbl); got >= 256<<10 {
-		t.Fatalf("cloning a 4-node table allocates %d bytes, want under 256 KiB", got)
+	if got := cloneAllocBytes(tbl); got >= 96<<10 {
+		t.Fatalf("cloning a 4-node table allocates %d bytes, want under 96 KiB", got)
 	}
 }

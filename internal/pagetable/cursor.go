@@ -54,7 +54,7 @@ func (c *Cursor) resolve(va mem.VAddr) {
 			c.huge, c.hugeSize = pte, mem.PageSize(level-1)
 			return
 		}
-		node = pool.node(node.children[idx])
+		node = pool.child(pte)
 	}
 	c.leaf = node
 }

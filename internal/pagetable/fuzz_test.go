@@ -1,0 +1,329 @@
+package pagetable
+
+import (
+	"errors"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"dmt/internal/mem"
+)
+
+// refLeaf is the reference model's record of one leaf: its page size and
+// the exact PTE the table must hold for it.
+type refLeaf struct {
+	size mem.PageSize
+	pte  mem.PTE
+}
+
+// refTable is the reference model: leaves keyed by page base VA. Leaves
+// never overlap, so a base VA names at most one of them.
+type refTable map[mem.VAddr]refLeaf
+
+// cover returns the base VA and leaf covering va, if any.
+func (r refTable) cover(va mem.VAddr) (mem.VAddr, refLeaf, bool) {
+	for s := mem.Size4K; s <= mem.Size1G; s++ {
+		base := mem.AlignDown(va, s.Bytes())
+		if l, ok := r[base]; ok && l.size == s {
+			return base, l, true
+		}
+	}
+	return 0, refLeaf{}, false
+}
+
+// overlaps reports whether any leaf shares an address with [va, va+size).
+func (r refTable) overlaps(va mem.VAddr, size mem.PageSize) bool {
+	end := va + mem.VAddr(size.Bytes())
+	for base, l := range r {
+		if base < end && va < base+mem.VAddr(l.size.Bytes()) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasNode reports whether the level-`level` node on va's walk path exists:
+// exactly when a leaf at that level or below lies in the span the node
+// covers (Map creates nodes only to install a leaf beneath them, and Unmap
+// prunes a node once its last entry goes).
+func (r refTable) hasNode(va mem.VAddr, level int) bool {
+	shift := mem.LevelShift(level + 1)
+	for base, l := range r {
+		if l.size.LeafLevel() <= level && base>>shift == va>>shift {
+			return true
+		}
+	}
+	return false
+}
+
+// frameAlloc places nodes from PA 0 upward and hands freed frames back
+// last-freed-first, so a node can sit at PA 0 (the frame an absent entry
+// names) and a pruned or relocated node's frame returns under another
+// node, where a stale index entry would resolve to the wrong node.
+type frameAlloc struct {
+	next mem.PAddr
+	free []mem.PAddr
+}
+
+func (a *frameAlloc) alloc(int, mem.VAddr) (mem.PAddr, error) {
+	if n := len(a.free); n > 0 {
+		pa := a.free[n-1]
+		a.free = a.free[:n-1]
+		return pa, nil
+	}
+	pa := a.next
+	a.next += mem.PageBytes4K
+	return pa, nil
+}
+
+func (a *frameAlloc) release(_ int, pa mem.PAddr) { a.free = append(a.free, pa) }
+
+// fuzzVA decodes b into a size-aligned VA drawn from a small grid, so
+// random operations keep colliding: 8×8 4 KiB pages in each of 8 2 MiB
+// spans of four 1 GiB regions, two of which share a level-4 entry with
+// the other two one level-4 entry over.
+func fuzzVA(b byte, size mem.PageSize) mem.VAddr {
+	regions := [4]uint64{0, 1, 512, 513}
+	va := regions[b>>6]<<mem.PageShift1G | uint64(b>>3&7)<<mem.PageShift2M | uint64(b&7)<<mem.PageShift4K
+	return mem.AlignDown(mem.VAddr(va), size.Bytes())
+}
+
+// fuzzOps returns n random operations for the seed corpus.
+func fuzzOps(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]byte, 1+4*n)
+	rng.Read(ops)
+	return ops
+}
+
+// FuzzTableOps runs random sequences of Map (4K/2M/1G, through the table
+// or a cursor), Unmap, RelocateNode, SetAccessed and Clone against a
+// map-based reference. After every step it checks that Lookup, Walk,
+// NodeForLevel, LeafPTE and a cursor agree with the reference; that every
+// present, non-huge upper-level entry resolves through NodeAt(pte.Frame())
+// to a node one level down based at that frame, reached from one parent
+// only; and that NodeCount equals the number of reachable nodes, so no
+// index entry outlives a prune or a relocation. A table cloned mid-run must
+// still match the reference as it stood at the clone once the run ends.
+//
+// Input: the first byte picks the depth (odd: 5 levels); then each 4-byte
+// op is kind, size/mode, VA (fuzzVA), and a PA or relocation selector.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 0, 0, 0, 3, 0, 1, 0})                         // map 4K, unmap it, relocate the pruned path
+	f.Add([]byte{1, 0, 1, 9, 2, 0, 0, 8, 3, 3, 1, 9, 0, 5, 0, 0, 0, 2, 1, 9, 0}) // 5 levels: 2M vs 4K, relocate, clone, unmap
+	f.Add([]byte{0, 0, 2, 64, 7, 4, 1, 70, 0, 0, 6, 64, 0, 2, 2, 64, 0, 0, 0, 64, 1})
+	for seed := int64(1); seed <= 24; seed++ {
+		f.Add(fuzzOps(seed, 96))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1+4*128 {
+			return
+		}
+		levels := mem.Levels4
+		if data[0]&1 == 1 {
+			levels = mem.Levels5
+		}
+		a := &frameAlloc{}
+		tbl, err := New(NewPool(), levels, a.alloc, a.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refTable{}
+		cur := tbl.Cursor()
+		var frozen *Table
+		var frozenRef refTable
+		for i := 1; i+4 <= len(data); i += 4 {
+			kind, mode, vb, pb := data[i]%6, data[i+1], data[i+2], data[i+3]
+			size := mem.PageSize(mode % 3)
+			va := fuzzVA(vb, size)
+			switch kind {
+			case 0, 1: // Map
+				pa := mem.PAddr(1<<40 | uint64(pb)<<size.Shift())
+				var flags mem.PTE
+				if mode&8 != 0 {
+					flags = mem.PTEWritable
+				}
+				want := ref.overlaps(va, size)
+				if mode&4 != 0 {
+					err = cur.Map(va, pa, size, flags)
+				} else {
+					err = tbl.Map(va, pa, size, flags)
+					cur.Reset()
+				}
+				if want != errors.Is(err, ErrAlreadyMapped) || (!want && err != nil) {
+					t.Fatalf("op %d: Map(%#x, %v) = %v, overlap %v", i/4, uint64(va), size, err, want)
+				}
+				if err == nil {
+					if size != mem.Size4K {
+						flags |= mem.PTEHuge
+					}
+					ref[va] = refLeaf{size, mem.MakePTE(pa, flags)}
+				}
+			case 2: // Unmap
+				l, ok := ref[va]
+				want := ok && l.size == size
+				err = tbl.Unmap(va, size)
+				cur.Reset()
+				if want != (err == nil) || (!want && !errors.Is(err, ErrNotMapped)) {
+					t.Fatalf("op %d: Unmap(%#x, %v) = %v, mapped %v", i/4, uint64(va), size, err, want)
+				}
+				if err == nil {
+					delete(ref, va)
+				}
+			case 3: // RelocateNode
+				level := 1 + int(mode)%(levels-1)
+				target, occupied := tbl.RootPA(), pb&1 == 1
+				if !occupied {
+					target, _ = a.alloc(level, va)
+				}
+				err = tbl.RelocateNode(va, level, target)
+				cur.Reset()
+				want := !occupied && ref.hasNode(va, level)
+				if want != (err == nil) {
+					t.Fatalf("op %d: RelocateNode(%#x, %d, %#x) = %v, want success %v", i/4, uint64(va), level, uint64(target), err, want)
+				}
+				if err != nil && !occupied {
+					a.release(level, target)
+				}
+			case 4: // SetAccessed
+				write := mode&1 != 0
+				var ok bool
+				if mode&2 != 0 {
+					ok = cur.SetAccessed(va, write)
+				} else {
+					ok = tbl.SetAccessed(va, write)
+				}
+				base, l, want := ref.cover(va)
+				if ok != want {
+					t.Fatalf("op %d: SetAccessed(%#x) = %v, mapped %v", i/4, uint64(va), ok, want)
+				}
+				if ok {
+					l.pte = l.pte.WithAccessed(write)
+					ref[base] = l
+				}
+			case 5: // Clone: carry on with the copy, check the original at the end
+				frozen, frozenRef = tbl, maps.Clone(ref)
+				tbl = tbl.Clone(a.alloc, a.release)
+				cur = tbl.Cursor()
+			}
+			checkAgainstRef(t, tbl, &cur, ref)
+		}
+		if frozen != nil {
+			c := frozen.Cursor()
+			checkAgainstRef(t, frozen, &c, frozenRef)
+		}
+	})
+}
+
+// checkAgainstRef checks tbl's structure and every translation path
+// against ref, using cur (which may hold a resolved span) and a fresh
+// cursor for the cursor path.
+func checkAgainstRef(t *testing.T, tbl *Table, cur *Cursor, ref refTable) {
+	t.Helper()
+	pool := tbl.Pool()
+	root, ok := pool.NodeAt(tbl.RootPA())
+	if !ok || root.Base != tbl.RootPA() || root.Level != tbl.Levels() {
+		t.Fatalf("root at %#x not indexed as a level-%d node", uint64(tbl.RootPA()), tbl.Levels())
+	}
+
+	// Structure: every pointer entry resolves through the frame index to a
+	// distinct node one level down; live counts and leaves match.
+	seen := map[*Node]bool{}
+	found := refTable{}
+	var mapped [3]int
+	var visit func(n *Node, vaBase mem.VAddr)
+	visit = func(n *Node, vaBase mem.VAddr) {
+		seen[n] = true
+		live := 0
+		for i := 0; i < mem.EntriesPerNode; i++ {
+			pte := n.Entry(i)
+			if !pte.Present() {
+				continue
+			}
+			live++
+			va := vaBase | mem.VAddr(uint64(i)<<mem.LevelShift(n.Level))
+			if n.Level == 1 || pte.Huge() {
+				size := mem.PageSize(n.Level - 1)
+				found[va] = refLeaf{size, pte}
+				mapped[size]++
+				continue
+			}
+			child, ok := pool.NodeAt(pte.Frame())
+			if !ok || child.Base != pte.Frame() || child.Level != n.Level-1 {
+				t.Fatalf("level-%d entry %d of node %#x names frame %#x, which is not a level-%d node", n.Level, i, uint64(n.Base), uint64(pte.Frame()), n.Level-1)
+			}
+			if seen[child] {
+				t.Fatalf("node %#x reached from two parents", uint64(child.Base))
+			}
+			visit(child, va)
+		}
+		if live != n.live {
+			t.Fatalf("node %#x holds %d entries, counts %d", uint64(n.Base), live, n.live)
+		}
+		if live == 0 && n != root {
+			t.Fatalf("empty level-%d node %#x survived a prune", n.Level, uint64(n.Base))
+		}
+	}
+	visit(root, 0)
+	if got := pool.NodeCount(); got != len(seen) {
+		t.Fatalf("NodeCount = %d, but %d nodes are reachable", got, len(seen))
+	}
+	if len(found) != len(ref) {
+		t.Fatalf("table holds %d leaves, reference %d", len(found), len(ref))
+	}
+	for va, want := range ref {
+		if got, ok := found[va]; !ok || got != want {
+			t.Fatalf("leaf %#x = %+v (present %v), want %+v", uint64(va), got, ok, want)
+		}
+	}
+	if mapped != tbl.Mapped {
+		t.Fatalf("Mapped = %v, leaves %v", tbl.Mapped, mapped)
+	}
+
+	// Translation: probe every page of the VA grid in ascending order.
+	fresh := tbl.Cursor()
+	steps := make([]Step, 0, mem.Levels5)
+	for b := 0; b < 256; b++ {
+		va := fuzzVA(byte(b), mem.Size4K) + 0x123
+		base, l, mappedVA := ref.cover(va)
+		var wantPA mem.PAddr
+		if mappedVA {
+			wantPA = l.pte.Frame() + mem.PAddr(va-base)
+		}
+		pa, size, ok := tbl.Lookup(va)
+		if ok != mappedVA || pa != wantPA || size != l.size {
+			t.Fatalf("Lookup(%#x) = %#x %v %v, want %#x %v %v", uint64(va), uint64(pa), size, ok, uint64(wantPA), l.size, mappedVA)
+		}
+		for _, c := range []*Cursor{cur, &fresh} {
+			if cpa, csize, cok := c.Lookup(va); cpa != pa || csize != size || cok != ok {
+				t.Fatalf("cursor Lookup(%#x) = %#x %v %v, table %#x %v %v", uint64(va), uint64(cpa), csize, cok, uint64(pa), size, ok)
+			}
+		}
+		if pte, ok := tbl.LeafPTE(va); ok != mappedVA || pte != l.pte {
+			t.Fatalf("LeafPTE(%#x) = %#x %v, want %#x", uint64(va), uint64(pte), ok, uint64(l.pte))
+		}
+		r := tbl.WalkInto(va, steps[:0])
+		if r.OK != ok || r.PA != pa || r.Size != size || r.PTE != l.pte {
+			t.Fatalf("Walk(%#x) = %+v, Lookup %#x %v %v", uint64(va), r, uint64(pa), size, ok)
+		}
+		if ok && len(r.Steps) != tbl.Levels()-size.LeafLevel()+1 {
+			t.Fatalf("Walk(%#x) took %d steps for a %v leaf", uint64(va), len(r.Steps), size)
+		}
+		last := tbl.Levels() - len(r.Steps) + 1
+		for i, s := range r.Steps {
+			n, ok := pool.NodeAt(s.Addr)
+			if s.Level != tbl.Levels()-i || !ok || n.Level != s.Level || n.EntryAddr(mem.Index(va, s.Level)) != s.Addr {
+				t.Fatalf("Walk(%#x) step %d = %+v does not fetch va's entry of a level-%d node", uint64(va), i, s, tbl.Levels()-i)
+			}
+		}
+		for level := 1; level <= tbl.Levels(); level++ {
+			n := tbl.NodeForLevel(va, level)
+			if (n != nil) != (level >= last) {
+				t.Fatalf("NodeForLevel(%#x, %d) = %v, walk reached level %d", uint64(va), level, n, last)
+			}
+			if n != nil && n.EntryAddr(mem.Index(va, level)) != r.Steps[tbl.Levels()-level].Addr {
+				t.Fatalf("NodeForLevel(%#x, %d) is not the node the walk fetched from", uint64(va), level)
+			}
+		}
+	}
+}

@@ -36,26 +36,27 @@ type NodeFreeFunc func(level int, pa mem.PAddr)
 
 // nodeID addresses a Node inside its Pool's slab arena: 0 is the null
 // reference, id−1 is the global slot index (slab = slot>>slabShift, offset =
-// slot&slabMask). IDs — not pointers — are what nodes store for their
-// children, which is what lets Clone copy a table as flat slab memcpys with
-// no pointer rewriting, and makes the simulated walk index-chasing over
-// contiguous slabs instead of pointer-chasing the heap.
+// slot&slabMask). The frame index maps each node's base frame to its nodeID,
+// and that is the only parent→child record: a walk follows a present,
+// non-huge PTE's frame through the index, as the hardware walker follows
+// the PTE. IDs — not pointers — are what the index stores, which is what
+// lets Clone copy a table as flat slab memcpys with no pointer rewriting.
 type nodeID int32
 
 const (
 	slabShift = 4
-	slabNodes = 1 << slabShift // nodes per slab (~96 KiB of arena each)
+	slabNodes = 1 << slabShift // nodes per slab (~64 KiB of arena each)
 	slabMask  = slabNodes - 1
 )
 
-// Node is one 4 KiB page-table page (512 entries). Nodes live in their
-// Pool's slab arena; child references are nodeIDs into the same arena.
+// Node is one 4 KiB page-table page (512 entries) plus a small header.
+// Nodes live in their Pool's slab arena; a node's children are the nodes
+// its present, non-huge entries name by frame (Pool.child).
 type Node struct {
-	Level    int
-	Base     mem.PAddr
-	entries  [mem.EntriesPerNode]mem.PTE
-	children [mem.EntriesPerNode]nodeID
-	live     int
+	Level   int
+	Base    mem.PAddr
+	entries [mem.EntriesPerNode]mem.PTE
+	live    int
 }
 
 // Entry returns the PTE at idx.
@@ -73,17 +74,18 @@ func (n *Node) EntryAddr(idx int) mem.PAddr {
 //
 // Storage is arena-backed: nodes live in small fixed-size contiguous slabs
 // and are addressed by nodeID, so node creation is a slot bump (no per-node
-// heap allocation), a walk descends by index into memory the previous
-// level's fetch just pulled near, and Clone is a flat copy of the slabs in
-// use. Slab backing arrays are append-only and never reallocate, so *Node
-// pointers handed out (NodeAt, NodeForLevel) stay valid for the Pool's
-// lifetime. Released slots are zeroed and recycled through a freelist,
-// bounding arena growth under map/unmap churn.
+// heap allocation), a walk descends by following each PTE's frame through
+// the frame index, and Clone is a flat copy of the slabs in use. Slab
+// backing arrays are append-only and never reallocate, so *Node pointers
+// handed out (NodeAt, NodeForLevel) stay valid for the Pool's lifetime.
+// Released slots are zeroed and recycled through a freelist, bounding arena
+// growth under map/unmap churn.
 //
-// The frame index is a mem.FrameMap: NodeAt sits on the walk hot path
-// (every DMT fetch reads a PTE through it) and stays free of map operations
-// for simulated physical memory, while its storage — and a clone's copy of
-// it — follows the 2 MiB chunks holding nodes, not the highest node frame.
+// The frame index is a mem.FrameMap: it sits on the walk hot path (every
+// descent, and every DMT fetch's PTE read, goes through it) and stays free
+// of map operations for simulated physical memory, while its storage — and
+// a clone's copy of it — follows the 2 MiB chunks holding nodes, not the
+// highest node frame.
 type Pool struct {
 	slabs [][]Node             // fixed-size slabs; backing arrays never reallocate
 	used  int                  // slots ever handed out (arena high-water mark)
@@ -98,6 +100,13 @@ func NewPool() *Pool { return &Pool{} }
 func (p *Pool) node(id nodeID) *Node {
 	slot := int(id) - 1
 	return &p.slabs[slot>>slabShift][slot&slabMask]
+}
+
+// child returns the node that pte, a present, non-huge entry of an
+// upper-level node, points to. Callers check Present and Huge first: an
+// absent entry's frame is 0, and a node may sit at PA 0.
+func (p *Pool) child(pte mem.PTE) *Node {
+	return p.node(p.index.Get(pte.Frame()))
 }
 
 // allocSlot hands out an arena slot: a recycled one when available (already
@@ -229,21 +238,22 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 	node := t.pool.node(t.root)
 	for level := t.levels; level > leaf; level-- {
 		idx := mem.Index(va, level)
-		child := node.children[idx]
-		if child == 0 {
-			if node.entries[idx].Present() {
-				return ErrAlreadyMapped // huge leaf blocks this subtree
-			}
-			var err error
-			child, err = t.newNode(level-1, va)
-			if err != nil {
-				return err
-			}
-			node.children[idx] = child
-			node.entries[idx] = mem.MakePTE(t.pool.node(child).Base, 0)
-			node.live++
+		pte := node.entries[idx]
+		if pte.Huge() {
+			return ErrAlreadyMapped // huge leaf blocks this subtree
 		}
-		node = t.pool.node(child)
+		if pte.Present() {
+			node = t.pool.child(pte)
+			continue
+		}
+		id, err := t.newNode(level-1, va)
+		if err != nil {
+			return err
+		}
+		child := t.pool.node(id)
+		node.entries[idx] = mem.MakePTE(child.Base, 0)
+		node.live++
+		node = child
 	}
 	return t.install(node, mem.Index(va, leaf), pa, size, flags)
 }
@@ -277,15 +287,15 @@ func (t *Table) Unmap(va mem.VAddr, size mem.PageSize) error {
 	node := t.pool.node(t.root)
 	for level := t.levels; level > leaf; level-- {
 		path[level-1] = node
-		id := node.children[mem.Index(va, level)]
-		if id == 0 {
+		pte := node.entries[mem.Index(va, level)]
+		if !pte.Present() || pte.Huge() {
 			return ErrNotMapped
 		}
-		node = t.pool.node(id)
+		node = t.pool.child(pte)
 	}
 	idx := mem.Index(va, leaf)
-	if !node.entries[idx].Present() {
-		return ErrNotMapped
+	if pte := node.entries[idx]; !pte.Present() || (leaf > 1 && !pte.Huge()) {
+		return ErrNotMapped // absent, or a pointer to a node rather than a leaf
 	}
 	node.entries[idx] = 0
 	node.live--
@@ -293,13 +303,10 @@ func (t *Table) Unmap(va mem.VAddr, size mem.PageSize) error {
 	// Prune empty nodes bottom-up, recycling each freed node's arena slot.
 	for level := leaf; level < t.levels && node.live == 0; level++ {
 		parent := path[level]
-		pidx := mem.Index(va, level+1)
-		id := parent.children[pidx]
-		parent.children[pidx] = 0
-		parent.entries[pidx] = 0
+		parent.entries[mem.Index(va, level+1)] = 0
 		parent.live--
 		freedLevel, freedBase := node.Level, node.Base
-		t.pool.release(id)
+		t.pool.release(t.pool.index.Get(freedBase))
 		if t.free != nil {
 			t.free(freedLevel, freedBase)
 		}
@@ -356,7 +363,7 @@ func (t *Table) WalkFrom(node *Node, level int, va mem.VAddr, steps []Step) Walk
 				OK:    true,
 			}
 		}
-		node = pool.node(node.children[idx])
+		node = pool.child(pte)
 		level--
 	}
 }
@@ -366,11 +373,11 @@ func (t *Table) WalkFrom(node *Node, level int, va mem.VAddr, steps []Step) Walk
 func (t *Table) NodeForLevel(va mem.VAddr, level int) *Node {
 	node := t.pool.node(t.root)
 	for l := t.levels; l > level; l-- {
-		id := node.children[mem.Index(va, l)]
-		if id == 0 {
+		pte := node.entries[mem.Index(va, l)]
+		if !pte.Present() || pte.Huge() {
 			return nil
 		}
-		node = t.pool.node(id)
+		node = t.pool.child(pte)
 	}
 	return node
 }
@@ -390,7 +397,7 @@ func (t *Table) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 			size := mem.PageSize(level - 1)
 			return pte.Frame() + mem.PAddr(mem.PageOffset(va, size)), size, true
 		}
-		node = pool.node(node.children[idx])
+		node = pool.child(pte)
 	}
 }
 
@@ -417,7 +424,7 @@ func (t *Table) leafSlot(va mem.VAddr) (*Node, int, bool) {
 		if level == 1 || pte.Huge() {
 			return node, idx, true
 		}
-		node = t.pool.node(node.children[idx])
+		node = t.pool.child(pte)
 	}
 }
 
@@ -455,10 +462,11 @@ func (t *Table) RelocateNode(va mem.VAddr, level int, newBase mem.PAddr) error {
 		return ErrNotMapped
 	}
 	idx := mem.Index(va, level+1)
-	id := parent.children[idx]
-	if id == 0 {
+	pte := parent.entries[idx]
+	if !pte.Present() || pte.Huge() {
 		return ErrNotMapped
 	}
+	id := t.pool.index.Get(pte.Frame())
 	node := t.pool.node(id)
 	old := node.Base
 	t.pool.index.Delete(old)

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dmt/internal/mem"
 	"dmt/internal/phys"
@@ -15,6 +16,15 @@ func newTestTable(t *testing.T) *Table {
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// TestNodeIsOnePage pins a node to one page of PTEs plus a small header:
+// children are found through the frame index, so no per-node child array
+// rides beside the entries in every slab, cold build and clone.
+func TestNodeIsOnePage(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > mem.NodeBytes+64 {
+		t.Fatalf("Node is %d bytes, want at most %d", got, mem.NodeBytes+64)
+	}
 }
 
 func TestMapWalkRoundTrip(t *testing.T) {
