@@ -121,16 +121,6 @@ func (m *Mirror) syncPath(guest *kernel.AddressSpace, va mem.VAddr) error {
 	return nil
 }
 
-// emitRef streams one PTE fetch into the sink when one is installed, or
-// appends it to the outcome's own Refs slice (legacy standalone use).
-func emitRef(sink *core.RefSink, out *core.WalkOutcome, r core.MemRef) {
-	if sink != nil {
-		sink.Append(r)
-	} else {
-		out.Refs = append(out.Refs, r)
-	}
-}
-
 // walkUpper fetches the shadowed levels, returning the switch-point guest
 // node gPA and the level the nested walk resumes at.
 func (m *Mirror) walkUpper(va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSink, out *core.WalkOutcome) (mem.PAddr, int, bool) {
@@ -139,7 +129,7 @@ func (m *Mirror) walkUpper(va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSi
 		idx := mem.Index(va, level)
 		addr := node.base + mem.PAddr(idx*mem.PTEBytes)
 		r := hier.Access(addr)
-		emitRef(sink, out, core.MemRef{Addr: addr, Cycles: r.Cycles, Served: r.Served, Level: level, Dim: "s"})
+		sink.Append(core.MemRef{Addr: addr, Cycles: r.Cycles, Served: r.Served, Level: level, Dim: "s"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 		if !node.present[idx] {
@@ -163,8 +153,7 @@ type Walker struct {
 	HostPWC *tlb.PWC
 	NestedC *tlb.NestedCache
 	ASID    uint16
-	// Sink, when set, receives the walk's PTE fetches instead of per-walk
-	// Refs allocations; outcomes then alias the sink (see core.RefSink).
+	// Sink receives the walk's PTE fetches (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -203,49 +192,41 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 	}
 }
 
-// seal fixes up the outcome's Refs for sink mode at every return point.
-func (w *Walker) seal(out core.WalkOutcome) core.WalkOutcome {
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
-	return out
-}
-
 // Walk implements core.Walker.
 func (w *Walker) Walk(gva mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{}
 	switchGPA, nestedAt, ok := w.Mirror.walkUpper(gva, w.Hier, w.Sink, &out)
 	if !ok {
-		return w.seal(out)
+		return out
 	}
 	// Nested portion: walk the remaining guest level(s) from the switch-
 	// point node, host-resolving every guest PTE fetch.
 	gnode, ok := w.GuestPT.Pool().NodeAt(switchGPA)
 	if !ok {
-		return w.seal(out)
+		return out
 	}
 	walk := w.GuestPT.WalkFrom(gnode, nestedAt, gva, w.gSteps[:0])
 	w.gSteps = walk.Steps
 	for _, s := range walk.Steps {
 		mAddr, ok := w.hostResolve(s.Addr, &out)
 		if !ok {
-			return w.seal(out)
+			return out
 		}
 		r := w.Hier.Access(mAddr)
-		emitRef(w.Sink, &out, core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g"})
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}
 	if !walk.OK {
-		return w.seal(out)
+		return out
 	}
 	mData, ok := w.hostResolve(walk.PA, &out)
 	if !ok {
-		return w.seal(out)
+		return out
 	}
 	out.PA, out.Size, out.OK = mData, walk.Size, true
-	return w.seal(out)
+	return out
 }
 
 func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, bool) {
@@ -267,7 +248,7 @@ func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, b
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		emitRef(w.Sink, out, core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h"})
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}

@@ -29,6 +29,22 @@ func setup(t *testing.T) (*kernel.AddressSpace, *kernel.VMA, *cache.Hierarchy) {
 	return as, v, hier
 }
 
+// newRadix is core.NewRadixWalker recording into a fresh sink.
+func newRadix(as *kernel.AddressSpace, hier *cache.Hierarchy, pwc *tlb.PWC) *core.RadixWalker {
+	w := core.NewRadixWalker(as.PT, hier, pwc, 0)
+	w.Sink = &core.RefSink{}
+	return w
+}
+
+// walk resets sink, walks va with w, and returns the outcome with a copy
+// of the refs the walk recorded: the caller owns the sink and resets it
+// before each walk, as the simulation engine does.
+func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []core.MemRef) {
+	sink.Reset()
+	out := w.Walk(va)
+	return out, append([]core.MemRef(nil), sink.Refs()...)
+}
+
 func oracle(as *kernel.AddressSpace) AddrSource {
 	return LastTwoLevelSource(func(va mem.VAddr) []core.MemRef {
 		var refs []core.MemRef
@@ -41,14 +57,14 @@ func oracle(as *kernel.AddressSpace) AddrSource {
 
 func TestASAPStillFourReferences(t *testing.T) {
 	as, v, hier := setup(t)
-	inner := core.NewRadixWalker(as.PT, hier, nil, 0) // no PWC: isolate prefetch effect
+	inner := newRadix(as, hier, nil) // no PWC: isolate prefetch effect
 	w := &Walker{Inner: inner, Hier: hier, Source: oracle(as)}
-	out := w.Walk(v.Start + 0x5123)
+	out, refs := walk(inner.Sink, w, v.Start+0x5123)
 	if !out.OK {
 		t.Fatal("walk failed")
 	}
-	if out.SeqSteps != 4 {
-		t.Fatalf("ASAP seq steps = %d, want 4 (prefetching does not shorten the walk)", out.SeqSteps)
+	if out.SeqSteps != 4 || len(refs) != 4 {
+		t.Fatalf("ASAP took %d seq steps / %d refs, want 4/4 (prefetching does not shorten the walk)", out.SeqSteps, len(refs))
 	}
 	if w.Prefetches == 0 {
 		t.Fatal("no prefetches issued")
@@ -57,7 +73,7 @@ func TestASAPStillFourReferences(t *testing.T) {
 
 func TestASAPLowersLatencyVsColdRadix(t *testing.T) {
 	as, v, hier := setup(t)
-	inner := core.NewRadixWalker(as.PT, hier, nil, 0)
+	inner := newRadix(as, hier, nil)
 	w := &Walker{Inner: inner, Hier: hier, Source: oracle(as)}
 	// Pick a VA whose prefetch hash hits for both levels.
 	var va mem.VAddr
@@ -71,11 +87,11 @@ func TestASAPLowersLatencyVsColdRadix(t *testing.T) {
 	if va == 0 {
 		t.Fatal("no fully-hitting VA found")
 	}
-	pref := w.Walk(va)
+	pref, _ := walk(inner.Sink, w, va)
 
 	as2, v2, hier2 := setup(t)
-	cold := core.NewRadixWalker(as2.PT, hier2, nil, 0)
-	out2 := cold.Walk(v2.Start + (va - v.Start))
+	cold := newRadix(as2, hier2, nil)
+	out2, _ := walk(cold.Sink, cold, v2.Start+(va-v.Start))
 	if pref.Cycles >= out2.Cycles {
 		t.Fatalf("prefetched walk (%d cyc) not faster than cold walk (%d cyc)", pref.Cycles, out2.Cycles)
 	}
@@ -83,10 +99,10 @@ func TestASAPLowersLatencyVsColdRadix(t *testing.T) {
 
 func TestASAPConsumesBandwidth(t *testing.T) {
 	as, v, hier := setup(t)
-	inner := core.NewRadixWalker(as.PT, hier, tlb.NewPWC(), 0)
+	inner := newRadix(as, hier, tlb.NewPWC())
 	w := &Walker{Inner: inner, Hier: hier, Source: oracle(as)}
 	before := hier.MemFetches
-	w.Walk(v.Start)
+	walk(inner.Sink, w, v.Start)
 	if hier.MemFetches <= before {
 		t.Fatal("prefetches consumed no memory bandwidth")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dmt/internal/cache"
+	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
 	"dmt/internal/phys"
@@ -69,6 +70,15 @@ func TestElasticResize(t *testing.T) {
 	}
 }
 
+// walk resets sink, walks va with w, and returns the outcome with a copy
+// of the refs the walk recorded: the caller owns the sink and resets it
+// before each walk, as the simulation engine does.
+func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []core.MemRef) {
+	sink.Reset()
+	out := w.Walk(va)
+	return out, append([]core.MemRef(nil), sink.Refs()...)
+}
+
 func TestNativeWalkerSingleStep(t *testing.T) {
 	a := phys.New(0, 1<<15)
 	as, err := kernel.NewAddressSpace(a, kernel.Config{})
@@ -90,17 +100,17 @@ func TestNativeWalkerSingleStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Walker{Sys: sys, Hier: hier}
+	w := &Walker{Sys: sys, Hier: hier, Sink: &core.RefSink{}}
 	va := v.Start + 0x5123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK {
 		t.Fatal("ECPT walk failed")
 	}
 	if out.SeqSteps != 1 {
 		t.Fatalf("ECPT seq steps = %d, want 1 (Table 6)", out.SeqSteps)
 	}
-	if len(out.Refs) != Ways {
-		t.Fatalf("refs = %d, want %d parallel ways", len(out.Refs), Ways)
+	if len(refs) != Ways {
+		t.Fatalf("refs = %d, want %d parallel ways", len(refs), Ways)
 	}
 	pa, _, _ := as.PT.Lookup(va)
 	if out.PA != pa {
@@ -132,12 +142,12 @@ func TestNativeWalkerTHPFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Walker{Sys: sys, Hier: hier}
-	out := w.Walk(v.Start + 0x212345)
+	w := &Walker{Sys: sys, Hier: hier, Sink: &core.RefSink{}}
+	out, refs := walk(w.Sink, w, v.Start+0x212345)
 	if !out.OK || out.Size != mem.Size2M {
 		t.Fatalf("THP ECPT: ok=%v size=%v", out.OK, out.Size)
 	}
-	if out.SeqSteps != 1 || len(out.Refs) != 2*Ways {
-		t.Fatalf("THP ECPT: steps=%d refs=%d, want 1 step with %d parallel", out.SeqSteps, len(out.Refs), 2*Ways)
+	if out.SeqSteps != 1 || len(refs) != 2*Ways {
+		t.Fatalf("THP ECPT: steps=%d refs=%d, want 1 step with %d parallel", out.SeqSteps, len(refs), 2*Ways)
 	}
 }

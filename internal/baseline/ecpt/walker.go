@@ -75,8 +75,7 @@ func (s *System) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 // size tables) to the hierarchy, adding refs to g, and returns the resolved
 // translation — the same (pa, size, ok) Lookup computes, captured from the
 // matching way's element during the scan so the walkers need no second pass
-// over the tables. translate maps a slot's table-space address to the
-// machine address to access (identity natively).
+// over the tables.
 //
 // The group's critical-path latency is the *matching* way's line latency:
 // the probes are issued in parallel, the walk continues as soon as the
@@ -84,8 +83,10 @@ func (s *System) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 // bandwidth and cache pollution (which the hierarchy records naturally).
 // This is what lets ECPT track DMT closely despite the fan-out — DMT's
 // remaining edge is the hash computation and the pollution (§6.2.1).
-func (s *System) probe(va mem.VAddr, g *groupRecorder, hier *cache.Hierarchy, dim string,
-	translate func(mem.PAddr) (mem.PAddr, bool)) (mem.PAddr, mem.PageSize, bool) {
+// critical is false when the walk does not go on with this lookup's result
+// (a nested walk's non-matching guest candidate), so none of its probes
+// counts as a match in g.
+func (s *System) probe(va mem.VAddr, g *core.FetchGroup, hier *cache.Hierarchy, dim string, critical bool) (mem.PAddr, mem.PageSize, bool) {
 	var (
 		pa    mem.PAddr
 		psz   mem.PageSize
@@ -101,13 +102,9 @@ func (s *System) probe(va mem.VAddr, g *groupRecorder, hier *cache.Hierarchy, di
 				pa = pte.Frame() + mem.PAddr(mem.PageOffset(va, sz))
 				psz = sz
 			}
-			m, ok := translate(slot)
-			if !ok {
-				continue
-			}
-			r := hier.Access(m)
-			g.addMatch(core.MemRef{Addr: m, Cycles: r.Cycles, Served: r.Served, Level: sz.LeafLevel(), Dim: dim},
-				match)
+			r := hier.Access(slot)
+			g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: sz.LeafLevel(), Dim: dim},
+				match && critical)
 		}
 	}
 	return pa, psz, found
@@ -132,54 +129,12 @@ func (t *Table) probeWay(vpn uint64, w int) (mem.PAddr, mem.PTE, bool) {
 	return t.bases[w] + mem.PAddr(slot*entryBytes), pte, pte.Present()
 }
 
-type groupRecorder struct {
-	sink     *core.RefSink // when set, refs stream here instead of refs
-	cycles   int           // critical-path latency: the matching probes
-	maxAll   int           // slowest probe overall (fallback when nothing matches)
-	refs     []core.MemRef
-	anyMatch bool
-}
-
-func (g *groupRecorder) addMatch(r core.MemRef, matches bool) {
-	if g.sink != nil {
-		g.sink.Append(r)
-	} else {
-		g.refs = append(g.refs, r)
-	}
-	if r.Cycles > g.maxAll {
-		g.maxAll = r.Cycles
-	}
-	if matches {
-		g.anyMatch = true
-		if r.Cycles > g.cycles {
-			g.cycles = r.Cycles
-		}
-	}
-}
-
-func (g *groupRecorder) commit(out *core.WalkOutcome) {
-	if g.sink == nil {
-		out.Refs = append(out.Refs, g.refs...)
-	}
-	if g.anyMatch {
-		out.Cycles += g.cycles
-	} else {
-		// No match: the walker must wait for every probe to report
-		// absence before faulting.
-		out.Cycles += g.maxAll
-	}
-	out.SeqSteps++
-}
-
-func identity(pa mem.PAddr) (mem.PAddr, bool) { return pa, true }
-
 // Walker is native ECPT: one sequential step of parallel probes plus the
 // hash-computation cost.
 type Walker struct {
 	Sys  *System
 	Hier *cache.Hierarchy
-	// Sink, when set, receives the walk's PTE fetches instead of per-walk
-	// Refs allocations; outcomes then alias the sink (see core.RefSink).
+	// Sink receives the walk's PTE fetches (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -197,12 +152,9 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{Cycles: HashCycles}
-	g := groupRecorder{sink: w.Sink}
-	pa, sz, ok := w.Sys.probe(va, &g, w.Hier, "n", identity)
-	g.commit(&out)
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
+	g := core.FetchGroup{Sink: w.Sink}
+	pa, sz, ok := w.Sys.probe(va, &g, w.Hier, "n", true)
+	g.Commit(&out)
 	if !ok {
 		return out
 	}
@@ -219,8 +171,7 @@ type VirtWalker struct {
 	Guest *System // gVA → gPA, slots at guest-physical addresses
 	Host  *System // gPA → machine, slots at machine addresses
 	Hier  *cache.Hierarchy
-	// Sink, when set, receives the walk's PTE fetches instead of per-walk
-	// Refs allocations; outcomes then alias the sink (see core.RefSink).
+	// Sink receives the walk's PTE fetches (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -242,14 +193,6 @@ func (w *VirtWalker) Name() string { return "NestedECPT" }
 // EmitCounters implements core.CounterSource.
 func (w *VirtWalker) EmitCounters(emit func(name string, value uint64)) {
 	emit("ecpt_virt.walks", w.Walks)
-}
-
-// seal fixes up the outcome's Refs for sink mode at every return point.
-func (w *VirtWalker) seal(out core.WalkOutcome) core.WalkOutcome {
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
-	return out
 }
 
 // Walk implements core.Walker.
@@ -281,50 +224,37 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		}
 	}
 	w.cands = cands
-	g1 := groupRecorder{sink: w.Sink}
+	g := core.FetchGroup{Sink: w.Sink}
 	for i := range cands {
-		sub := groupRecorder{sink: w.Sink}
-		m, _, ok := w.Host.probe(mem.VAddr(cands[i].slot), &sub, w.Hier, "h", identity)
+		m, _, ok := w.Host.probe(mem.VAddr(cands[i].slot), &g, w.Hier, "h", cands[i].isMatch)
 		cands[i].machine, cands[i].ok = m, ok
-		if g1.sink == nil {
-			g1.refs = append(g1.refs, sub.refs...)
-		}
-		if sub.maxAll > g1.maxAll {
-			g1.maxAll = sub.maxAll
-		}
-		if cands[i].isMatch && sub.anyMatch {
-			g1.anyMatch = true
-			if sub.cycles > g1.cycles {
-				g1.cycles = sub.cycles
-			}
-		}
 	}
-	g1.commit(&out)
+	g.Commit(&out)
 
 	// Step 2: fetch the guest candidate entries; the matching way's line
 	// latency is the critical path.
-	g2 := groupRecorder{sink: w.Sink}
+	g = core.FetchGroup{Sink: w.Sink}
 	for _, c := range cands {
 		if !c.ok {
 			continue
 		}
 		r := w.Hier.Access(c.machine)
-		g2.addMatch(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Served: r.Served, Dim: "g"}, c.isMatch)
+		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Served: r.Served, Dim: "g"}, c.isMatch)
 	}
-	g2.commit(&out)
+	g.Commit(&out)
 	if !gok {
-		return w.seal(out)
+		return out
 	}
 
 	// Step 3: host-resolve the data gPA.
-	g3 := groupRecorder{sink: w.Sink}
-	m, _, ok := w.Host.probe(mem.VAddr(dataGPA), &g3, w.Hier, "h", identity)
-	g3.commit(&out)
+	g = core.FetchGroup{Sink: w.Sink}
+	m, _, ok := w.Host.probe(mem.VAddr(dataGPA), &g, w.Hier, "h", true)
+	g.Commit(&out)
 	if !ok {
-		return w.seal(out)
+		return out
 	}
 	out.PA, out.Size, out.OK = m, gsz, true
-	return w.seal(out)
+	return out
 }
 
 var _ core.Walker = (*VirtWalker)(nil)

@@ -170,31 +170,12 @@ func (t *Table) FootprintBytes() int {
 	return flatEntries*mem.PTEBytes + len(t.leaves)*leafFrames*mem.PageBytes4K
 }
 
-// emitRef streams one PTE fetch into the sink when one is installed, or
-// appends it to the outcome's own Refs slice (legacy standalone use).
-func emitRef(sink *core.RefSink, out *core.WalkOutcome, r core.MemRef) {
-	if sink != nil {
-		sink.Append(r)
-	} else {
-		out.Refs = append(out.Refs, r)
-	}
-}
-
-// sealRefs points the outcome at the sink's buffer; call at every return.
-func sealRefs(sink *core.RefSink, out core.WalkOutcome) core.WalkOutcome {
-	if sink != nil {
-		out.Refs = sink.Refs()
-	}
-	return out
-}
-
 // Walker is native FPT: two sequential references (root, then the leaf
 // probes in parallel).
 type Walker struct {
 	T    *Table
 	Hier *cache.Hierarchy
-	// Sink, when set, receives the walk's PTE fetches instead of per-walk
-	// Refs allocations; outcomes then alias the sink (see core.RefSink).
+	// Sink receives the walk's PTE fetches (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -212,39 +193,39 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{}
-	r := w.Hier.Access(w.T.RootSlot(va))
-	emitRef(w.Sink, &out, core.MemRef{Addr: w.T.RootSlot(va), Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: "n"})
+	resolve(w.T, va, w.Hier, w.Sink, "n", &out)
+	out.PA, out.Size, out.OK = w.T.Lookup(va)
+	return out
+}
+
+// resolve charges one walk of t for va: the root fetch, then — when va has
+// a leaf node — the leaf's parallel 4K/2M probes.
+func resolve(t *Table, va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSink, dim string, out *core.WalkOutcome) {
+	root := t.RootSlot(va)
+	r := hier.Access(root)
+	sink.Append(core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: dim})
 	out.Cycles += r.Cycles
 	out.SeqSteps++
-	s4, s2, ok := w.T.LeafSlots(va)
-	if !ok {
-		return sealRefs(w.Sink, out)
+	g := core.FetchGroup{Sink: sink}
+	if leafProbes(t, va, hier, dim, &g) {
+		g.Commit(out)
 	}
-	// The parallel 4K/2M probes resolve on the valid entry's return; the
-	// other probe never gates the walk.
-	match := w.T.leafMatch(va)
-	g, slowest := 0, 0
+}
+
+// leafProbes adds the 4K and 2M leaf probes for va to g, reporting false
+// (and adding none) when va has no leaf node. The probes resolve on the
+// valid entry's return; the other probe never gates the walk.
+func leafProbes(t *Table, va mem.VAddr, hier *cache.Hierarchy, dim string, g *core.FetchGroup) bool {
+	s4, s2, ok := t.LeafSlots(va)
+	if !ok {
+		return false
+	}
+	match := t.leafMatch(va)
 	for i, slot := range [2]mem.PAddr{s4, s2} {
-		rr := w.Hier.Access(slot)
-		emitRef(w.Sink, &out, core.MemRef{Addr: slot, Cycles: rr.Cycles, Served: rr.Served, Level: 1, Dim: "n"})
-		if rr.Cycles > slowest {
-			slowest = rr.Cycles
-		}
-		if i == match {
-			g = rr.Cycles
-		}
+		r := hier.Access(slot)
+		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: 1, Dim: dim}, i == match)
 	}
-	if match < 0 {
-		g = slowest
-	}
-	out.Cycles += g
-	out.SeqSteps++
-	pa, size, ok := w.T.Lookup(va)
-	if !ok {
-		return sealRefs(w.Sink, out)
-	}
-	out.PA, out.Size, out.OK = pa, size, true
-	return sealRefs(w.Sink, out)
+	return true
 }
 
 var _ core.Walker = (*Walker)(nil)
@@ -256,8 +237,7 @@ type VirtWalker struct {
 	Guest *Table // gVA → gPA, slots at guest-physical addresses
 	Host  *Table // gPA → machine, slots at machine addresses
 	Hier  *cache.Hierarchy
-	// Sink, when set, receives the walk's PTE fetches instead of per-walk
-	// Refs allocations; outcomes then alias the sink (see core.RefSink).
+	// Sink receives the walk's PTE fetches (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -277,27 +257,27 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 	out := core.WalkOutcome{}
 	// Guest root fetch (host-resolved first).
 	if !w.guestFetch(gva, [2]mem.PAddr{w.Guest.RootSlot(gva)}, 1, &out) {
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	// Guest leaf fetch: parallel 4K/2M probes, each host-resolved.
 	s4, s2, ok := w.Guest.LeafSlots(gva)
 	if !ok {
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	if !w.guestFetch(gva, [2]mem.PAddr{s4, s2}, 2, &out) {
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	dataGPA, size, ok := w.Guest.Lookup(gva)
 	if !ok {
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	// Final host resolution of the data gPA.
 	m, ok := w.hostResolve(dataGPA, &out)
 	if !ok {
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	out.PA, out.Size, out.OK = m, size, true
-	return sealRefs(w.Sink, out)
+	return out
 }
 
 // guestFetch host-resolves the first n guest slots and fetches the guest
@@ -306,45 +286,22 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 // sequential steps regardless of the probe fan-out, so a full virtualized
 // walk costs 3+3+2 = 8 sequential references as the paper reports (Table 6).
 func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, out *core.WalkOutcome) bool {
-	// Host root probes for every slot (parallel).
-	g := 0
+	// Host root probes for every slot (parallel; every root gates).
+	g := core.FetchGroup{Sink: w.Sink}
 	for _, s := range slots[:n] {
 		root := w.Host.RootSlot(mem.VAddr(s))
 		r := w.Hier.Access(root)
-		emitRef(w.Sink, out, core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: "h"})
-		if r.Cycles > g {
-			g = r.Cycles
-		}
+		g.Add(core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: "h"}, true)
 	}
-	out.Cycles += g
-	out.SeqSteps++
+	g.Commit(out)
 	// Host leaf probes for every slot (parallel; the valid entry's line
 	// is the critical path per slot, the slowest valid chain gates the
 	// group).
-	g = 0
+	g = core.FetchGroup{Sink: w.Sink}
 	var machines [2]mem.PAddr
 	for mi, s := range slots[:n] {
-		s4, s2, ok := w.Host.LeafSlots(mem.VAddr(s))
-		if !ok {
+		if !leafProbes(w.Host, mem.VAddr(s), w.Hier, "h", &g) {
 			return false
-		}
-		match := w.Host.leafMatch(mem.VAddr(s))
-		slotCritical, slowest := 0, 0
-		for i, slot := range [2]mem.PAddr{s4, s2} {
-			rr := w.Hier.Access(slot)
-			emitRef(w.Sink, out, core.MemRef{Addr: slot, Cycles: rr.Cycles, Served: rr.Served, Level: 1, Dim: "h"})
-			if rr.Cycles > slowest {
-				slowest = rr.Cycles
-			}
-			if i == match {
-				slotCritical = rr.Cycles
-			}
-		}
-		if match < 0 {
-			slotCritical = slowest
-		}
-		if slotCritical > g {
-			g = slotCritical
 		}
 		m, _, ok := w.Host.Lookup(mem.VAddr(s))
 		if !ok {
@@ -352,60 +309,26 @@ func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, ou
 		}
 		machines[mi] = m
 	}
-	out.Cycles += g
-	out.SeqSteps++
+	g.Commit(out)
 	// Guest entry fetches (parallel; the valid guest entry resolves the
-	// group).
-	g = 0
-	slowest := 0
+	// group). For the root call there is one slot (always the match); for
+	// the leaf call slot 0 is the 4K probe and slot 1 the 2M probe.
+	g = core.FetchGroup{Sink: w.Sink}
+	match := 0
+	if n > 1 {
+		match = w.Guest.leafMatch(guestVA)
+	}
 	for i, m := range machines[:n] {
 		r := w.Hier.Access(m)
-		emitRef(w.Sink, out, core.MemRef{Addr: m, Cycles: r.Cycles, Served: r.Served, Dim: "g"})
-		if r.Cycles > slowest {
-			slowest = r.Cycles
-		}
-		// For the root call there is one slot (always the match); for
-		// the leaf call slot 0 is the 4K probe and slot 1 the 2M probe.
-		if n == 1 || i == w.Guest.leafMatch(guestVA) {
-			g = r.Cycles
-		}
+		g.Add(core.MemRef{Addr: m, Cycles: r.Cycles, Served: r.Served, Dim: "g"}, i == match)
 	}
-	if g == 0 {
-		g = slowest
-	}
-	out.Cycles += g
-	out.SeqSteps++
+	g.Commit(out)
 	return true
 }
 
 // hostResolve walks the host flattened table for gpa: two sequential refs.
 func (w *VirtWalker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, bool) {
-	root := w.Host.RootSlot(mem.VAddr(gpa))
-	r := w.Hier.Access(root)
-	emitRef(w.Sink, out, core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: "h"})
-	out.Cycles += r.Cycles
-	out.SeqSteps++
-	s4, s2, ok := w.Host.LeafSlots(mem.VAddr(gpa))
-	if !ok {
-		return 0, false
-	}
-	match := w.Host.leafMatch(mem.VAddr(gpa))
-	g, slowest := 0, 0
-	for i, slot := range [2]mem.PAddr{s4, s2} {
-		rr := w.Hier.Access(slot)
-		emitRef(w.Sink, out, core.MemRef{Addr: slot, Cycles: rr.Cycles, Served: rr.Served, Level: 1, Dim: "h"})
-		if rr.Cycles > slowest {
-			slowest = rr.Cycles
-		}
-		if i == match {
-			g = rr.Cycles
-		}
-	}
-	if match < 0 {
-		g = slowest
-	}
-	out.Cycles += g
-	out.SeqSteps++
+	resolve(w.Host, mem.VAddr(gpa), w.Hier, w.Sink, "h", out)
 	m, _, ok := w.Host.Lookup(mem.VAddr(gpa))
 	return m, ok
 }

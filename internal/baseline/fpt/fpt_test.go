@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dmt/internal/cache"
+	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
 	"dmt/internal/phys"
@@ -34,6 +35,15 @@ func TestMapLookup(t *testing.T) {
 	}
 }
 
+// walk resets sink, walks va with w, and returns the outcome with a copy
+// of the refs the walk recorded: the caller owns the sink and resets it
+// before each walk, as the simulation engine does.
+func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []core.MemRef) {
+	sink.Reset()
+	out := w.Walk(va)
+	return out, append([]core.MemRef(nil), sink.Refs()...)
+}
+
 func TestNativeWalkerTwoSteps(t *testing.T) {
 	a := phys.New(0, 1<<15)
 	as, err := kernel.NewAddressSpace(a, kernel.Config{})
@@ -55,14 +65,19 @@ func TestNativeWalkerTwoSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Walker{T: tbl, Hier: hier}
+	w := &Walker{T: tbl, Hier: hier, Sink: &core.RefSink{}}
 	va := v.Start + 0x7123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK {
 		t.Fatal("FPT walk failed")
 	}
 	if out.SeqSteps != 2 {
 		t.Fatalf("FPT seq steps = %d, want 2 (Table 6)", out.SeqSteps)
+	}
+	// The root fetch, then the 4K and 2M leaf probes in parallel.
+	s4, s2, _ := tbl.LeafSlots(va)
+	if len(refs) != 3 || refs[0].Addr != tbl.RootSlot(va) || refs[1].Addr != s4 || refs[2].Addr != s2 {
+		t.Fatalf("FPT refs = %+v, want root %#x then leaf probes %#x %#x", refs, tbl.RootSlot(va), s4, s2)
 	}
 	pa, _, _ := as.PT.Lookup(va)
 	if out.PA != pa {

@@ -228,21 +228,6 @@ func (s *Seg) FootprintBytes() int {
 	return (s.seg4k.sets + s.seg2m.sets) * segWays * entryBytes
 }
 
-func emitRef(sink *core.RefSink, out *core.WalkOutcome, r core.MemRef) {
-	if sink != nil {
-		sink.Append(r)
-	} else {
-		out.Refs = append(out.Refs, r)
-	}
-}
-
-func sealRefs(sink *core.RefSink, out core.WalkOutcome) core.WalkOutcome {
-	if sink != nil {
-		out.Refs = sink.Refs()
-	}
-	return out
-}
-
 // Walker translates through the RestSegs with a single parallel probe
 // group, falling back to the environment's full walk for flexible pages.
 // One Walker type serves every environment: the Seg's entries and the
@@ -253,8 +238,8 @@ type Walker struct {
 	// Fallback resolves flexible pages: the native radix walk, or the 2D
 	// nested walk under virtualization.
 	Fallback core.Walker
-	// Sink, when set, receives the walk's fetches instead of per-walk Refs
-	// allocations; the fallback walker must share it (see core.RefSink).
+	// Sink receives the walk's fetches; the fallback walker must share it
+	// (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks   uint64
@@ -279,34 +264,26 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 func (w *Walker) CoverageCounts() (hits, total uint64) { return w.SegHits, w.Walks }
 
 // Walk implements core.Walker: both size-class set lines are probed in
-// parallel (one sequential step, the slower probe gates the group); a hit
-// completes the translation, a miss takes the fallback walk on top.
+// parallel (one sequential step; the walker reads both sets, so the slower
+// probe gates the group); a hit completes the translation, a miss takes
+// the fallback walk on top.
 func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{}
 	s4, s2 := w.Seg.Slots(va)
-	g := 0
+	g := core.FetchGroup{Sink: w.Sink}
 	for _, slot := range [2]mem.PAddr{s4, s2} {
 		r := w.Hier.Access(slot)
-		emitRef(w.Sink, &out, core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: 1, Dim: "n"})
-		if r.Cycles > g {
-			g = r.Cycles
-		}
+		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: 1, Dim: "n"}, true)
 	}
-	out.Cycles += g
-	out.SeqSteps++
+	g.Commit(&out)
 	if pa, size, ok := w.Seg.Lookup(va); ok {
 		w.SegHits++
 		out.PA, out.Size, out.OK = pa, size, true
-		return sealRefs(w.Sink, out)
+		return out
 	}
 	w.Misses++
-	inner := w.Fallback.Walk(va)
-	out.Cycles += inner.Cycles
-	out.SeqSteps += inner.SeqSteps
-	out.Fallback = true
-	out.PA, out.Size, out.OK = inner.PA, inner.Size, inner.OK
-	return sealRefs(w.Sink, out)
+	return core.WalkFallback(w.Fallback, va, out)
 }
 
 var _ core.Walker = (*Walker)(nil)

@@ -103,10 +103,27 @@ func TestResolveContigRequiresMachineContiguity(t *testing.T) {
 	}
 }
 
-func TestWalkerHitIsOneProbeGroupAndMissFallsBack(t *testing.T) {
-	as, v, hier, seg := setup(t)
-	w := &Walker{Seg: seg, Hier: hier, Fallback: core.NewRadixWalker(as.PT, hier, nil, 0)}
-	var hitVA, missVA mem.VAddr
+// newWalker wires a Utopia walker over seg with a PWC-less radix fallback,
+// both recording into one sink.
+func newWalker(as *kernel.AddressSpace, hier *cache.Hierarchy, seg *Seg) *Walker {
+	sink := &core.RefSink{}
+	fb := core.NewRadixWalker(as.PT, hier, nil, 0)
+	fb.Sink = sink
+	return &Walker{Seg: seg, Hier: hier, Fallback: fb, Sink: sink}
+}
+
+// walk resets sink, walks va with w, and returns the outcome with a copy
+// of the refs the walk recorded: the caller owns the sink and resets it
+// before each walk, as the simulation engine does.
+func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []core.MemRef) {
+	sink.Reset()
+	out := w.Walk(va)
+	return out, append([]core.MemRef(nil), sink.Refs()...)
+}
+
+// hitAndMiss returns the first restrictive and the first flexible page of v.
+func hitAndMiss(t *testing.T, v *kernel.VMA, seg *Seg) (hitVA, missVA mem.VAddr) {
+	t.Helper()
 	for off := uint64(0); off < v.Size(); off += mem.PageBytes4K {
 		va := v.Start + mem.VAddr(off)
 		if _, _, ok := seg.Lookup(va); ok && hitVA == 0 {
@@ -118,14 +135,22 @@ func TestWalkerHitIsOneProbeGroupAndMissFallsBack(t *testing.T) {
 	if hitVA == 0 || missVA == 0 {
 		t.Fatalf("need both a restrictive and a flexible page (hit=%#x miss=%#x)", hitVA, missVA)
 	}
-	out := w.Walk(hitVA)
-	if !out.OK || out.Fallback || out.SeqSteps != 1 {
-		t.Fatalf("RestSeg hit: OK=%v fallback=%v steps=%d, want true/false/1", out.OK, out.Fallback, out.SeqSteps)
+	return hitVA, missVA
+}
+
+func TestWalkerHitIsOneProbeGroupAndMissFallsBack(t *testing.T) {
+	as, v, hier, seg := setup(t)
+	w := newWalker(as, hier, seg)
+	hitVA, missVA := hitAndMiss(t, v, seg)
+	out, refs := walk(w.Sink, w, hitVA)
+	if !out.OK || out.Fallback || out.SeqSteps != 1 || len(refs) != 2 {
+		t.Fatalf("RestSeg hit: OK=%v fallback=%v steps=%d refs=%d, want true/false/1/2",
+			out.OK, out.Fallback, out.SeqSteps, len(refs))
 	}
 	if pa, _, _ := as.PT.Lookup(hitVA); out.PA != pa {
 		t.Fatalf("hit PA %#x, page tables say %#x", out.PA, pa)
 	}
-	out = w.Walk(missVA)
+	out, _ = walk(w.Sink, w, missVA)
 	if !out.OK || !out.Fallback {
 		t.Fatalf("flexible page: OK=%v fallback=%v, want true/true", out.OK, out.Fallback)
 	}
@@ -134,6 +159,30 @@ func TestWalkerHitIsOneProbeGroupAndMissFallsBack(t *testing.T) {
 	}
 	if w.SegHits != 1 || w.Misses != 1 {
 		t.Fatalf("seg_hits=%d misses=%d, want 1 and 1", w.SegHits, w.Misses)
+	}
+}
+
+// TestMissRecordsProbesThenFallbackWalk pins the ref path of a flexible
+// page: the shared sink holds the two RestSeg set probes followed by
+// exactly the fallback radix walk's fetches.
+func TestMissRecordsProbesThenFallbackWalk(t *testing.T) {
+	as, v, hier, seg := setup(t)
+	w := newWalker(as, hier, seg)
+	_, missVA := hitAndMiss(t, v, seg)
+	out, refs := walk(w.Sink, w, missVA)
+	steps := as.PT.Walk(missVA).Steps
+	if len(refs) != 2+len(steps) || out.SeqSteps != 1+len(steps) {
+		t.Fatalf("miss recorded %d refs over %d steps, want %d over %d (probe pair + radix walk)",
+			len(refs), out.SeqSteps, 2+len(steps), 1+len(steps))
+	}
+	s4, s2 := seg.Slots(missVA)
+	if refs[0].Addr != s4 || refs[1].Addr != s2 {
+		t.Fatalf("first refs %#x %#x, want the RestSeg set lines %#x %#x", refs[0].Addr, refs[1].Addr, s4, s2)
+	}
+	for i, s := range steps {
+		if got := refs[2+i]; got.Addr != s.Addr || got.Level != s.Level {
+			t.Fatalf("ref %d = %+v, want the radix fetch of level %d at %#x", 2+i, got, s.Level, s.Addr)
+		}
 	}
 }
 

@@ -92,9 +92,9 @@ type Walker struct {
 	Hier  *cache.Hierarchy
 	// Inner resolves spill misses: the environment's full page walk.
 	Inner core.Walker
-	// Sink, when set, receives the walk's fetches instead of per-walk Refs
-	// allocations; the inner walker must share it so fallback walks append
-	// to the same buffer (see core.RefSink).
+	// Sink receives the walk's fetches; the inner walker must share it so
+	// a miss's walk follows the probe in the same buffer (see
+	// core.RefSink).
 	Sink *core.RefSink
 
 	l2Lat int
@@ -168,21 +168,6 @@ func (w *Walker) clearBlock(bi int) {
 	}
 }
 
-func emitRef(sink *core.RefSink, out *core.WalkOutcome, r core.MemRef) {
-	if sink != nil {
-		sink.Append(r)
-	} else {
-		out.Refs = append(out.Refs, r)
-	}
-}
-
-func sealRefs(sink *core.RefSink, out core.WalkOutcome) core.WalkOutcome {
-	if sink != nil {
-		out.Refs = sink.Refs()
-	}
-	return out
-}
-
 // Walk implements core.Walker: probe the spill block for va's window, and
 // on a live hit return the spilled translation at one L2 round-trip;
 // otherwise delegate to the inner walker and fill the result back.
@@ -205,7 +190,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 		probeWay = 0
 	}
 	addr := w.Store.BlockAddr(set, probeWay)
-	emitRef(w.Sink, &out, core.MemRef{Addr: addr, Cycles: w.l2Lat, Served: cache.LevelL2, Level: 2, Dim: "n"})
+	w.Sink.Append(core.MemRef{Addr: addr, Cycles: w.l2Lat, Served: cache.LevelL2, Level: 2, Dim: "n"})
 	out.Cycles += w.l2Lat
 	out.SeqSteps++
 	if way >= 0 {
@@ -218,7 +203,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 				out.PA = (f - 1) + mem.PAddr(mem.PageOffset(va, size))
 				out.Size = size
 				out.OK = true
-				return sealRefs(w.Sink, out)
+				return out
 			}
 		} else {
 			// Data traffic evicted the block: its translations are gone.
@@ -236,7 +221,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	if inner.OK {
 		w.fill(va, set, way, tag, inner.PA, inner.Size)
 	}
-	return sealRefs(w.Sink, out)
+	return out
 }
 
 // fill installs a walk result into the spill store: reuse the tag-matching

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
 	"dmt/internal/tea"
@@ -70,7 +71,7 @@ func registerInvariants(mgr *tea.Manager) []string {
 			regions[ri.Size] = ri
 		}
 		anyCovered := false
-		for _, s := range []mem.PageSize{mem.Size4K, mem.Size2M, mem.Size1G} {
+		for _, s := range core.FetchSizes {
 			if !r.Covered[s] {
 				continue
 			}

@@ -52,9 +52,9 @@ type TranslateChecker interface {
 type Batch struct {
 	MMU  *MMU
 	Hier *cache.Hierarchy
-	// Sink, when set, is reset before every walker invocation, mirroring
-	// the scalar recording wrapper: each outcome's Refs alias the refs of
-	// that walk alone.
+	// Sink is the walker chain's RefSink, reset before every walker
+	// invocation as the scalar recording wrapper does, so it holds the
+	// refs of that walk alone when Rec sees the outcome.
 	Sink *RefSink
 	Rec  WalkRecorder
 	Chk  TranslateChecker
@@ -142,9 +142,7 @@ func RunBatch(b *Batch, w Walker, reqs []Req, res []Res) int {
 		va := vas[i]
 		m.Lookups++
 		m.Misses++
-		if b.Sink != nil {
-			b.Sink.Reset()
-		}
+		b.Sink.Reset()
 		out := &b.out
 		*out = w.Walk(va)
 		if b.Rec != nil {

@@ -12,13 +12,45 @@ import (
 )
 
 // rig assembles a native machine: kernel + TEA manager + hierarchy + both
-// walkers.
+// walkers, recording into one shared sink as the engine wires them.
 type rig struct {
 	as    *kernel.AddressSpace
 	mg    *tea.Manager
 	hier  *cache.Hierarchy
+	sink  *RefSink
 	radix *RadixWalker
 	dmt   *DMTWalker
+}
+
+// newWalkers builds the radix walker and the DMT fetcher over it, both
+// recording into one fresh sink.
+func newWalkers(as *kernel.AddressSpace, mg *tea.Manager, hier *cache.Hierarchy) *rig {
+	sink := &RefSink{}
+	radix := NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
+	radix.Sink = sink
+	dmt := NewDMTWalker(mg, as.Pool, hier, radix)
+	dmt.Sink = sink
+	return &rig{as: as, mg: mg, hier: hier, sink: sink, radix: radix, dmt: dmt}
+}
+
+// resetting resets its sink before every walk, as the engine's recorder
+// does, so a walker behind an MMU records one walk at a time.
+type resetting struct {
+	Walker
+	sink *RefSink
+}
+
+func (w resetting) Walk(va mem.VAddr) WalkOutcome {
+	w.sink.Reset()
+	return w.Walker.Walk(va)
+}
+
+// walk resets the sink, walks va with w, and returns the outcome with a
+// copy of the refs the walk recorded.
+func (r *rig) walk(w Walker, va mem.VAddr) (WalkOutcome, []MemRef) {
+	r.sink.Reset()
+	out := w.Walk(va)
+	return out, append([]MemRef(nil), r.sink.Refs()...)
 }
 
 func newRig(t *testing.T, thp bool) *rig {
@@ -34,9 +66,7 @@ func newRig(t *testing.T, thp bool) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix := NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
-	dmt := NewDMTWalker(mg, as.Pool, hier, radix)
-	return &rig{as: as, mg: mg, hier: hier, radix: radix, dmt: dmt}
+	return newWalkers(as, mg, hier)
 }
 
 func (r *rig) heap(t *testing.T, bytes uint64) *kernel.VMA {
@@ -54,11 +84,11 @@ func (r *rig) heap(t *testing.T, bytes uint64) *kernel.VMA {
 func TestRadixWalkFourSteps(t *testing.T) {
 	r := newRig(t, false)
 	v := r.heap(t, 16<<20)
-	out := r.radix.Walk(v.Start + 0x5123)
+	out, refs := r.walk(r.radix, v.Start+0x5123)
 	if !out.OK {
 		t.Fatal("walk faulted")
 	}
-	if out.SeqSteps != 4 || len(out.Refs) != 4 {
+	if out.SeqSteps != 4 || len(refs) != 4 {
 		t.Fatalf("cold radix walk took %d steps, want 4", out.SeqSteps)
 	}
 	pa, _, ok := r.as.PT.Lookup(v.Start + 0x5123)
@@ -70,25 +100,25 @@ func TestRadixWalkFourSteps(t *testing.T) {
 func TestRadixPWCSkips(t *testing.T) {
 	r := newRig(t, false)
 	v := r.heap(t, 16<<20)
-	r.radix.Walk(v.Start) // warms PWC
-	out := r.radix.Walk(v.Start + mem.PageBytes4K)
-	if out.SeqSteps != 1 {
-		t.Fatalf("PWC-warm walk took %d steps, want 1 (skip to L1)", out.SeqSteps)
+	r.walk(r.radix, v.Start) // warms PWC
+	out, refs := r.walk(r.radix, v.Start+mem.PageBytes4K)
+	if out.SeqSteps != 1 || len(refs) != 1 {
+		t.Fatalf("PWC-warm walk took %d steps / %d refs, want 1/1 (skip to L1)", out.SeqSteps, len(refs))
 	}
-	if out.Refs[0].Level != 1 {
-		t.Fatalf("remaining step at level %d, want 1", out.Refs[0].Level)
+	if refs[0].Level != 1 {
+		t.Fatalf("remaining step at level %d, want 1", refs[0].Level)
 	}
 }
 
 func TestDMTSingleReference(t *testing.T) {
 	r := newRig(t, false)
 	v := r.heap(t, 64<<20)
-	out := r.dmt.Walk(v.Start + 0x7123)
+	out, refs := r.walk(r.dmt, v.Start+0x7123)
 	if !out.OK || out.Fallback {
 		t.Fatalf("DMT walk: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
-	if out.SeqSteps != 1 || len(out.Refs) != 1 {
-		t.Fatalf("DMT took %d seq steps / %d refs, want 1/1", out.SeqSteps, len(out.Refs))
+	if out.SeqSteps != 1 || len(refs) != 1 {
+		t.Fatalf("DMT took %d seq steps / %d refs, want 1/1", out.SeqSteps, len(refs))
 	}
 	pa, _, _ := r.as.PT.Lookup(v.Start + 0x7123)
 	if out.PA != pa {
@@ -101,8 +131,8 @@ func TestDMTMatchesRadixEverywhere(t *testing.T) {
 	v := r.heap(t, 32<<20)
 	for off := uint64(0); off < v.Size(); off += 123 << 12 {
 		va := v.Start + mem.VAddr(off)
-		d := r.dmt.Walk(va)
-		x := r.radix.Walk(va)
+		d, _ := r.walk(r.dmt, va)
+		x, _ := r.walk(r.radix, va)
 		if !d.OK || !x.OK || d.PA != x.PA {
 			t.Fatalf("divergence at %#x: dmt=%#x radix=%#x", uint64(va), uint64(d.PA), uint64(x.PA))
 		}
@@ -125,7 +155,7 @@ func TestDMTFallbackOutsideRegisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.as.SetHooks(r.mg)
-	out := r.dmt.Walk(v2.Start)
+	out, _ := r.walk(r.dmt, v2.Start)
 	if !out.OK || !out.Fallback {
 		t.Fatalf("expected fallback walk, got ok=%v fallback=%v", out.OK, out.Fallback)
 	}
@@ -137,7 +167,7 @@ func TestDMTFallbackOutsideRegisters(t *testing.T) {
 func TestDMTTHPParallelFanout(t *testing.T) {
 	r := newRig(t, true)
 	v := r.heap(t, 64<<20)
-	out := r.dmt.Walk(v.Start + 0x123456)
+	out, refs := r.walk(r.dmt, v.Start+0x123456)
 	if !out.OK || out.Fallback {
 		t.Fatalf("THP DMT walk: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
@@ -147,8 +177,8 @@ func TestDMTTHPParallelFanout(t *testing.T) {
 	if out.SeqSteps != 1 {
 		t.Fatalf("seq steps = %d, want 1 (parallel fan-out)", out.SeqSteps)
 	}
-	if len(out.Refs) != 2 {
-		t.Fatalf("refs = %d, want 2 (4K + 2M TEAs probed in parallel)", len(out.Refs))
+	if len(refs) != 2 {
+		t.Fatalf("refs = %d, want 2 (4K + 2M TEAs probed in parallel)", len(refs))
 	}
 	if r.dmt.ParallelFetch2 == 0 {
 		t.Fatal("parallel fan-out not counted")
@@ -159,7 +189,7 @@ func TestDMTCoverage(t *testing.T) {
 	r := newRig(t, false)
 	v := r.heap(t, 32<<20)
 	for off := uint64(0); off < v.Size(); off += 7 << 12 {
-		r.dmt.Walk(v.Start + mem.VAddr(off))
+		r.walk(r.dmt, v.Start+mem.VAddr(off))
 	}
 	if c := r.dmt.Coverage(); c != 1.0 {
 		t.Fatalf("coverage = %.3f, want 1.0 for a single-VMA workload", c)
@@ -171,11 +201,11 @@ func TestDMTFasterThanRadixCold(t *testing.T) {
 	// be cheaper than a cold radix walk (4 references).
 	rd := newRig(t, false)
 	v := rd.heap(t, 16<<20)
-	dmtOut := rd.dmt.Walk(v.Start)
+	dmtOut, _ := rd.walk(rd.dmt, v.Start)
 
 	rr := newRig(t, false)
 	v2 := rr.heap(t, 16<<20)
-	radixOut := rr.radix.Walk(v2.Start)
+	radixOut, _ := rr.walk(rr.radix, v2.Start)
 
 	if dmtOut.Cycles >= radixOut.Cycles {
 		t.Fatalf("cold DMT (%d cyc) not faster than cold radix (%d cyc)", dmtOut.Cycles, radixOut.Cycles)
@@ -189,7 +219,7 @@ func TestMMUCachesTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mmu := NewMMU(dtlb, r.dmt, r.as.ASID())
+	mmu := NewMMU(dtlb, resetting{r.dmt, r.sink}, r.as.ASID())
 	pa1, cyc1, ok := mmu.Translate(v.Start + 0x1234)
 	if !ok || cyc1 == 0 {
 		t.Fatalf("first translate: ok=%v cycles=%d (want a walk)", ok, cyc1)

@@ -40,17 +40,17 @@ func twoProcessRig(t *testing.T) (*Scheduler, []*kernel.VMA) {
 	if err := ra.as.Populate(v1); err != nil {
 		t.Fatal(err)
 	}
-	radix2 := NewRadixWalker(as2.PT, ra.hier, tlb.NewPWC(), as2.ASID())
-	dmt2 := NewDMTWalker(mg2, as2.Pool, ra.hier, radix2)
+	r2 := newWalkers(as2, mg2, ra.hier)
 
 	dtlb, err := tlb.New(tlb.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mmu := NewMMU(dtlb, ra.dmt, ra.as.ASID())
+	p1, p2 := resetting{ra.dmt, ra.sink}, resetting{r2.dmt, r2.sink}
+	mmu := NewMMU(dtlb, p1, ra.as.ASID())
 	sched := NewScheduler(mmu,
-		&Task{Name: "p1", Walker: ra.dmt, ASID: ra.as.ASID(), UsesDMT: true},
-		&Task{Name: "p2", Walker: dmt2, ASID: as2.ASID(), UsesDMT: true},
+		&Task{Name: "p1", Walker: p1, ASID: ra.as.ASID(), UsesDMT: true},
+		&Task{Name: "p2", Walker: p2, ASID: as2.ASID(), UsesDMT: true},
 	)
 	return sched, []*kernel.VMA{v1, v2}
 }

@@ -25,8 +25,8 @@ type DMTWalker struct {
 	Fallback Walker
 	// Dim labels refs in breakdowns.
 	Dim string
-	// Sink, when set, collects refs for the whole fetch+fallback chain
-	// (share it with Fallback); outcomes then alias the sink's buffer.
+	// Sink collects refs for the whole fetch+fallback chain (share it
+	// with Fallback).
 	Sink *RefSink
 
 	// Stats
@@ -35,8 +35,9 @@ type DMTWalker struct {
 	ParallelFetch2 uint64 // walks that fanned out to two TEAs (§4.4)
 }
 
-// fetchSizes is the §4.4 fan-out probe order.
-var fetchSizes = [...]mem.PageSize{mem.Size4K, mem.Size2M, mem.Size1G}
+// FetchSizes is the §4.4 fan-out probe order, shared by every DMT-family
+// fetcher.
+var FetchSizes = [...]mem.PageSize{mem.Size4K, mem.Size2M, mem.Size1G}
 
 // NewDMTWalker builds the native DMT design over the TEA manager's
 // register file, with the given fallback walker (normally a RadixWalker on
@@ -75,84 +76,50 @@ func (w *DMTWalker) Walk(va mem.VAddr) WalkOutcome {
 	reg := w.Mgr.Lookup(va)
 	if reg == nil {
 		w.FallbackWalks++
-		out := w.Fallback.Walk(va)
-		out.Fallback = true
-		return out
+		return WalkFallback(w.Fallback, va, WalkOutcome{})
 	}
 	out := WalkOutcome{Cycles: FetchLogicCycles}
 	// Huge-page support (§4.4): issue one fetch per covered page size in
-	// parallel; exactly one TEA holds a valid leaf. The group counts as a
-	// single sequential step whose critical path is the *valid* leaf's
-	// line latency — the fetcher proceeds as soon as a fetch returns a
-	// valid leaf of its size; non-leaf/invalid returns never gate it.
-	groupCycles := 0 // latency of the valid leaf (fallback: slowest probe)
-	slowest := 0
+	// parallel; exactly one TEA holds a valid leaf, and the fetcher
+	// proceeds as soon as it returns — non-leaf/invalid returns never gate
+	// it.
+	g := FetchGroup{Sink: w.Sink}
 	fanout := 0
-	for _, s := range fetchSizes {
+	for _, s := range FetchSizes {
 		if !reg.Covered[s] {
 			continue
 		}
 		fanout++
 		pteAddr := reg.PTEAddrAt(s, va)
 		r := w.Hier.Access(pteAddr)
-		ref := MemRef{Addr: pteAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: w.Dim}
-		if w.Sink != nil {
-			w.Sink.Append(ref)
-		} else {
-			out.Refs = append(out.Refs, ref)
-		}
-		if r.Cycles > slowest {
-			slowest = r.Cycles
-		}
 		pte, ok := w.Pool.ReadPTE(pteAddr)
-		if !ok || !leafValid(pte, s) {
-			continue
+		match := ok && LeafValid(pte, s)
+		g.Add(MemRef{Addr: pteAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: w.Dim}, match)
+		if match {
+			out.PA = pte.Frame() + mem.PAddr(mem.PageOffset(va, s))
+			out.Size = s
+			out.OK = true
 		}
-		out.PA = pte.Frame() + mem.PAddr(mem.PageOffset(va, s))
-		out.Size = s
-		out.OK = true
-		groupCycles = r.Cycles
 	}
-	if !out.OK {
-		groupCycles = slowest // absence is known only when all return
-	}
-	out.Cycles += groupCycles
-	out.SeqSteps = 1
+	g.Commit(&out)
 	if fanout > 1 {
 		w.ParallelFetch2++
 	}
 	if !out.OK {
 		// No valid leaf in any TEA (unfaulted page, migration window):
-		// the request falls back to the x86 page table walker (§4.1).
+		// the request falls back to the x86 page table walker (§4.1),
+		// whose refs follow the probes' in the shared sink.
 		w.FallbackWalks++
-		fb := w.Fallback.Walk(va)
-		fb.Cycles += out.Cycles
-		if w.Sink != nil {
-			// The shared sink already holds prefix + fallback refs in order.
-			fb.Refs = w.Sink.Refs()
-		} else {
-			// Merge into a fresh slice: appending to out.Refs could hand the
-			// caller a view into a backing array later clobbered by another
-			// fallback reusing the same prefix capacity.
-			merged := make([]MemRef, 0, len(out.Refs)+len(fb.Refs))
-			merged = append(merged, out.Refs...)
-			fb.Refs = append(merged, fb.Refs...)
-		}
-		fb.SeqSteps += out.SeqSteps
-		fb.Fallback = true
-		return fb
+		return WalkFallback(w.Fallback, va, out)
 	}
 	w.RegisterHits++
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
 	return out
 }
 
-// leafValid reports whether pte is a valid leaf for page size s: base pages
+// LeafValid reports whether pte is a valid leaf for page size s: base pages
 // must not carry the PS bit; huge pages must (so a non-leaf L2 entry read
 // from the 2M TEA is rejected, §4.4).
-func leafValid(pte mem.PTE, s mem.PageSize) bool {
+func LeafValid(pte mem.PTE, s mem.PageSize) bool {
 	if !pte.Present() {
 		return false
 	}
@@ -171,11 +138,11 @@ func (w *DMTWalker) Probe(va mem.VAddr) bool {
 	if reg == nil {
 		return false
 	}
-	for _, s := range fetchSizes {
+	for _, s := range FetchSizes {
 		if !reg.Covered[s] {
 			continue
 		}
-		if pte, ok := w.Pool.ReadPTE(reg.PTEAddrAt(s, va)); ok && leafValid(pte, s) {
+		if pte, ok := w.Pool.ReadPTE(reg.PTEAddrAt(s, va)); ok && LeafValid(pte, s) {
 			return true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"dmt/internal/cache"
 	"dmt/internal/core"
 	"dmt/internal/kernel"
+	"dmt/internal/mem"
 	"dmt/internal/phys"
 	"dmt/internal/tea"
 	"dmt/internal/tlb"
@@ -44,16 +45,22 @@ func Example_quickstart() {
 	fmt.Printf("TEA manager: %v\n", mgr)
 
 	// The memory hierarchy (Table 3 configuration) and the two walkers:
-	// the legacy x86 radix walker and the DMT fetcher.
+	// the legacy x86 radix walker and the DMT fetcher. Every walker records
+	// its PTE fetches in a sink, which the caller resets before each walk.
 	hier, err := cache.NewHierarchy(cache.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
+	sink := &core.RefSink{}
 	radix := core.NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
+	radix.Sink = sink
 	dmt := core.NewDMTWalker(mgr, as.Pool, hier, radix)
+	dmt.Sink = sink
 
 	va := heap.Start + 0x1234_567
+	sink.Reset()
 	d := dmt.Walk(va)
+	sink.Reset()
 	x := radix.Walk(va)
 	fmt.Printf("translate va=%#x\n", uint64(va))
 	fmt.Printf("  DMT fetcher : PA=%#x  %d memory reference(s), %d cycles\n",
@@ -70,6 +77,7 @@ func Example_quickstart() {
 		log.Fatal(err)
 	}
 	mmu := core.NewMMU(dtlb, dmt, as.ASID())
+	sink.Reset()
 	if _, cycles, ok := mmu.Translate(va); !ok || cycles == 0 {
 		log.Fatal("first translation should walk")
 	}
@@ -85,4 +93,87 @@ func Example_quickstart() {
 	//   x86 walker  : PA=0x3eeb7567  4 memory reference(s), 605 cycles
 	//   second translation via TLB: 0 extra cycles
 	// DMT register coverage: 100.0%
+}
+
+// Example_hugePages demonstrates DMT's multi-size TEA support (§4.4,
+// Figure 12): a THP-enabled process keeps separate TEAs for 4 KiB and
+// 2 MiB PTEs, the fetcher probes them in parallel as one sequential step,
+// and demoting a region to base pages moves its translation from the 2M
+// TEA to the 4K TEA without changing the VMA-to-TEA mapping.
+//
+//	go test ./internal/core -run Example_hugePages -v
+func Example_hugePages() {
+	pa := phys.New(0, 1<<18)
+	as, err := kernel.NewAddressSpace(pa, kernel.Config{THP: true, ASID: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr := tea.NewManager(as, tea.NewPhysBackend(pa), tea.DefaultConfig(true))
+	as.SetHooks(mgr)
+
+	// With THP on, populating the heap installs 2 MiB pages.
+	heap, err := as.MMap(0x4000_0000, 64<<20, kernel.VMAHeap, "heap")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := as.Populate(heap); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("THP-mapped regions: %d\n", as.THPMapped)
+
+	hier, err := cache.NewHierarchy(cache.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	sink := &core.RefSink{}
+	radix := core.NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
+	radix.Sink = sink
+	dmt := core.NewDMTWalker(mgr, as.Pool, hier, radix)
+	dmt.Sink = sink
+
+	va := heap.Start + 0x2abcde
+	sink.Reset()
+	out := dmt.Walk(va)
+	fmt.Printf("translate va=%#x\n", uint64(va))
+	fmt.Printf("  resolved as a %v page in %d sequential step (%d parallel TEA probes)\n",
+		out.Size, out.SeqSteps, len(sink.Refs()))
+	for _, r := range sink.Refs() {
+		fmt.Printf("    probe of the %v-PTE TEA at %#x: %d cycles (%v)\n",
+			mem.PageSize(r.Level-1), uint64(r.Addr), r.Cycles, r.Served)
+	}
+
+	// The register carries both TEAs; only the 2M one holds valid leaves
+	// for THP-mapped regions.
+	reg := mgr.Lookup(va)
+	fmt.Printf("register: base=%#x limit=%#x 4K-TEA=%v 2M-TEA=%v\n",
+		uint64(reg.Base), uint64(reg.Limit), reg.Covered[mem.Size4K], reg.Covered[mem.Size2M])
+
+	// Demote one region back to base pages: the mapping is untouched;
+	// only the PTEs move between TEAs (§4.4).
+	demoteBase := mem.AlignDown(va, mem.PageBytes2M)
+	if err := as.PT.Unmap(demoteBase, mem.Size2M); err != nil {
+		log.Fatal(err)
+	}
+	for off := mem.VAddr(0); off < mem.PageBytes2M; off += mem.PageBytes4K {
+		frame, err := pa.AllocFrame(phys.KindMovable)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := as.PT.Map(demoteBase+off, frame, mem.Size4K, mem.PTEWritable); err != nil {
+			log.Fatal(err)
+		}
+	}
+	sink.Reset()
+	out = dmt.Walk(va)
+	fmt.Printf("after demotion: resolved as a %v page, still %d sequential step, fallback=%v\n",
+		out.Size, out.SeqSteps, out.Fallback)
+
+	// Output:
+	// THP-mapped regions: 32
+	// translate va=0x402abcde
+	//   resolved as a 2M page in 1 sequential step (2 parallel TEA probes)
+	//     probe of the 4K-PTE TEA at 0x3fc21558: 200 cycles (Mem)
+	//     probe of the 2M-PTE TEA at 0x3fc01008: 200 cycles (Mem)
+	// register: base=0x40000000 limit=0x44000000 4K-TEA=true 2M-TEA=true
+	// after demotion: resolved as a 4K page, still 1 sequential step, fallback=false
 }

@@ -8,7 +8,6 @@ import (
 	"dmt/internal/mem"
 	"dmt/internal/phys"
 	"dmt/internal/tea"
-	"dmt/internal/tlb"
 )
 
 // newGradualRig builds a native rig whose TEA manager leaves migrations
@@ -29,23 +28,19 @@ func newGradualRig(t *testing.T, thp bool) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix := NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
-	dmt := NewDMTWalker(mg, as.Pool, hier, radix)
-	return &rig{as: as, mg: mg, hier: hier, radix: radix, dmt: dmt}
+	return newWalkers(as, mg, hier)
 }
 
-// TestDMTFallbackMergeRefs pins the merge semantics of the no-valid-leaf
-// fallback: the outcome must carry the TEA probe refs followed by the
-// radix walk refs, and the refs of one outcome must stay intact after a
-// later fallback walk (the merge must not hand out a slice whose backing
-// array a subsequent walk can clobber).
+// TestDMTFallbackMergeRefs pins the ref order of the no-valid-leaf
+// fallback: the shared sink holds the TEA probe followed by exactly the
+// fetches a radix walk of the same page makes, and the outcome counts the
+// probe's sequential step on top of the radix walk's.
 func TestDMTFallbackMergeRefs(t *testing.T) {
 	r := newRig(t, false)
 	v := r.heap(t, 32<<20)
 
 	// Two pages whose leaves we remove: the register still covers them,
-	// so the walk probes the 4K TEA (1 ref) and then merges the radix
-	// walk's refs behind it.
+	// so the walk probes the 4K TEA (1 ref) and then falls back.
 	vaA := v.Start + 3*mem.PageBytes4K
 	vaB := v.Start + 9*mem.PageBytes4K
 	for _, va := range []mem.VAddr{vaA, vaB} {
@@ -54,28 +49,25 @@ func TestDMTFallbackMergeRefs(t *testing.T) {
 		}
 	}
 
-	outA := r.dmt.Walk(vaA)
-	if !outA.Fallback || outA.OK {
-		t.Fatalf("walk of unmapped covered page: fallback=%v ok=%v, want fallback miss", outA.Fallback, outA.OK)
-	}
-	radixRefs := len(r.radix.Walk(vaA).Refs)
-	if want := 1 + radixRefs; len(outA.Refs) != want {
-		t.Fatalf("merged outcome has %d refs, want %d (1 TEA probe + %d radix)", len(outA.Refs), want, radixRefs)
-	}
-	if outA.Refs[0].Dim != "n" || outA.Refs[0].Level != mem.Size4K.LeafLevel() {
-		t.Fatalf("first merged ref is not the TEA probe: %+v", outA.Refs[0])
-	}
-
-	snapshot := make([]MemRef, len(outA.Refs))
-	copy(snapshot, outA.Refs)
-	outB := r.dmt.Walk(vaB) // second fallback: must not clobber outA's refs
-	if !outB.Fallback {
-		t.Fatal("second walk did not fall back")
-	}
-	for i := range snapshot {
-		if snapshot[i] != outA.Refs[i] {
-			t.Fatalf("ref %d of the first outcome changed after a later fallback walk:\n  was %+v\n  now %+v",
-				i, snapshot[i], outA.Refs[i])
+	for _, va := range []mem.VAddr{vaA, vaB} {
+		out, refs := r.walk(r.dmt, va)
+		if !out.Fallback || out.OK {
+			t.Fatalf("walk of unmapped covered page %#x: fallback=%v ok=%v, want fallback miss", uint64(va), out.Fallback, out.OK)
+		}
+		radix, radixRefs := r.walk(r.radix, va)
+		if want := 1 + len(radixRefs); len(refs) != want {
+			t.Fatalf("fallback walk recorded %d refs, want %d (1 TEA probe + %d radix)", len(refs), want, len(radixRefs))
+		}
+		if refs[0].Dim != "n" || refs[0].Level != mem.Size4K.LeafLevel() {
+			t.Fatalf("first ref is not the TEA probe: %+v", refs[0])
+		}
+		for i, x := range radixRefs {
+			if got := refs[1+i]; got.Addr != x.Addr || got.Level != x.Level || got.Dim != x.Dim {
+				t.Fatalf("ref %d after the probe is %+v, want the radix walk's %+v", 1+i, got, x)
+			}
+		}
+		if out.SeqSteps != 1+radix.SeqSteps {
+			t.Fatalf("fallback walk took %d sequential steps, want %d", out.SeqSteps, 1+radix.SeqSteps)
 		}
 	}
 }
@@ -90,7 +82,7 @@ func TestDMTMigrationWindowFallback(t *testing.T) {
 	v := r.heap(t, 32<<20)
 
 	va := v.Start + 5*mem.PageBytes2M + 0x1234
-	pre := r.dmt.Walk(va)
+	pre, _ := r.walk(r.dmt, va)
 	if !pre.OK || pre.Fallback {
 		t.Fatalf("pre-migration walk: ok=%v fallback=%v", pre.OK, pre.Fallback)
 	}
@@ -103,7 +95,7 @@ func TestDMTMigrationWindowFallback(t *testing.T) {
 		t.Fatal("page not mapped")
 	}
 	fbBefore := r.dmt.FallbackWalks
-	out := r.dmt.Walk(va)
+	out, _ := r.walk(r.dmt, va)
 	if !out.OK || !out.Fallback {
 		t.Fatalf("mid-migration walk: ok=%v fallback=%v, want fallback hit", out.OK, out.Fallback)
 	}
@@ -113,7 +105,7 @@ func TestDMTMigrationWindowFallback(t *testing.T) {
 	if r.dmt.FallbackWalks != fbBefore+1 {
 		t.Fatalf("FallbackWalks %d, want %d", r.dmt.FallbackWalks, fbBefore+1)
 	}
-	radix := r.radix.Walk(va)
+	radix, _ := r.walk(r.radix, va)
 	if out.Cycles < radix.Cycles {
 		t.Fatalf("fallback outcome cheaper than the radix walk it contains: %d < %d", out.Cycles, radix.Cycles)
 	}
@@ -123,7 +115,7 @@ func TestDMTMigrationWindowFallback(t *testing.T) {
 			t.Fatal("migration pump made no progress")
 		}
 	}
-	post := r.dmt.Walk(va)
+	post, _ := r.walk(r.dmt, va)
 	if !post.OK || post.Fallback {
 		t.Fatalf("post-migration walk: ok=%v fallback=%v, want fast path", post.OK, post.Fallback)
 	}

@@ -18,8 +18,7 @@ type RadixWalker struct {
 	ASID uint16
 	// Dim labels this walker's refs in breakdowns ("n" by default).
 	Dim string
-	// Sink, when set, receives this walker's refs instead of per-walk
-	// slices (see RefSink); the outcome's Refs then alias the sink.
+	// Sink receives this walker's refs (see RefSink).
 	Sink *RefSink
 
 	Walks uint64
@@ -58,20 +57,12 @@ func (w *RadixWalker) Walk(va mem.VAddr) WalkOutcome {
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		ref := MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: w.Dim}
-		if w.Sink != nil {
-			w.Sink.Append(ref)
-		} else {
-			out.Refs = append(out.Refs, ref)
-		}
+		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: w.Dim})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}
 	if w.PWC != nil && full.OK {
 		w.refillPWC(va, full.Steps)
-	}
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
 	}
 	return out
 }

@@ -3,10 +3,10 @@
 // baseline x86 radix walker (Figure 1) and the DMT fetcher (Figures 7/10).
 //
 // A Walker is invoked on a TLB miss and issues PTE fetches through the
-// simulated cache hierarchy; the walk latency is the sum of the sequential
-// fetch latencies (parallel fetches — DMT's multi-size fan-out, ECPT's
-// cuckoo ways — contribute the maximum of their group) plus any fixed logic
-// cost (PWC probes, hash computation).
+// simulated cache hierarchy, recording each one in its RefSink; the walk
+// latency is the sum of the sequential fetch latencies (parallel fetches —
+// DMT's multi-size fan-out, ECPT's cuckoo ways — are one FetchGroup each)
+// plus any fixed logic cost (PWC probes, hash computation).
 package core
 
 import (
@@ -35,10 +35,9 @@ type WalkOutcome struct {
 	Size mem.PageSize
 	OK   bool
 
-	// Cycles is the total walk latency.
+	// Cycles is the total walk latency. The memory references issued
+	// (including parallel ones) are in the walker's RefSink.
 	Cycles int
-	// Refs lists every memory reference issued (including parallel ones).
-	Refs []MemRef
 	// SeqSteps counts *sequential* dependency steps: a group of parallel
 	// fetches counts once (Table 6's metric).
 	SeqSteps int
@@ -52,6 +51,17 @@ type Walker interface {
 	Name() string
 	// Walk translates va, charging PTE fetches to the memory hierarchy.
 	Walk(va mem.VAddr) WalkOutcome
+}
+
+// WalkFallback walks va with fb after a fast path gave up with partial:
+// the fallback's refs follow the fast path's in the shared sink, and its
+// latency and sequential steps add to theirs.
+func WalkFallback(fb Walker, va mem.VAddr, partial WalkOutcome) WalkOutcome {
+	out := fb.Walk(va)
+	out.Cycles += partial.Cycles
+	out.SeqSteps += partial.SeqSteps
+	out.Fallback = true
+	return out
 }
 
 // CounterSource is implemented by walkers that export named counters to

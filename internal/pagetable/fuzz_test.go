@@ -63,9 +63,19 @@ func (r refTable) hasNode(va mem.VAddr, level int) bool {
 type frameAlloc struct {
 	next mem.PAddr
 	free []mem.PAddr
+	// failIn, when positive, counts down the calls until one fails with
+	// errOutOfFrames.
+	failIn int
 }
 
+var errOutOfFrames = errors.New("out of node frames")
+
 func (a *frameAlloc) alloc(int, mem.VAddr) (mem.PAddr, error) {
+	if a.failIn > 0 {
+		if a.failIn--; a.failIn == 0 {
+			return 0, errOutOfFrames
+		}
+	}
 	if n := len(a.free); n > 0 {
 		pa := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -97,8 +107,8 @@ func fuzzOps(seed int64, n int) []byte {
 }
 
 // FuzzTableOps runs random sequences of Map (4K/2M/1G, through the table
-// or a cursor), Unmap, RelocateNode, SetAccessed and Clone against a
-// map-based reference. After every step it checks that Lookup, Walk,
+// or a cursor), Map with an allocator that fails part-way down, Unmap,
+// RelocateNode, SetAccessed and Clone against a map-based reference. After every step it checks that Lookup, Walk,
 // NodeForLevel, LeafPTE and a cursor agree with the reference; that every
 // present, non-huge upper-level entry resolves through NodeAt(pte.Frame())
 // to a node one level down based at that frame, reached from one parent
@@ -112,6 +122,7 @@ func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 0, 0, 0, 3, 0, 1, 0})                         // map 4K, unmap it, relocate the pruned path
 	f.Add([]byte{1, 0, 1, 9, 2, 0, 0, 8, 3, 3, 1, 9, 0, 5, 0, 0, 0, 2, 1, 9, 0}) // 5 levels: 2M vs 4K, relocate, clone, unmap
 	f.Add([]byte{0, 0, 2, 64, 7, 4, 1, 70, 0, 0, 6, 64, 0, 2, 2, 64, 0, 0, 0, 64, 1})
+	f.Add([]byte{0, 6, 0, 0, 2, 6, 0, 0, 1, 0, 0, 0, 0, 6, 1, 64, 0}) // 4K Map failing on its L1 node, then on its L2 node; a plain Map; a 2M Map failing on its L2 node
 	for seed := int64(1); seed <= 24; seed++ {
 		f.Add(fuzzOps(seed, 96))
 	}
@@ -133,7 +144,7 @@ func FuzzTableOps(f *testing.F) {
 		var frozen *Table
 		var frozenRef refTable
 		for i := 1; i+4 <= len(data); i += 4 {
-			kind, mode, vb, pb := data[i]%6, data[i+1], data[i+2], data[i+3]
+			kind, mode, vb, pb := data[i]%7, data[i+1], data[i+2], data[i+3]
 			size := mem.PageSize(mode % 3)
 			va := fuzzVA(vb, size)
 			switch kind {
@@ -201,6 +212,38 @@ func FuzzTableOps(f *testing.F) {
 					l.pte = l.pte.WithAccessed(write)
 					ref[base] = l
 				}
+			case 6: // Map whose allocator fails on its (1 + pb%3)-th call
+				pa := mem.PAddr(1<<40 | uint64(pb)<<size.Shift())
+				missing := 0 // nodes the Map must create
+				for level := size.LeafLevel(); level < levels; level++ {
+					if !ref.hasNode(va, level) {
+						missing++
+					}
+				}
+				overlap := ref.overlaps(va, size)
+				failOn := 1 + int(pb)%3
+				a.failIn = failOn
+				err = tbl.Map(va, pa, size, 0)
+				cur.Reset()
+				switch {
+				case overlap:
+					if !errors.Is(err, ErrAlreadyMapped) {
+						t.Fatalf("op %d: Map(%#x, %v) over a leaf = %v", i/4, uint64(va), size, err)
+					}
+				case missing >= failOn:
+					if !errors.Is(err, errOutOfFrames) {
+						t.Fatalf("op %d: Map(%#x, %v) needing %d nodes, allocator failing on call %d = %v", i/4, uint64(va), size, missing, failOn, err)
+					}
+				case err != nil:
+					t.Fatalf("op %d: Map(%#x, %v) = %v", i/4, uint64(va), size, err)
+				default:
+					var flags mem.PTE
+					if size != mem.Size4K {
+						flags = mem.PTEHuge
+					}
+					ref[va] = refLeaf{size, mem.MakePTE(pa, flags)}
+				}
+				a.failIn = 0
 			case 5: // Clone: carry on with the copy, check the original at the end
 				frozen, frozenRef = tbl, maps.Clone(ref)
 				tbl = tbl.Clone(a.alloc, a.release)

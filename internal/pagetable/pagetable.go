@@ -229,13 +229,18 @@ func (t *Table) newNode(level int, va mem.VAddr) (nodeID, error) {
 }
 
 // Map installs a translation va→pa of the given page size. Intermediate
-// nodes are created as needed; va and pa must be size-aligned.
+// nodes are created as needed; va and pa must be size-aligned. When a node
+// allocation fails part-way down, the nodes this call created are unlinked
+// and freed, so a failed Map leaves the table as it found it.
 func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE) error {
 	if err := checkAligned(va, pa, size); err != nil {
 		return err
 	}
 	leaf := size.LeafLevel()
 	node := t.pool.node(t.root)
+	var made [mem.Levels5]nodeID // nodes this call created, top-down
+	nmade := 0
+	var top *Node // the existing node the first created one hangs off
 	for level := t.levels; level > leaf; level-- {
 		idx := mem.Index(va, level)
 		pte := node.entries[idx]
@@ -248,14 +253,39 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 		}
 		id, err := t.newNode(level-1, va)
 		if err != nil {
+			t.discard(top, va, made[:nmade])
 			return err
 		}
+		if nmade == 0 {
+			top = node
+		}
+		made[nmade] = id
+		nmade++
 		child := t.pool.node(id)
 		node.entries[idx] = mem.MakePTE(child.Base, 0)
 		node.live++
 		node = child
 	}
 	return t.install(node, mem.Index(va, leaf), pa, size, flags)
+}
+
+// discard undoes the node creation of a failed Map: it clears top's entry
+// for va, which points at made[0], and releases the made chain bottom-up as
+// Unmap's prune would.
+func (t *Table) discard(top *Node, va mem.VAddr, made []nodeID) {
+	if len(made) == 0 {
+		return
+	}
+	top.entries[mem.Index(va, t.pool.node(made[0]).Level+1)] = 0
+	top.live--
+	for i := len(made) - 1; i >= 0; i-- {
+		n := t.pool.node(made[i])
+		level, base := n.Level, n.Base
+		t.pool.release(made[i])
+		if t.free != nil {
+			t.free(level, base)
+		}
+	}
 }
 
 func checkAligned(va mem.VAddr, pa mem.PAddr, size mem.PageSize) error {

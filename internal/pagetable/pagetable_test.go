@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -147,6 +148,48 @@ func TestUnmapPrunesNodes(t *testing.T) {
 	}
 	if r := tbl.Walk(0x1000); r.OK {
 		t.Fatal("walk succeeded after unmap")
+	}
+}
+
+// TestMapFailureLeavesNoNodes pins the rollback of a Map whose node
+// allocation fails part-way down: the allocator fails on its 4th call
+// (root, L3, L2 succeed; L1 fails), so the intermediate L3 and L2 nodes
+// must be unlinked, freed and dropped from the frame index, leaving only
+// the root.
+func TestMapFailureLeavesNoNodes(t *testing.T) {
+	a := &frameAlloc{next: 0x100000, failIn: 4}
+	var freed []mem.PAddr
+	tbl, err := New(NewPool(), mem.Levels4, a.alloc, func(level int, pa mem.PAddr) {
+		freed = append(freed, pa)
+		a.release(level, pa)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	va := mem.VAddr(0x7f12_3456_7000)
+	if err := tbl.Map(va, 0xabc000, mem.Size4K, 0); !errors.Is(err, errOutOfFrames) {
+		t.Fatalf("Map with a failing allocator = %v, want %v", err, errOutOfFrames)
+	}
+	if n := tbl.Pool().NodeCount(); n != 1 {
+		t.Fatalf("NodeCount = %d after the failed Map, want 1 (the root)", n)
+	}
+	if len(freed) != 2 {
+		t.Fatalf("failed Map freed %d node frames, want 2 (L3 and L2)", len(freed))
+	}
+	for _, pa := range freed {
+		if _, ok := tbl.Pool().NodeAt(pa); ok {
+			t.Fatalf("released frame %#x still in the frame index", uint64(pa))
+		}
+	}
+	if tbl.NodeForLevel(va, 3) != nil {
+		t.Fatal("root still points at a released L3 node")
+	}
+	// The table is as it was: the same Map succeeds once frames are back.
+	if err := tbl.Map(va, 0xabc000, mem.Size4K, 0); err != nil {
+		t.Fatal(err)
+	}
+	if pa, _, ok := tbl.Lookup(va); !ok || pa != 0xabc000 {
+		t.Fatalf("Lookup after the retried Map = %#x %v", uint64(pa), ok)
 	}
 }
 

@@ -499,25 +499,35 @@ func (n *node) sampleWalks(h *obs.Hist) {
 	if len(n.vms) > 8 {
 		stride = len(n.vms) / 8
 	}
+	sink := &core.RefSink{}
 	for i := 0; i < len(n.vms); i += stride {
 		vm := n.vms[i]
-		w := n.walkerFor(vm)
+		w := n.walkerFor(vm, sink)
 		for k := 0; k < n.cfg.WalkSamples; k++ {
 			v := vm.vmas[n.rng.Intn(len(vm.vmas))]
 			va := v.Start + mem.VAddr(n.rng.Intn(v.Pages()))<<mem.PageShift4K
+			sink.Reset()
 			out := w.Walk(va)
 			h.Observe(uint64(out.Cycles))
 		}
 	}
 }
 
-func (n *node) walkerFor(vm *nodeVM) core.Walker {
+// walkerFor builds the design under test for vm, every walker of the chain
+// recording into sink.
+func (n *node) walkerFor(vm *nodeVM, sink *core.RefSink) core.Walker {
 	if vm.vm != nil {
 		nested := virt.NewNestedWalker(vm.guest.PT, vm.vm.HostAS.PT, n.hier, 1)
-		return virt.NewPvDMTWalker(vm.vm, vm.gmgr, vm.guest.Pool, n.hier, nested)
+		nested.Sink = sink
+		pv := virt.NewPvDMTWalker(vm.vm, vm.gmgr, vm.guest.Pool, n.hier, nested)
+		pv.Sink = sink
+		return pv
 	}
 	radix := core.NewRadixWalker(vm.as.PT, n.hier, tlb.NewPWCScaled(4), vm.as.ASID())
-	return core.NewDMTWalker(vm.mgr, vm.as.Pool, n.hier, radix)
+	radix.Sink = sink
+	dmt := core.NewDMTWalker(vm.mgr, vm.as.Pool, n.hier, radix)
+	dmt.Sink = sink
+	return dmt
 }
 
 // verify runs the lifecycle conservation oracle: the machine's frame

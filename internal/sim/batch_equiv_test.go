@@ -270,6 +270,30 @@ func FuzzBatchWalkVictima(f *testing.F) {
 	})
 }
 
+// FuzzBatchWalkDMTVirt covers the three-fetch DMT-virt walker: its host
+// and guest fan-outs are core.FetchGroups that record into the machine's
+// shared sink ahead of any nested fallback walk.
+func FuzzBatchWalkDMTVirt(f *testing.F) {
+	f.Add(uint16(200), uint8(0), int64(7), false)
+	f.Add(uint16(1023), uint8(6), int64(11), true)
+	f.Add(uint16(64), uint8(255), int64(3), true)
+	f.Fuzz(func(t *testing.T, rawOps uint16, rawCap uint8, seed int64, withPlan bool) {
+		fuzzBatchWalkCell(t, EnvVirt, DesignDMT, rawOps, rawCap, seed, withPlan)
+	})
+}
+
+// FuzzBatchWalkPvDMTNested covers the three-level pvDMT chain of Figure 9:
+// one core.FetchGroup per level, gTEA resolution at two of them, and the
+// shadow-compressed nested walk as fallback.
+func FuzzBatchWalkPvDMTNested(f *testing.F) {
+	f.Add(uint16(200), uint8(0), int64(7), false)
+	f.Add(uint16(1023), uint8(6), int64(11), true)
+	f.Add(uint16(64), uint8(255), int64(3), true)
+	f.Fuzz(func(t *testing.T, rawOps uint16, rawCap uint8, seed int64, withPlan bool) {
+		fuzzBatchWalkCell(t, EnvNested, DesignPvDMT, rawOps, rawCap, seed, withPlan)
+	})
+}
+
 // FuzzBatchSpan fuzzes the span arithmetic directly: spans always make
 // progress, never exceed the remaining limit, and never cross the next
 // fault-event boundary from below.

@@ -330,9 +330,9 @@ func (r *Result) Breakdown() []StepAgg {
 }
 
 // recordingWalker decorates a walker with per-step aggregation, fall-back
-// counting, and (when verifying) the differential oracle. It owns the
-// per-machine ref sink: resetting it before each walk lets the whole walker
-// chain stream refs into one reusable buffer instead of allocating per walk.
+// counting, and (when verifying) the differential oracle. It reads each
+// walk's refs from the per-machine ref sink the whole walker chain streams
+// into; Walk (or core.RunBatch) resets the sink before every walk.
 type recordingWalker struct {
 	inner core.Walker
 	res   *Result
@@ -408,9 +408,7 @@ func labelIndex(ref *core.MemRef) (int, bool) {
 func (w *recordingWalker) Name() string { return w.inner.Name() }
 
 func (w *recordingWalker) Walk(va mem.VAddr) core.WalkOutcome {
-	if w.sink != nil {
-		w.sink.Reset()
-	}
+	w.sink.Reset()
 	out := w.inner.Walk(va)
 	w.RecordWalk(va, &out)
 	return out
@@ -429,12 +427,13 @@ func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 	w.res.Walks++
 	w.res.WalkCycles += uint64(out.Cycles)
 	w.res.SeqRefs += uint64(out.SeqSteps)
-	w.res.TotalRefs += uint64(len(out.Refs))
+	refs := w.sink.Refs()
+	w.res.TotalRefs += uint64(len(refs))
 	if out.Fallback {
 		w.res.Fallbacks++
 	}
-	for i := range out.Refs {
-		ref := &out.Refs[i]
+	for i := range refs {
+		ref := &refs[i]
 		var agg *StepAgg
 		if idx, ok := labelIndex(ref); ok {
 			agg = w.fast[idx]
@@ -459,7 +458,7 @@ func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 		w.hist.Observe(uint64(out.Cycles))
 	}
 	if w.ring != nil {
-		w.capture(va, out)
+		w.capture(va, out, refs)
 	}
 }
 
@@ -480,7 +479,7 @@ func (w *recordingWalker) intern(ref *core.MemRef) *StepAgg {
 // architectural step, level, serving cache level, cycles). The slot is
 // reused in place across ring laps, so every field — including the step
 // prefix — is overwritten here.
-func (w *recordingWalker) capture(va mem.VAddr, out *core.WalkOutcome) {
+func (w *recordingWalker) capture(va mem.VAddr, out *core.WalkOutcome, refs []core.MemRef) {
 	ev := w.ring.Next()
 	if ev == nil {
 		return
@@ -488,14 +487,14 @@ func (w *recordingWalker) capture(va mem.VAddr, out *core.WalkOutcome) {
 	ev.VA = uint64(va)
 	ev.Cycles = uint32(out.Cycles)
 	ev.Fallback = out.Fallback
-	n := len(out.Refs)
+	n := len(refs)
 	ev.Truncated = n > obs.MaxSteps
 	if n > obs.MaxSteps {
 		n = obs.MaxSteps
 	}
 	ev.NumSteps = int32(n)
 	for i := 0; i < n; i++ {
-		ref := &out.Refs[i]
+		ref := &refs[i]
 		ev.Steps[i] = obs.StepTrace{
 			Dim:    ref.Dim,
 			Step:   int16(ref.Step),

@@ -54,12 +54,12 @@ func drainMigration(t *testing.T, mgr *tea.Manager) {
 	}
 }
 
-// refCycleSum totals the per-reference latencies of an outcome; the
-// outcome's critical path must never undercut it minus parallel overlap —
-// for the serial fallback walkers it must be at least this sum.
-func refCycleSum(out core.WalkOutcome) int {
+// refCycleSum totals the per-reference latencies of a walk; the outcome's
+// critical path must never undercut it minus parallel overlap — for the
+// serial fallback walkers it must be at least this sum.
+func refCycleSum(refs []core.MemRef) int {
 	s := 0
-	for _, r := range out.Refs {
+	for _, r := range refs {
 		s += r.Cycles
 	}
 	return s
@@ -72,14 +72,14 @@ func refCycleSum(out core.WalkOutcome) int {
 // fast path.
 func TestDMTVirtMigrationWindowFallback(t *testing.T) {
 	e := newGradualVEnv(t, false, false)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
 	w := &DMTVirtWalker{
 		Guest: e.gmgr, GuestPool: e.guest.Pool,
 		Host: e.vm.HostTEA, HostPool: e.vm.HostAS.Pool,
-		Hier: e.hyp.Hier, Fallback: fb,
+		Hier: e.hyp.Hier, Fallback: fb, Sink: fb.Sink,
 	}
 	va := e.heap.Start + 7*mem.PageBytes4K + 0x123
-	if pre := w.Walk(va); !pre.OK || pre.Fallback {
+	if pre, _ := walk(w.Sink, w, va); !pre.OK || pre.Fallback {
 		t.Fatalf("pre-migration walk: ok=%v fallback=%v", pre.OK, pre.Fallback)
 	}
 
@@ -87,7 +87,7 @@ func TestDMTVirtMigrationWindowFallback(t *testing.T) {
 		t.Fatal("StartMigration did not begin a migration")
 	}
 	fbBefore := w.FallbackWalks
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || !out.Fallback {
 		t.Fatalf("mid-migration walk: ok=%v fallback=%v, want fallback hit", out.OK, out.Fallback)
 	}
@@ -97,12 +97,12 @@ func TestDMTVirtMigrationWindowFallback(t *testing.T) {
 	if w.FallbackWalks != fbBefore+1 {
 		t.Fatalf("FallbackWalks %d, want %d", w.FallbackWalks, fbBefore+1)
 	}
-	if len(out.Refs) == 0 || out.Cycles < refCycleSum(out) {
-		t.Fatalf("non-monotone cycle accounting: %d cycles for refs summing %d", out.Cycles, refCycleSum(out))
+	if len(refs) == 0 || out.Cycles < refCycleSum(refs) {
+		t.Fatalf("non-monotone cycle accounting: %d cycles for refs summing %d", out.Cycles, refCycleSum(refs))
 	}
 
 	drainMigration(t, e.gmgr)
-	post := w.Walk(va)
+	post, _ := walk(w.Sink, w, va)
 	if !post.OK || post.Fallback {
 		t.Fatalf("post-migration walk: ok=%v fallback=%v, want fast path", post.OK, post.Fallback)
 	}
@@ -120,10 +120,10 @@ func TestDMTVirtMigrationWindowFallback(t *testing.T) {
 // isolation fault, and the 2-step fast path returns after the drain.
 func TestPvDMTMigrationWindowFallback(t *testing.T) {
 	e := newGradualVEnv(t, false, true)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	w := NewPvDMTWalker(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newPv(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
 	va := e.heap.Start + 11*mem.PageBytes4K + 0x456
-	if pre := w.Walk(va); !pre.OK || pre.Fallback {
+	if pre, _ := walk(w.Sink, w, va); !pre.OK || pre.Fallback {
 		t.Fatalf("pre-migration walk: ok=%v fallback=%v", pre.OK, pre.Fallback)
 	}
 
@@ -135,7 +135,7 @@ func TestPvDMTMigrationWindowFallback(t *testing.T) {
 		t.Fatal("migration target was not allocated through the hypercall backend")
 	}
 	fbBefore := w.FallbackWalks
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || !out.Fallback {
 		t.Fatalf("mid-migration walk: ok=%v fallback=%v, want fallback hit", out.OK, out.Fallback)
 	}
@@ -145,12 +145,12 @@ func TestPvDMTMigrationWindowFallback(t *testing.T) {
 	if w.FallbackWalks != fbBefore+1 {
 		t.Fatalf("FallbackWalks %d, want %d", w.FallbackWalks, fbBefore+1)
 	}
-	if len(out.Refs) == 0 || out.Cycles < refCycleSum(out) {
-		t.Fatalf("non-monotone cycle accounting: %d cycles for refs summing %d", out.Cycles, refCycleSum(out))
+	if len(refs) == 0 || out.Cycles < refCycleSum(refs) {
+		t.Fatalf("non-monotone cycle accounting: %d cycles for refs summing %d", out.Cycles, refCycleSum(refs))
 	}
 
 	drainMigration(t, e.gmgr)
-	post := w.Walk(va)
+	post, _ := walk(w.Sink, w, va)
 	if !post.OK || post.Fallback {
 		t.Fatalf("post-migration walk: ok=%v fallback=%v, want fast path", post.OK, post.Fallback)
 	}

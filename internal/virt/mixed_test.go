@@ -30,9 +30,9 @@ func TestMixedPageSizesAcrossDimensions(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	w := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
+	w := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
 	w.DisableMMUCaches()
-	out := w.Walk(heap.Start + 0x6123)
+	out, _ := walk(w.Sink, w, heap.Start+0x6123)
 	if !out.OK {
 		t.Fatal("mixed walk faulted")
 	}
@@ -74,9 +74,9 @@ func TestPvDMTGuest4KHost2M(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	fb := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
-	w := NewPvDMTWalker(vm, gmgr, guest.Pool, hyp.Hier, fb)
-	out := w.Walk(heap.Start + 0x2123)
+	fb := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
+	w := newPv(vm, gmgr, guest.Pool, hyp.Hier, fb)
+	out, _ := walk(w.Sink, w, heap.Start+0x2123)
 	if !out.OK || out.Fallback {
 		t.Fatalf("asymmetric pvDMT: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
@@ -129,9 +129,9 @@ func TestHypercallWindowExhaustion(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	fb := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
-	w := NewPvDMTWalker(vm, gmgr, guest.Pool, hyp.Hier, fb)
-	out := w.Walk(heap.Start + 0x1123)
+	fb := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 3)
+	w := newPv(vm, gmgr, guest.Pool, hyp.Hier, fb)
+	out, _ := walk(w.Sink, w, heap.Start+0x1123)
 	if !out.OK {
 		t.Fatal("translation must still succeed via fallback")
 	}
@@ -244,11 +244,11 @@ func TestNoCopyCoherenceThroughMigration(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	fb := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 5)
-	w := NewPvDMTWalker(vm, gmgr, guest.Pool, hyp.Hier, fb)
+	fb := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 5)
+	w := newPv(vm, gmgr, guest.Pool, hyp.Hier, fb)
 
 	va := heap.Start + 0x4123
-	before := w.Walk(va)
+	before, _ := walk(w.Sink, w, va)
 	if !before.OK {
 		t.Fatal("initial walk failed")
 	}
@@ -261,7 +261,7 @@ func TestNoCopyCoherenceThroughMigration(t *testing.T) {
 	if !vm.HostAS.Relocate(oldFrame, newFrame) {
 		t.Fatal("host refused to migrate the frame")
 	}
-	after := w.Walk(va)
+	after, _ := walk(w.Sink, w, va)
 	if !after.OK || after.Fallback {
 		t.Fatal("post-migration walk failed")
 	}
@@ -281,7 +281,7 @@ func TestNoCopyCoherenceThroughMigration(t *testing.T) {
 	if !guest.Relocate(gOldFrame, gNew) {
 		t.Fatal("guest refused to migrate the frame")
 	}
-	final := w.Walk(va)
+	final, _ := walk(w.Sink, w, va)
 	wantMachine, ok := vm.MachineAddr(gNew + mem.PAddr(mem.PageOffset(va, mem.Size4K)))
 	if !ok {
 		t.Fatal("new guest frame unbacked")

@@ -27,8 +27,7 @@ type NestedWalker struct {
 	HostPWC  *tlb.PWC
 	Nested   *tlb.NestedCache
 	ASID     uint16
-	// Sink, when set, collects refs across the 2D walk (see core.RefSink);
-	// outcomes then alias the sink's buffer.
+	// Sink collects refs across the 2D walk (see core.RefSink).
 	Sink *core.RefSink
 
 	Walks uint64
@@ -99,15 +98,15 @@ func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		base := (L - s.Level) * (H + 1)
 		mAddr, ok := w.resolveHost(s.Addr, &out, base, H)
 		if !ok {
-			return w.sealed(out)
+			return out
 		}
 		r := w.Hier.Access(mAddr)
-		w.emit(&out, core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g", Step: base + H + 1})
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g", Step: base + H + 1})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}
 	if !full.OK {
-		return w.sealed(out)
+		return out
 	}
 	if w.GuestPWC != nil {
 		w.refillGuestPWC(gva, full.Steps)
@@ -115,30 +114,11 @@ func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 	// Final host dimension: translate the data gPA (steps 21–24).
 	mData, ok := w.resolveHost(full.PA, &out, L*(H+1), H)
 	if !ok {
-		return w.sealed(out)
+		return out
 	}
 	out.PA = mData
 	out.Size = hostEffectiveSize(full.Size)
 	out.OK = true
-	return w.sealed(out)
-}
-
-// emit records one ref into the sink or the outcome's own slice.
-func (w *NestedWalker) emit(out *core.WalkOutcome, r core.MemRef) {
-	if w.Sink != nil {
-		w.Sink.Append(r)
-	} else {
-		out.Refs = append(out.Refs, r)
-	}
-}
-
-// sealed finalizes an outcome: with a sink installed the outcome's Refs are
-// whatever the chain accumulated there (including any fast-path prefix from
-// a wrapping walker).
-func (w *NestedWalker) sealed(out core.WalkOutcome) core.WalkOutcome {
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
 	return out
 }
 
@@ -173,7 +153,7 @@ func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, h
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		w.emit(out, core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}

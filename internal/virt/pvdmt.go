@@ -35,14 +35,12 @@ type PvDMTWalker struct {
 	Hier     *cache.Hierarchy
 	Hyp      *Hypervisor
 	Fallback core.Walker
-	// Sink, when set, collects refs for the whole fetch+fallback chain
-	// (share it with Fallback); outcomes then alias the sink's buffer.
+	// Sink collects refs for the whole fetch+fallback chain (share it
+	// with Fallback).
 	Sink *core.RefSink
 
 	RegisterHits  uint64
 	FallbackWalks uint64
-
-	g fetchGroup // per-walker scratch, reused across fan-outs
 }
 
 // Name implements core.Walker.
@@ -85,11 +83,10 @@ func (w *PvDMTWalker) Walk(va mem.VAddr) core.WalkOutcome {
 		if reg == nil {
 			return w.fallback(va, out)
 		}
-		g := &w.g
-		g.reset(w.Sink)
+		g := core.FetchGroup{Sink: w.Sink}
 		next := uint64(0)
 		found := false
-		for _, s := range pvSizes {
+		for _, s := range core.FetchSizes {
 			if !reg.Covered[s] {
 				continue
 			}
@@ -102,26 +99,22 @@ func (w *PvDMTWalker) Walk(va mem.VAddr) core.WalkOutcome {
 					// Out-of-bounds or invalid gTEA ID: the hardware
 					// raises a page fault in the host (§4.5.2).
 					w.Hyp.IsolationFaults++
-					out.OK = false
-					if w.Sink != nil {
-						out.Refs = w.Sink.Refs()
-					}
 					return out
 				}
 			}
 			r := w.Hier.Access(fetchAddr)
-			g.add(core.MemRef{Addr: fetchAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: lv.Name})
 			pte, ok := lv.Pool.ReadPTE(nodeAddr)
-			if ok && pteLeafValid(pte, s) {
+			match := ok && core.LeafValid(pte, s)
+			g.Add(core.MemRef{Addr: fetchAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: lv.Name}, match)
+			if match {
 				next = uint64(pte.Frame()) + mem.PageOffset(mem.VAddr(addr), s)
 				if li == 0 {
 					size = s
 				}
 				found = true
-				g.markMatched()
 			}
 		}
-		g.commit(&out)
+		g.Commit(&out)
 		if !found {
 			return w.fallback(va, out)
 		}
@@ -131,25 +124,13 @@ func (w *PvDMTWalker) Walk(va mem.VAddr) core.WalkOutcome {
 	out.Size = size
 	out.OK = true
 	w.RegisterHits++
-	if w.Sink != nil {
-		out.Refs = w.Sink.Refs()
-	}
 	return out
 }
 
+// fallback counts one fallback walk and hands va to the nested walker.
 func (w *PvDMTWalker) fallback(va mem.VAddr, partial core.WalkOutcome) core.WalkOutcome {
 	w.FallbackWalks++
-	fb := w.Fallback.Walk(va)
-	fb.Cycles += partial.Cycles
-	if w.Sink != nil {
-		// The shared sink already holds prefix + fallback refs in order.
-		fb.Refs = w.Sink.Refs()
-	} else {
-		fb.Refs = mergeRefs(partial.Refs, fb.Refs)
-	}
-	fb.SeqSteps += partial.SeqSteps
-	fb.Fallback = true
-	return fb
+	return core.WalkFallback(w.Fallback, va, partial)
 }
 
 // Probe reports whether the pvDMT chain would serve va end to end — every
@@ -165,7 +146,7 @@ func (w *PvDMTWalker) Probe(va mem.VAddr) bool {
 		}
 		next := uint64(0)
 		found := false
-		for _, s := range pvSizes {
+		for _, s := range core.FetchSizes {
 			if !reg.Covered[s] {
 				continue
 			}
@@ -179,7 +160,7 @@ func (w *PvDMTWalker) Probe(va mem.VAddr) bool {
 				}
 			}
 			pte, ok := lv.Pool.ReadPTE(nodeAddr)
-			if ok && pteLeafValid(pte, s) {
+			if ok && core.LeafValid(pte, s) {
 				next = uint64(pte.Frame()) + mem.PageOffset(mem.VAddr(addr), s)
 				found = true
 			}

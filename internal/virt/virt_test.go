@@ -85,6 +85,36 @@ func (e *venv) machineOf(t *testing.T, gva mem.VAddr) mem.PAddr {
 	return m
 }
 
+// newNested is NewNestedWalker recording into a fresh sink.
+func newNested(guestPT, hostPT *pagetable.Table, h *cache.Hierarchy, asid uint16) *NestedWalker {
+	w := NewNestedWalker(guestPT, hostPT, h, asid)
+	w.Sink = &core.RefSink{}
+	return w
+}
+
+// newPv is NewPvDMTWalker recording into its fallback's sink.
+func newPv(vm *VM, mgr *tea.Manager, pool *pagetable.Pool, h *cache.Hierarchy, fb *NestedWalker) *PvDMTWalker {
+	w := NewPvDMTWalker(vm, mgr, pool, h, fb)
+	w.Sink = fb.Sink
+	return w
+}
+
+// newPvNested is NewPvDMTNestedWalker recording into its fallback's sink.
+func newPvNested(l2 *VM, mgr *tea.Manager, pool *pagetable.Pool, h *cache.Hierarchy, fb *NestedWalker) *PvDMTWalker {
+	w := NewPvDMTNestedWalker(l2, mgr, pool, h, fb)
+	w.Sink = fb.Sink
+	return w
+}
+
+// walk resets sink, walks va with w, and returns the outcome with a copy
+// of the refs the walk recorded — the engine's contract: the caller owns
+// the sink and resets it before each walk.
+func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []core.MemRef) {
+	sink.Reset()
+	out := w.Walk(va)
+	return out, append([]core.MemRef(nil), sink.Refs()...)
+}
+
 func TestGuestRAMFullyBacked(t *testing.T) {
 	e := newVEnv(t, false, false)
 	for gpa := mem.PAddr(0); gpa < testRAMBytes; gpa += 16 << 20 {
@@ -96,10 +126,10 @@ func TestGuestRAMFullyBacked(t *testing.T) {
 
 func TestNestedWalk24Steps(t *testing.T) {
 	e := newVEnv(t, false, false)
-	w := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
 	w.DisableMMUCaches() // expose the architectural worst case
 	va := e.heap.Start + 0x5123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK {
 		t.Fatal("nested walk faulted")
 	}
@@ -110,11 +140,11 @@ func TestNestedWalk24Steps(t *testing.T) {
 		t.Fatalf("2D walk PA %#x != ground truth %#x", uint64(out.PA), uint64(e.machineOf(t, va)))
 	}
 	// Dim pattern: 4 host + 1 guest, repeated, then 4 host.
-	if out.Refs[0].Dim != "h" || out.Refs[4].Dim != "g" || out.Refs[23].Dim != "h" {
+	if len(refs) != 24 || refs[0].Dim != "h" || refs[4].Dim != "g" || refs[23].Dim != "h" {
 		t.Fatal("2D walk dimension pattern broken")
 	}
 	// Steps numbered 1..24.
-	for i, r := range out.Refs {
+	for i, r := range refs {
 		if r.Step != i+1 {
 			t.Fatalf("ref %d numbered %d", i, r.Step)
 		}
@@ -123,9 +153,9 @@ func TestNestedWalk24Steps(t *testing.T) {
 
 func TestNestedWalkCachesShortenRepeats(t *testing.T) {
 	e := newVEnv(t, false, false)
-	w := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	w.Walk(e.heap.Start)
-	out := w.Walk(e.heap.Start + mem.PageBytes4K)
+	w := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	walk(w.Sink, w, e.heap.Start)
+	out, _ := walk(w.Sink, w, e.heap.Start+mem.PageBytes4K)
 	if out.SeqSteps >= 24 {
 		t.Fatalf("warm 2D walk still took %d refs", out.SeqSteps)
 	}
@@ -136,9 +166,9 @@ func TestNestedWalkCachesShortenRepeats(t *testing.T) {
 
 func TestNestedWalkTHP(t *testing.T) {
 	e := newVEnv(t, true, false)
-	w := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
 	va := e.heap.Start + 0x212345
-	out := w.Walk(va)
+	out, _ := walk(w.Sink, w, va)
 	if !out.OK || out.Size != mem.Size2M {
 		t.Fatalf("THP 2D walk: ok=%v size=%v", out.OK, out.Size)
 	}
@@ -161,10 +191,11 @@ func TestShadowVAWalk(t *testing.T) {
 		t.Fatal("shadow build recorded no syncs")
 	}
 	w := core.NewRadixWalker(spt, e.hyp.Hier, tlb.NewPWC(), 1)
+	w.Sink = &core.RefSink{}
 	va := e.heap.Start + 0x7123
-	out := w.Walk(va)
-	if !out.OK || out.SeqSteps != 4 {
-		t.Fatalf("shadow walk: ok=%v steps=%d, want 4 (native walk)", out.OK, out.SeqSteps)
+	out, refs := walk(w.Sink, w, va)
+	if !out.OK || out.SeqSteps != 4 || len(refs) != 4 {
+		t.Fatalf("shadow walk: ok=%v steps=%d refs=%d, want 4 (native walk)", out.OK, out.SeqSteps, len(refs))
 	}
 	if out.PA != e.machineOf(t, va) {
 		t.Fatal("shadow walk PA mismatch")
@@ -190,19 +221,22 @@ func TestShadowPreservesHugePagesWhenContiguous(t *testing.T) {
 
 func TestDMTVirtThreeRefs(t *testing.T) {
 	e := newVEnv(t, false, false)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
 	w := &DMTVirtWalker{
 		Guest: e.gmgr, GuestPool: e.guest.Pool,
 		Host: e.vm.HostTEA, HostPool: e.vm.HostAS.Pool,
-		Hier: e.hyp.Hier, Fallback: fb,
+		Hier: e.hyp.Hier, Fallback: fb, Sink: fb.Sink,
 	}
 	va := e.heap.Start + 0x9123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || out.Fallback {
 		t.Fatalf("DMT-v walk: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
-	if out.SeqSteps != 3 {
-		t.Fatalf("DMT-v took %d sequential steps, want 3 (§3.1)", out.SeqSteps)
+	if out.SeqSteps != 3 || len(refs) != 3 {
+		t.Fatalf("DMT-v took %d sequential steps / %d refs, want 3/3 (§3.1)", out.SeqSteps, len(refs))
+	}
+	if refs[0].Dim != "h" || refs[1].Dim != "g" || refs[2].Dim != "h" {
+		t.Fatalf("DMT-v fetch order %s %s %s, want h g h", refs[0].Dim, refs[1].Dim, refs[2].Dim)
 	}
 	if out.PA != e.machineOf(t, va) {
 		t.Fatal("DMT-v PA mismatch")
@@ -211,15 +245,15 @@ func TestDMTVirtThreeRefs(t *testing.T) {
 
 func TestPvDMTTwoRefs(t *testing.T) {
 	e := newVEnv(t, false, true)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	w := NewPvDMTWalker(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newPv(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
 	va := e.heap.Start + 0xb123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || out.Fallback {
 		t.Fatalf("pvDMT walk: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
-	if out.SeqSteps != 2 {
-		t.Fatalf("pvDMT took %d sequential steps, want 2 (§3.1)", out.SeqSteps)
+	if out.SeqSteps != 2 || len(refs) != 2 {
+		t.Fatalf("pvDMT took %d sequential steps / %d refs, want 2/2 (§3.1)", out.SeqSteps, len(refs))
 	}
 	if out.PA != e.machineOf(t, va) {
 		t.Fatal("pvDMT PA mismatch")
@@ -231,10 +265,10 @@ func TestPvDMTTwoRefs(t *testing.T) {
 
 func TestPvDMTTHP(t *testing.T) {
 	e := newVEnv(t, true, true)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	w := NewPvDMTWalker(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newPv(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
 	va := e.heap.Start + 0x312345
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || out.Fallback {
 		t.Fatalf("pvDMT THP walk: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
@@ -244,8 +278,8 @@ func TestPvDMTTHP(t *testing.T) {
 	if out.Size != mem.Size2M {
 		t.Fatalf("size = %v, want 2M", out.Size)
 	}
-	if len(out.Refs) <= 2 {
-		t.Fatalf("THP fan-out missing: %d refs for 2 steps", len(out.Refs))
+	if len(refs) <= 2 {
+		t.Fatalf("THP fan-out missing: %d refs for 2 steps", len(refs))
 	}
 	if out.PA != e.machineOf(t, va) {
 		t.Fatal("pvDMT THP PA mismatch")
@@ -254,11 +288,12 @@ func TestPvDMTTHP(t *testing.T) {
 
 func TestPvDMTAgainstNestedAgreement(t *testing.T) {
 	e := newVEnv(t, false, true)
-	nested := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	pv := NewPvDMTWalker(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, nested)
+	nested := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	pv := newPv(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, nested)
 	for off := uint64(0); off < e.heap.Size(); off += 97 << 12 {
 		va := e.heap.Start + mem.VAddr(off)
-		a, b := pv.Walk(va), nested.Walk(va)
+		a, _ := walk(pv.Sink, pv, va)
+		b, _ := walk(nested.Sink, nested, va)
 		if !a.OK || !b.OK || a.PA != b.PA {
 			t.Fatalf("divergence at %#x: pv=%#x nested=%#x", uint64(va), uint64(a.PA), uint64(b.PA))
 		}
@@ -293,8 +328,8 @@ func TestGTEAIsolation(t *testing.T) {
 
 func TestPvDMTIsolationFaultOnForgedRegister(t *testing.T) {
 	e := newVEnv(t, false, true)
-	fb := NewNestedWalker(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
-	w := NewPvDMTWalker(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
+	fb := newNested(e.guest.PT, e.vm.HostAS.PT, e.hyp.Hier, 1)
+	w := newPv(e.vm, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
 	// Malicious guest: point the register's gTEA ID at a bogus entry.
 	regs := e.gmgr.Registers()
 	for i := range regs {
@@ -303,7 +338,7 @@ func TestPvDMTIsolationFaultOnForgedRegister(t *testing.T) {
 			break
 		}
 	}
-	out := w.Walk(e.heap.Start)
+	out, _ := walk(w.Sink, w, e.heap.Start)
 	if out.OK {
 		t.Fatal("forged register produced a successful translation")
 	}
@@ -377,10 +412,10 @@ func TestNestedShadowBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline nested virtualization: 2D walk across L2PT and sPT.
-	w := NewNestedWalker(e.guest.PT, spt, e.hyp.Hier, 1)
+	w := newNested(e.guest.PT, spt, e.hyp.Hier, 1)
 	w.DisableMMUCaches()
 	va := e.heap.Start + 0x3123
-	out := w.Walk(va)
+	out, _ := walk(w.Sink, w, va)
 	if !out.OK {
 		t.Fatal("nested-virt baseline walk faulted")
 	}
@@ -446,10 +481,10 @@ func TestPvDMTNestedThreeRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := NewNestedWalker(e.guest.PT, spt, e.hyp.Hier, 1)
-	w := NewPvDMTNestedWalker(e.l2, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
+	fb := newNested(e.guest.PT, spt, e.hyp.Hier, 1)
+	w := newPvNested(e.l2, e.gmgr, e.guest.Pool, e.hyp.Hier, fb)
 	va := e.heap.Start + 0x5123
-	out := w.Walk(va)
+	out, refs := walk(w.Sink, w, va)
 	if !out.OK || out.Fallback {
 		t.Fatalf("nested pvDMT: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
@@ -459,7 +494,7 @@ func TestPvDMTNestedThreeRefs(t *testing.T) {
 	if out.PA != e.machineOf(t, va) {
 		t.Fatal("nested pvDMT PA mismatch")
 	}
-	if out.Refs[0].Dim != "L2" || out.Refs[len(out.Refs)-1].Dim != "L0" {
+	if len(refs) != 3 || refs[0].Dim != "L2" || refs[1].Dim != "L1" || refs[2].Dim != "L0" {
 		t.Fatal("nested pvDMT dims wrong")
 	}
 }
@@ -470,11 +505,12 @@ func TestPvDMTNestedAgreesWithBaselineEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := NewNestedWalker(e.guest.PT, spt, e.hyp.Hier, 1)
-	pv := NewPvDMTNestedWalker(e.l2, e.gmgr, e.guest.Pool, e.hyp.Hier, base)
+	base := newNested(e.guest.PT, spt, e.hyp.Hier, 1)
+	pv := newPvNested(e.l2, e.gmgr, e.guest.Pool, e.hyp.Hier, base)
 	for off := uint64(0); off < e.heap.Size(); off += 113 << 12 {
 		va := e.heap.Start + mem.VAddr(off)
-		a, b := pv.Walk(va), base.Walk(va)
+		a, _ := walk(pv.Sink, pv, va)
+		b, _ := walk(base.Sink, base, va)
 		if !a.OK || !b.OK || a.PA != b.PA {
 			t.Fatalf("divergence at %#x", uint64(va))
 		}
@@ -550,9 +586,9 @@ func TestFiveLevelNested35Refs(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	w := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 7)
+	w := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 7)
 	w.DisableMMUCaches()
-	out := w.Walk(heap.Start + 0x3123)
+	out, _ := walk(w.Sink, w, heap.Start+0x3123)
 	if !out.OK {
 		t.Fatal("5-level 2D walk faulted")
 	}
@@ -593,9 +629,9 @@ func TestPvDMTDepthIndependent(t *testing.T) {
 	if err := guest.Populate(heap); err != nil {
 		t.Fatal(err)
 	}
-	fb := NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 7)
-	w := NewPvDMTWalker(vm, gmgr, guest.Pool, hyp.Hier, fb)
-	out := w.Walk(heap.Start + 0x5123)
+	fb := newNested(guest.PT, vm.HostAS.PT, hyp.Hier, 7)
+	w := newPv(vm, gmgr, guest.Pool, hyp.Hier, fb)
+	out, _ := walk(w.Sink, w, heap.Start+0x5123)
 	if !out.OK || out.Fallback {
 		t.Fatalf("5-level pvDMT: ok=%v fallback=%v", out.OK, out.Fallback)
 	}
