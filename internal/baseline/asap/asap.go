@@ -164,15 +164,3 @@ func LastTwoLevelSource(steps func(va mem.VAddr) []core.MemRef) AddrSource {
 		return stages[:]
 	}
 }
-
-// TwoStageSource builds the virtualized AddrSource: the guest-dimension
-// lines form stage one and the final host-dimension lines stage two,
-// reflecting the dependency chain of the 2D walk. The returned source
-// reuses its stage array: each call invalidates the previous result.
-func TwoStageSource(guest, host func(va mem.VAddr) []mem.PAddr) AddrSource {
-	var stages [2][]mem.PAddr
-	return func(va mem.VAddr) [][]mem.PAddr {
-		stages[0], stages[1] = guest(va), host(va)
-		return stages[:]
-	}
-}

@@ -24,9 +24,9 @@ type Ref func(va mem.VAddr) (pa mem.PAddr, size mem.PageSize, ok bool)
 type Config struct {
 	// Ref is the ground-truth translation. Required.
 	Ref Ref
-	// FastPath, when set, is a side-effect-free probe of the walker's fast
-	// path (e.g. DMTWalker.Probe); the checker then asserts outcome
-	// Fallback == !FastPath(va).
+	// FastPath, when set, reports whether a DMT-family fast path can serve
+	// va, judged from the page tables (Chain, VirtChain) and never through
+	// the walker; the checker then asserts outcome Fallback == !FastPath(va).
 	FastPath func(va mem.VAddr) bool
 	// SizeExact asserts the outcome page size equals the reference size.
 	// Leave false for designs that legitimately splinter sizes (a shadow

@@ -52,10 +52,6 @@ type TranslateChecker interface {
 type Batch struct {
 	MMU  *MMU
 	Hier *cache.Hierarchy
-	// Sink is the walker chain's RefSink, reset before every walker
-	// invocation as the scalar recording wrapper does, so it holds the
-	// refs of that walk alone when Rec sees the outcome.
-	Sink *RefSink
 	Rec  WalkRecorder
 	Chk  TranslateChecker
 
@@ -87,8 +83,8 @@ func (b *Batch) Reserve(n int) {
 // NewBatch returns a Batch over the given machine state. rec and chk may be
 // nil interfaces; a typed nil would pass the loop's presence checks, so
 // callers convert only non-nil values.
-func NewBatch(mmu *MMU, hier *cache.Hierarchy, sink *RefSink, rec WalkRecorder, chk TranslateChecker) *Batch {
-	return &Batch{MMU: mmu, Hier: hier, Sink: sink, Rec: rec, Chk: chk}
+func NewBatch(mmu *MMU, hier *cache.Hierarchy, rec WalkRecorder, chk TranslateChecker) *Batch {
+	return &Batch{MMU: mmu, Hier: hier, Rec: rec, Chk: chk}
 }
 
 // RunBatch is the canonical batch loop: for each request, in op order —
@@ -142,7 +138,7 @@ func RunBatch(b *Batch, w Walker, reqs []Req, res []Res) int {
 		va := vas[i]
 		m.Lookups++
 		m.Misses++
-		b.Sink.Reset()
+		m.Sink.Reset()
 		out := &b.out
 		*out = w.Walk(va)
 		if b.Rec != nil {

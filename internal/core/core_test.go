@@ -33,18 +33,6 @@ func newWalkers(as *kernel.AddressSpace, mg *tea.Manager, hier *cache.Hierarchy)
 	return &rig{as: as, mg: mg, hier: hier, sink: sink, radix: radix, dmt: dmt}
 }
 
-// resetting resets its sink before every walk, as the engine's recorder
-// does, so a walker behind an MMU records one walk at a time.
-type resetting struct {
-	Walker
-	sink *RefSink
-}
-
-func (w resetting) Walk(va mem.VAddr) WalkOutcome {
-	w.sink.Reset()
-	return w.Walker.Walk(va)
-}
-
 // walk resets the sink, walks va with w, and returns the outcome with a
 // copy of the refs the walk recorded.
 func (r *rig) walk(w Walker, va mem.VAddr) (WalkOutcome, []MemRef) {
@@ -219,7 +207,7 @@ func TestMMUCachesTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mmu := NewMMU(dtlb, resetting{r.dmt, r.sink}, r.as.ASID())
+	mmu := NewMMU(dtlb, r.dmt, r.sink, r.as.ASID())
 	pa1, cyc1, ok := mmu.Translate(v.Start + 0x1234)
 	if !ok || cyc1 == 0 {
 		t.Fatalf("first translate: ok=%v cycles=%d (want a walk)", ok, cyc1)
@@ -233,6 +221,33 @@ func TestMMUCachesTranslations(t *testing.T) {
 	}
 	if mmu.Misses != 1 || mmu.Lookups != 2 {
 		t.Fatalf("stats: misses=%d lookups=%d", mmu.Misses, mmu.Lookups)
+	}
+}
+
+// TestMMUResetsSink pins that the MMU, not its caller, starts every walk
+// with an empty sink: after many TLB-missing translations the sink holds
+// exactly the last walk's refs. Each translation touches a fresh page, so
+// each one misses the TLB and walks.
+func TestMMUResetsSink(t *testing.T) {
+	r := newRig(t, false)
+	v := r.heap(t, 16<<20)
+	dtlb, err := tlb.New(tlb.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmu := NewMMU(dtlb, r.dmt, r.sink, r.as.ASID())
+	const n = 1000
+	for i := 0; i < n; i++ {
+		va := v.Start + mem.VAddr(i)*mem.PageBytes4K
+		if _, _, ok := mmu.Translate(va); !ok {
+			t.Fatalf("translate %#x failed", uint64(va))
+		}
+	}
+	if mmu.Misses != n {
+		t.Fatalf("%d misses, want %d", mmu.Misses, n)
+	}
+	if got := len(r.sink.Refs()); got != 1 {
+		t.Fatalf("sink holds %d refs after %d walks, want one DMT walk's 1", got, n)
 	}
 }
 

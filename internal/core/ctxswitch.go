@@ -15,10 +15,12 @@ import (
 const RegisterReloadCycles = tea.DefaultRegisters
 
 // Task couples one process's MMU state for multi-process simulation: its
-// walker, its ASID, and — for DMT — its register file (reloaded on switch).
+// walker and the sink its walker chain records into, its ASID, and — for
+// DMT — its register file (reloaded on switch).
 type Task struct {
 	Name   string
 	Walker Walker
+	Sink   *RefSink
 	ASID   uint16
 	// UsesDMT charges the register reload on switch-in.
 	UsesDMT bool
@@ -41,8 +43,8 @@ type Scheduler struct {
 	Translations uint64
 }
 
-// NewScheduler builds a scheduler over a shared MMU. The MMU's walker and
-// ASID are overridden per-task on each switch.
+// NewScheduler builds a scheduler over a shared MMU. The MMU's walker, sink
+// and ASID are overridden per-task on each switch.
 func NewScheduler(mmu *MMU, tasks ...*Task) *Scheduler {
 	s := &Scheduler{MMU: mmu, Tasks: tasks}
 	if len(tasks) > 0 {
@@ -54,11 +56,9 @@ func NewScheduler(mmu *MMU, tasks ...*Task) *Scheduler {
 func (s *Scheduler) install(i int) {
 	s.cur = i
 	s.MMU.Walker = s.Tasks[i].Walker
+	s.MMU.Sink = s.Tasks[i].Sink
 	s.MMU.ASID = s.Tasks[i].ASID
 }
-
-// Current returns the running task.
-func (s *Scheduler) Current() *Task { return s.Tasks[s.cur] }
 
 // Switch moves to the next task, charging the register reload when the
 // incoming task uses DMT.
@@ -78,13 +78,4 @@ func (s *Scheduler) Translate(va mem.VAddr) (mem.PAddr, bool) {
 	s.AccessCycles += uint64(cycles)
 	s.Translations++
 	return pa, ok
-}
-
-// OverheadPerAccess returns the mean translation + switch overhead per
-// access.
-func (s *Scheduler) OverheadPerAccess() float64 {
-	if s.Translations == 0 {
-		return 0
-	}
-	return float64(s.AccessCycles+s.SwitchCycles) / float64(s.Translations)
 }

@@ -46,11 +46,10 @@ func twoProcessRig(t *testing.T) (*Scheduler, []*kernel.VMA) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := resetting{ra.dmt, ra.sink}, resetting{r2.dmt, r2.sink}
-	mmu := NewMMU(dtlb, p1, ra.as.ASID())
+	mmu := NewMMU(dtlb, ra.dmt, ra.sink, ra.as.ASID())
 	sched := NewScheduler(mmu,
-		&Task{Name: "p1", Walker: p1, ASID: ra.as.ASID(), UsesDMT: true},
-		&Task{Name: "p2", Walker: p2, ASID: as2.ASID(), UsesDMT: true},
+		&Task{Name: "p1", Walker: ra.dmt, Sink: ra.sink, ASID: ra.as.ASID(), UsesDMT: true},
+		&Task{Name: "p2", Walker: r2.dmt, Sink: r2.sink, ASID: as2.ASID(), UsesDMT: true},
 	)
 	return sched, []*kernel.VMA{v1, v2}
 }

@@ -129,26 +129,6 @@ func LeafValid(pte mem.PTE, s mem.PageSize) bool {
 	return pte.Huge()
 }
 
-// Probe reports whether the DMT fast path would serve va — a register
-// matches and one of its TEAs holds a valid leaf — without touching the
-// cache hierarchy or any statistics. The differential checker uses it to
-// assert that Walk falls back exactly when the fast path cannot serve.
-func (w *DMTWalker) Probe(va mem.VAddr) bool {
-	reg := w.Mgr.Lookup(va)
-	if reg == nil {
-		return false
-	}
-	for _, s := range FetchSizes {
-		if !reg.Covered[s] {
-			continue
-		}
-		if pte, ok := w.Pool.ReadPTE(reg.PTEAddrAt(s, va)); ok && LeafValid(pte, s) {
-			return true
-		}
-	}
-	return false
-}
-
 // Coverage returns the fraction of walks served by the DMT fetcher without
 // fallback (the 99+% claim of §6.1).
 func (w *DMTWalker) Coverage() float64 {

@@ -46,7 +46,8 @@ func Example_quickstart() {
 
 	// The memory hierarchy (Table 3 configuration) and the two walkers:
 	// the legacy x86 radix walker and the DMT fetcher. Every walker records
-	// its PTE fetches in a sink, which the caller resets before each walk.
+	// its PTE fetches in a sink, which the caller resets before each direct
+	// walk (an MMU resets it before each of its own).
 	hier, err := cache.NewHierarchy(cache.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -76,8 +77,7 @@ func Example_quickstart() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mmu := core.NewMMU(dtlb, dmt, as.ASID())
-	sink.Reset()
+	mmu := core.NewMMU(dtlb, dmt, sink, as.ASID())
 	if _, cycles, ok := mmu.Translate(va); !ok || cycles == 0 {
 		log.Fatal("first translation should walk")
 	}

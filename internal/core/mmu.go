@@ -11,7 +11,11 @@ import (
 type MMU struct {
 	TLB    *tlb.TLB
 	Walker Walker
-	ASID   uint16
+	// Sink is the walker chain's RefSink. The MMU resets it before every
+	// walk (Translate and RunBatch alike), so after a miss it holds that
+	// walk's refs alone.
+	Sink *RefSink
+	ASID uint16
 
 	// Stats
 	Lookups    uint64
@@ -19,9 +23,9 @@ type MMU struct {
 	WalkCycles uint64
 }
 
-// NewMMU builds an MMU.
-func NewMMU(t *tlb.TLB, w Walker, asid uint16) *MMU {
-	return &MMU{TLB: t, Walker: w, ASID: asid}
+// NewMMU builds an MMU over walker w recording into sink.
+func NewMMU(t *tlb.TLB, w Walker, sink *RefSink, asid uint16) *MMU {
+	return &MMU{TLB: t, Walker: w, Sink: sink, ASID: asid}
 }
 
 // Translate resolves va, returning the physical address and the translation
@@ -32,6 +36,7 @@ func (m *MMU) Translate(va mem.VAddr) (mem.PAddr, int, bool) {
 		return pa, 0, true
 	}
 	m.Misses++
+	m.Sink.Reset()
 	out := m.Walker.Walk(va)
 	if !out.OK {
 		return 0, out.Cycles, false

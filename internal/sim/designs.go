@@ -9,6 +9,7 @@ import (
 	"dmt/internal/baseline/fpt"
 	"dmt/internal/baseline/utopia"
 	"dmt/internal/baseline/victima"
+	"dmt/internal/check"
 	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
@@ -72,10 +73,14 @@ var designTable = []struct {
 		EnvNative: {tea: teaPhys, wire: func(w *wiring) core.Walker {
 			d := core.NewDMTWalker(w.p.mgr, w.p.as.Pool, w.p.hier, w.base)
 			d.Sink = w.m.sink
+			w.m.fastPath = check.Chain(check.TEALevel{Mgr: w.p.mgr, PT: w.p.as.PT})
 			return d
 		}},
 		EnvVirt: {tea: teaPhys, wire: func(w *wiring) core.Walker {
 			p := w.p
+			w.m.fastPath = check.VirtChain(
+				check.TEALevel{Mgr: p.mgr, PT: p.as.PT},
+				check.TEALevel{Mgr: p.vm.HostTEA, PT: p.vm.HostAS.PT})
 			return &virt.DMTVirtWalker{
 				Guest: p.mgr, GuestPool: p.as.Pool,
 				Host: p.vm.HostTEA, HostPool: p.vm.HostAS.Pool,
@@ -85,14 +90,23 @@ var designTable = []struct {
 	}},
 	{DesignPvDMT, envSpecs{
 		EnvVirt: {tea: teaHypercall, wire: func(w *wiring) core.Walker {
-			pw := virt.NewPvDMTWalker(w.p.vm, w.p.mgr, w.p.as.Pool, w.p.hier, w.base)
+			p := w.p
+			pw := virt.NewPvDMTWalker(p.vm, p.mgr, p.as.Pool, p.hier, w.base)
 			pw.Sink = w.m.sink
+			w.m.fastPath = check.Chain(
+				check.TEALevel{Mgr: p.mgr, PT: p.as.PT, GTEA: p.vm.GTEA},
+				check.TEALevel{Mgr: p.vm.HostTEA, PT: p.vm.HostAS.PT})
 			return pw
 		}},
 		// The three-register chain of Figure 9.
 		EnvNested: {tea: teaHypercall, wire: func(w *wiring) core.Walker {
-			pw := virt.NewPvDMTNestedWalker(w.p.vm, w.p.mgr, w.p.as.Pool, w.p.hier, w.base)
+			p, l1 := w.p, w.p.vm.Parent
+			pw := virt.NewPvDMTNestedWalker(p.vm, p.mgr, p.as.Pool, p.hier, w.base)
 			pw.Sink = w.m.sink
+			w.m.fastPath = check.Chain(
+				check.TEALevel{Mgr: p.mgr, PT: p.as.PT, GTEA: p.vm.GTEA},
+				check.TEALevel{Mgr: p.vm.HostTEA, PT: p.vm.HostAS.PT, GTEA: l1.GTEA},
+				check.TEALevel{Mgr: l1.HostTEA, PT: l1.HostAS.PT})
 			return pw
 		}},
 	}},

@@ -112,12 +112,11 @@ func coldBuild(scfg Config) (*machine, error) {
 func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instance, error) {
 	res := &Result{Config: cfg, breakdown: map[string]*StepAgg{}, WalkHist: &obs.Hist{}}
 	rec := &recordingWalker{
-		inner:  m.walker,
-		res:    res,
-		sink:   m.sink,
-		hist:   res.WalkHist,
-		labels: map[labelKey]*StepAgg{},
-		fast:   make([]*StepAgg, labelFastSize),
+		inner: m.walker,
+		res:   res,
+		sink:  m.sink,
+		hist:  res.WalkHist,
+		fast:  make([]*StepAgg, labelFastSize),
 	}
 	var ring *obs.Ring
 	if cfg.Trace {
@@ -132,7 +131,7 @@ func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instanc
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	mmu := core.NewMMU(dtlb, rec, 1)
+	mmu := core.NewMMU(dtlb, rec, m.sink, 1)
 	// Injected unmaps must shoot down stale TLB entries, as the kernel's
 	// MMU-notifier path would.
 	if m.target.AS != nil {
@@ -171,7 +170,7 @@ func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instanc
 	if chk != nil {
 		bchk = chk
 	}
-	in.batch = core.NewBatch(mmu, m.hier, m.sink, rec, bchk)
+	in.batch = core.NewBatch(mmu, m.hier, rec, bchk)
 	in.batch.Reserve(BatchOps)
 	return in, nil
 }

@@ -364,12 +364,6 @@ type coverageCounter interface {
 	CoverageCounts() (hits, total uint64)
 }
 
-// prober is a DMT-family walker whose fast path can be probed without
-// side effects; the oracle uses it to assert fallback-iff-miss.
-type prober interface {
-	Probe(va mem.VAddr) bool
-}
-
 // wiring is what a design's wire function builds on: the run's config,
 // the instance's own parts, the machine being wired, and base — the
 // environment's full page walk: radix natively, 2D nested paging under
@@ -474,9 +468,6 @@ func wireMachine(cfg Config, spec *envSpec, p *parts) (*machine, error) {
 	}
 	if c, ok := m.walker.(coverageCounter); ok {
 		m.coverage = c.CoverageCounts
-	}
-	if pr, ok := m.walker.(prober); ok {
-		m.fastPath = pr.Probe
 	}
 	return m, nil
 }

@@ -332,7 +332,7 @@ func (r *Result) Breakdown() []StepAgg {
 // recordingWalker decorates a walker with per-step aggregation, fall-back
 // counting, and (when verifying) the differential oracle. It reads each
 // walk's refs from the per-machine ref sink the whole walker chain streams
-// into; Walk (or core.RunBatch) resets the sink before every walk.
+// into, which the MMU resets before every walk.
 type recordingWalker struct {
 	inner core.Walker
 	res   *Result
@@ -345,15 +345,11 @@ type recordingWalker struct {
 	hist *obs.Hist
 	ring *obs.Ring
 
-	// labels interns (step, level, dim) → aggregate so the hot path skips
-	// refLabel's Sprintf (and its allocations) after the first encounter.
-	// fast is the first-line intern table: every label emitted by the ten
-	// designs packs into 12 bits (labelIndex), so the common case is one
-	// array load instead of a map probe (hashing the dim string was ~15%
-	// of the pre-batch walk profile). labels remains the fallback for keys
-	// outside the packed range.
-	labels map[labelKey]*StepAgg
-	fast   []*StepAgg
+	// fast interns (step, level, dim) → aggregate so the hot path skips
+	// refLabel's Sprintf (and its allocations) after the first encounter:
+	// every label the walkers emit packs into 12 bits (labelIndex), so a
+	// lookup is one array load.
+	fast []*StepAgg
 
 	// lats, when non-nil, buffers walk latencies for a batch-boundary
 	// ObserveBatch flush instead of observing into hist per walk; the
@@ -361,23 +357,16 @@ type recordingWalker struct {
 	lats []uint64
 }
 
-// labelKey identifies one architectural walk step; it mirrors the fields
-// refLabel formats.
-type labelKey struct {
-	step, level int
-	dim         string
-}
-
 // labelFastSize bounds the packed label space: 3 bits of dimension code,
 // 3 bits of level, 6 bits of step.
 const labelFastSize = 1 << 12
 
-// labelIndex packs a ref's identity into the fast-table index, or reports
-// that it doesn't fit (unknown dimension, step ≥ 64, level ≥ 8) and must
-// take the map path. The dimension set is closed over the walker
-// implementations: native/guest/host/shadow radix dims, DMT's bare labels,
-// and pvDMT's nested "L0"–"L2" step names.
-func labelIndex(ref *core.MemRef) (int, bool) {
+// labelIndex packs a ref's identity into the fast-table index. The
+// dimension set is closed over the walker implementations — native/guest/
+// host/shadow radix dims, DMT's bare labels, and pvDMT's nested "L0"–"L2"
+// step names — and walks stay under 64 steps (the five-level nested walk
+// takes 35) at levels under 8, so a ref outside that space is a walker bug.
+func labelIndex(ref *core.MemRef) int {
 	var dim int
 	switch ref.Dim {
 	case "n":
@@ -397,18 +386,17 @@ func labelIndex(ref *core.MemRef) (int, bool) {
 	case "L2":
 		dim = 7
 	default:
-		return 0, false
+		panic("sim: walk ref with an unknown dimension")
 	}
 	if uint(ref.Step) >= 64 || uint(ref.Level) >= 8 {
-		return 0, false
+		panic("sim: walk ref step or level outside the label table")
 	}
-	return dim<<9 | ref.Level<<6 | ref.Step, true
+	return dim<<9 | ref.Level<<6 | ref.Step
 }
 
 func (w *recordingWalker) Name() string { return w.inner.Name() }
 
 func (w *recordingWalker) Walk(va mem.VAddr) core.WalkOutcome {
-	w.sink.Reset()
 	out := w.inner.Walk(va)
 	w.RecordWalk(va, &out)
 	return out
@@ -434,20 +422,11 @@ func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 	}
 	for i := range refs {
 		ref := &refs[i]
-		var agg *StepAgg
-		if idx, ok := labelIndex(ref); ok {
-			agg = w.fast[idx]
-			if agg == nil {
-				agg = w.intern(ref)
-				w.fast[idx] = agg
-			}
-		} else {
-			k := labelKey{step: ref.Step, level: ref.Level, dim: ref.Dim}
-			agg = w.labels[k]
-			if agg == nil {
-				agg = w.intern(ref)
-				w.labels[k] = agg
-			}
+		idx := labelIndex(ref)
+		agg := w.fast[idx]
+		if agg == nil {
+			agg = w.intern(ref)
+			w.fast[idx] = agg
 		}
 		agg.Cycles += uint64(ref.Cycles)
 		agg.Count++
@@ -526,13 +505,13 @@ type machine struct {
 	coverage func() (hits, total uint64)
 	footer   func(*Result) // copies counters (exits, footprints) at the end
 	// sink is the ref buffer the whole walker chain streams into; the
-	// recorder resets it before every walk.
+	// MMU resets it before every walk.
 	sink *core.RefSink
 
 	// Fault/verification harness, filled by wireMachine.
 	target     fault.Target         // handles the injector perturbs
 	ref        check.Ref            // ground-truth translation (live PTs)
-	fastPath   func(mem.VAddr) bool // side-effect-free DMT fast-path probe
+	fastPath   func(mem.VAddr) bool // DMT fast-path reference, set by the design's wire
 	sizeExact  bool                 // outcome size must equal reference size
 	invariants func() []string      // TEA structural invariants
 }

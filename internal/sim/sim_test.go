@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"dmt/internal/core"
+	"dmt/internal/mem"
 	"dmt/internal/workload"
 )
 
@@ -262,5 +264,60 @@ func TestCanonicalKeyStable(t *testing.T) {
 		if CanonicalKey(c) == key {
 			t.Errorf("CanonicalKey ignores %s: %q", f.field, key)
 		}
+	}
+}
+
+// fallbackOnly stands in for a DMT-family walker whose fast path never
+// serves: every walk goes to the environment's full page walk.
+type fallbackOnly struct {
+	core.Walker // the design's walker, for Name
+	base        core.Walker
+}
+
+func (w fallbackOnly) Walk(va mem.VAddr) core.WalkOutcome {
+	return core.WalkFallback(w.base, va, core.WalkOutcome{})
+}
+
+// TestOracleFallbackSurvivesWrapper wraps each DMT-family cell's walker in
+// a pass-through that always falls back. The fast-path reference comes
+// from the design entry's page tables, not from the walker's type, so the
+// oracle stays armed behind the wrapper and Finish reports the fallbacks
+// the fast path could have served.
+func TestOracleFallbackSurvivesWrapper(t *testing.T) {
+	for _, c := range []struct {
+		env Environment
+		d   Design
+	}{{EnvNative, DesignDMT}, {EnvVirt, DesignDMT}, {EnvVirt, DesignPvDMT}, {EnvNested, DesignPvDMT}} {
+		t.Run(fmt.Sprintf("%v/%s", c.env, c.d), func(t *testing.T) {
+			cfg := detConfig(c.env, c.d, nil)
+			cfg.Workload = detWorkload(t)
+			cfg.Shards = 1
+			cfg = cfg.withDefaults()
+			p, err := buildPrototype(cfg, buildVMStage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := *p.spec
+			spec.wire = func(w *wiring) core.Walker {
+				return fallbackOnly{Walker: p.spec.wire(w), base: w.base}
+			}
+			m, err := wireMachine(cfg, &spec, p.parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := assembleInstance(cfg, cfg, m, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for in.op < in.Ops() {
+				if _, err := in.StepBatch(BatchOps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = in.Finish()
+			if err == nil || !strings.Contains(err.Error(), " fallback: ") {
+				t.Fatalf("Finish = %v, want fallback mismatches", err)
+			}
+		})
 	}
 }

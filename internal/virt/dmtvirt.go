@@ -130,51 +130,6 @@ func (w *DMTVirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 	return out
 }
 
-// Probe reports whether the three-fetch fast path would serve gva, without
-// touching the cache hierarchy or any statistics.
-func (w *DMTVirtWalker) Probe(gva mem.VAddr) bool {
-	greg := w.Guest.Lookup(gva)
-	if greg == nil {
-		return false
-	}
-	for _, s := range core.FetchSizes {
-		if !greg.Covered[s] {
-			continue
-		}
-		gpteGPA := greg.PTEAddrAt(s, gva)
-		if _, ok := w.hostProbe(gpteGPA); !ok {
-			continue
-		}
-		pte, ok := w.GuestPool.ReadPTE(gpteGPA)
-		if !ok || !core.LeafValid(pte, s) {
-			continue
-		}
-		dataGPA := pte.Frame() + mem.PAddr(mem.PageOffset(gva, s))
-		if _, ok := w.hostProbe(dataGPA); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// hostProbe is hostFetch without cache accesses or ref accounting.
-func (w *DMTVirtWalker) hostProbe(gpa mem.PAddr) (mem.PAddr, bool) {
-	hreg := w.Host.Lookup(mem.VAddr(gpa))
-	if hreg == nil {
-		return 0, false
-	}
-	for _, s := range core.FetchSizes {
-		if !hreg.Covered[s] {
-			continue
-		}
-		pte, ok := w.HostPool.ReadPTE(hreg.PTEAddrAt(s, mem.VAddr(gpa)))
-		if ok && core.LeafValid(pte, s) {
-			return pte.Frame() + mem.PAddr(mem.PageOffset(mem.VAddr(gpa), s)), true
-		}
-	}
-	return 0, false
-}
-
 // hostFetch performs one host-side DMT fetch: locate the hPTE of gpa via
 // the hVMA-to-hTEA register, access it, and return the machine address the
 // hPTE maps gpa to. Refs are added to g (the caller's parallel group).

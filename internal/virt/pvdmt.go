@@ -133,46 +133,6 @@ func (w *PvDMTWalker) fallback(va mem.VAddr, partial core.WalkOutcome) core.Walk
 	return core.WalkFallback(w.Fallback, va, partial)
 }
 
-// Probe reports whether the pvDMT chain would serve va end to end — every
-// level's register matches, gTEA resolution succeeds, and a valid leaf is
-// found — without touching the cache hierarchy or any statistics.
-func (w *PvDMTWalker) Probe(va mem.VAddr) bool {
-	addr := uint64(va)
-	for li := range w.Levels {
-		lv := &w.Levels[li]
-		reg := lv.Mgr.Lookup(mem.VAddr(addr))
-		if reg == nil {
-			return false
-		}
-		next := uint64(0)
-		found := false
-		for _, s := range core.FetchSizes {
-			if !reg.Covered[s] {
-				continue
-			}
-			fetchAddr := reg.PTEAddrAt(s, mem.VAddr(addr))
-			nodeAddr := fetchAddr
-			if lv.Table != nil {
-				var err error
-				nodeAddr, err = lv.Table.Resolve(reg.GTEAID[s], fetchAddr)
-				if err != nil {
-					return false
-				}
-			}
-			pte, ok := lv.Pool.ReadPTE(nodeAddr)
-			if ok && core.LeafValid(pte, s) {
-				next = uint64(pte.Frame()) + mem.PageOffset(mem.VAddr(addr), s)
-				found = true
-			}
-		}
-		if !found {
-			return false
-		}
-		addr = next
-	}
-	return true
-}
-
 // Coverage returns the fraction of walks served without fallback.
 func (w *PvDMTWalker) Coverage() float64 {
 	total := w.RegisterHits + w.FallbackWalks
