@@ -276,7 +276,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 			}
 		}
-		out, err := experiments.FaultCampaignCtx(ctx, experiments.NewRunner(opt))
+		out, err := experiments.FaultCampaign(ctx, experiments.NewRunner(opt))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -304,7 +304,9 @@ func main() {
 	}
 	fmt.Printf("avg seq refs/walk: %.2f (total refs/walk %.2f)\n",
 		res.AvgSeqRefs(), float64(res.TotalRefs)/float64(max64(res.Walks, 1)))
-	fmt.Printf("register coverage: %.2f%%\n", res.Coverage*100)
+	if cov, ok := res.RegisterCoverage(); ok {
+		fmt.Printf("register coverage: %.2f%%\n", cov*100)
+	}
 	fmt.Printf("data cycles:       %d\n", res.DataCycles)
 	fmt.Printf("PT structures:     %.2f MiB\n", float64(res.PTEBytes)/(1<<20))
 	if res.Hypercalls+res.VMExits+res.ShadowSyncs > 0 {

@@ -36,7 +36,6 @@ type cliFlags struct {
 	table      int
 	overheads  bool
 	tails      bool
-	faults     bool
 	headToHead bool
 	all        bool
 	ops        int
@@ -113,7 +112,7 @@ func jobList(f cliFlags) []job {
 // jobs, -all (or no selection at all) picks everything.
 func selectJobs(f cliFlags) []job {
 	nothing := f.fig == 0 && f.table == 0 &&
-		!f.overheads && !f.faults && !f.tails && !f.headToHead
+		!f.overheads && !f.tails && !f.headToHead
 	want := func(selected bool) bool { return f.all || nothing || selected }
 	var out []job
 	for _, j := range jobList(f) {
@@ -131,7 +130,6 @@ func main() {
 	flag.IntVar(&f.table, "table", 0, "table to regenerate (1, 5, 6)")
 	flag.BoolVar(&f.overheads, "overheads", false, "run the §6.3 overhead analyses and the design ablations")
 	flag.BoolVar(&f.tails, "tails", false, "render the walk-latency tail table (p50/p90/p99/max)")
-	flag.BoolVar(&f.faults, "faults", false, "run the fault-injection degradation campaign")
 	flag.BoolVar(&f.headToHead, "headtohead", false, "render the DMT vs Victima vs Utopia comparison table")
 	flag.BoolVar(&f.all, "all", false, "regenerate everything")
 	flag.IntVar(&f.ops, "ops", 400_000, "trace length per configuration")
@@ -162,26 +160,11 @@ func main() {
 	}
 	r := experiments.NewRunner(opt)
 
-	ran := false
-	// The fault campaign runs only on explicit request: it spans every
-	// (env × design × schedule) cell per workload and is not part of -all.
-	if f.faults {
-		out, err := experiments.FaultCampaign(r)
-		if err != nil {
-			log.Fatalf("fault campaign: %v", err)
-		}
-		fmt.Printf("==== Fault campaign ====\n%s\n", out)
-		ran = true
-	}
 	for _, j := range selectJobs(f) {
 		out, err := j.run(r)
 		if err != nil {
 			log.Fatalf("%s: %v", j.name, err)
 		}
 		fmt.Printf("==== %s ====\n%s\n", j.name, out)
-		ran = true
-	}
-	if !ran {
-		log.Fatal("nothing selected; use -fig/-table/-overheads or -all")
 	}
 }

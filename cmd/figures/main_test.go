@@ -66,8 +66,7 @@ func jobNames(f cliFlags) []string {
 
 // TestJobSelectionMatrix pins the -fig/-table/default/-all selection
 // semantics: explicit flags pick exactly their job, no selection at all
-// (or -all) picks every job, and -faults alone selects nothing from the
-// job list (the campaign runs outside it).
+// (or -all) picks every job.
 func TestJobSelectionMatrix(t *testing.T) {
 	allNames := jobNames(cliFlags{all: true})
 	if len(allNames) != len(jobList(cliFlags{})) {
@@ -90,7 +89,6 @@ func TestJobSelectionMatrix(t *testing.T) {
 		{"-tails", cliFlags{tails: true}, []string{"Walk-latency tails"}},
 		{"-headtohead", cliFlags{headToHead: true},
 			[]string{"Head-to-head: DMT vs Victima vs Utopia"}},
-		{"-faults selects no job", cliFlags{faults: true}, nil},
 		{"-all overrides -fig", cliFlags{all: true, fig: 14}, allNames},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

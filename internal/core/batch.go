@@ -5,7 +5,7 @@ import (
 	"dmt/internal/mem"
 )
 
-// This file is the batch-walk entry point (DESIGN.md §12). The simulation
+// This file is the batch-walk entry point (DESIGN.md §11). The simulation
 // engine generates trace operations into a reusable buffer and hands whole
 // batches to RunBatch, so per-op harness work (injector ticks, context
 // checks, histogram flushes) is hoisted to batch boundaries while the

@@ -129,19 +129,10 @@ func LeafValid(pte mem.PTE, s mem.PageSize) bool {
 	return pte.Huge()
 }
 
-// Coverage returns the fraction of walks served by the DMT fetcher without
-// fallback (the 99+% claim of §6.1).
-func (w *DMTWalker) Coverage() float64 {
-	total := w.RegisterHits + w.FallbackWalks
-	if total == 0 {
-		return 0
-	}
-	return float64(w.RegisterHits) / float64(total)
-}
-
-// CoverageCounts returns the raw hit/total counters behind Coverage; shard
-// results merge these integers so parallel runs reproduce serial coverage
-// bit-exactly.
+// CoverageCounts returns the walks the DMT fetcher served without fallback
+// and all walks; hits/total is the register coverage of §6.1's 99+% claim.
+// Shard results merge these integers so parallel runs reproduce serial
+// coverage bit-exactly.
 func (w *DMTWalker) CoverageCounts() (hits, total uint64) {
 	return w.RegisterHits, w.RegisterHits + w.FallbackWalks
 }

@@ -83,7 +83,8 @@ func Example_quickstart() {
 	}
 	_, cycles, _ := mmu.Translate(va)
 	fmt.Printf("  second translation via TLB: %d extra cycles\n", cycles)
-	fmt.Printf("DMT register coverage: %.1f%%\n", dmt.Coverage()*100)
+	hits, total := dmt.CoverageCounts()
+	fmt.Printf("DMT register coverage: %.1f%%\n", float64(hits)/float64(total)*100)
 
 	// Output:
 	// heap: heap [0x40000000,0x50000000) heap

@@ -20,14 +20,9 @@ import (
 //
 // Results are deterministic for a fixed Options.Seed: schedules carry
 // their own seeds and the simulator introduces no other randomness.
-func FaultCampaign(r *Runner) (string, error) {
-	return FaultCampaignCtx(context.Background(), r)
-}
-
-// FaultCampaignCtx is FaultCampaign under a context: cancellation aborts the
-// in-flight cell at its next step batch and the campaign returns the context
-// error instead of a partial table.
-func FaultCampaignCtx(ctx context.Context, r *Runner) (string, error) {
+// Cancelling ctx aborts the in-flight cell at its next step batch, and the
+// campaign returns the context error instead of a partial table.
+func FaultCampaign(ctx context.Context, r *Runner) (string, error) {
 	var b strings.Builder
 	opt := r.Options()
 	for _, wl := range opt.Workloads {

@@ -4,7 +4,7 @@ import "fmt"
 
 // Audit verifies the allocator's internal invariants and returns the first
 // violation found, or nil. It is the allocator half of the lifecycle
-// conservation oracle (DESIGN.md §13): the aging scenario calls it after
+// conservation oracle (DESIGN.md §12): the aging scenario calls it after
 // churn events so a frame leaked or double-freed anywhere in the
 // kernel/TEA/virt plumbing above surfaces at the event that caused it
 // rather than as an unexplained drift millions of events later.

@@ -7,7 +7,7 @@
 // allocation success versus fragmentation, the defrag cost of keeping TEAs
 // machine-contiguous, and how register coverage and walk tails age.
 //
-// Determinism contract (DESIGN.md §8/§13): a run's Result is a pure
+// Determinism contract (DESIGN.md §8/§12): a run's Result is a pure
 // function of its Config. Shards are independent node replicas seeded by
 // splitmix64(Seed, shard); Workers only decides which goroutine simulates
 // which shard, and per-epoch rows are merged in shard order — Workers: 1

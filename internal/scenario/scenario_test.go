@@ -57,7 +57,7 @@ func TestAgingRuns(t *testing.T) {
 }
 
 // TestWorkerInvariance is the metamorphic determinism check of the
-// DESIGN.md §13 contract: Workers decides only which goroutine simulates
+// DESIGN.md §12 contract: Workers decides only which goroutine simulates
 // which shard, so a 1-worker and an 8-worker run of the same configuration
 // must produce bit-identical results. Run under -race this also shakes out
 // any shared state between shard replicas.

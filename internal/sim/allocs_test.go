@@ -6,7 +6,7 @@ import (
 )
 
 // TestStepBatchZeroAllocs pins the batched engine loop (StepBatch, DESIGN.md
-// §12) at zero heap allocations per batch in every environment × design
+// §11) at zero heap allocations per batch in every environment × design
 // cell, with per-walk tracing off and on: trace generation, TLB probes,
 // walks, cache accesses, histogram observation and the trace ring all run on
 // buffers the instance owns. The first batch warms the machine (TLB, caches,

@@ -8,7 +8,7 @@ import (
 	"dmt/internal/fault"
 )
 
-// The batch-walk contract (DESIGN.md §12): the batched engine loop is a
+// The batch-walk contract (DESIGN.md §11): the batched engine loop is a
 // pure restructuring of the scalar one — every Result field, counter,
 // histogram bucket, and trace event must be bit-identical to the per-op
 // reference path, for every environment, design, fault plan, verification

@@ -42,7 +42,7 @@ type Instance struct {
 	ops   int
 	done  bool
 
-	// Batched-walk state (DESIGN.md §12): the reusable request/result
+	// Batched-walk state (DESIGN.md §11): the reusable request/result
 	// buffers trace generation fills per span, the per-instance Batch the
 	// canonical loop runs against, and the latency buffer armed on rec
 	// during StepBatch. All fixed-size and allocated at assembly, so
@@ -215,7 +215,7 @@ func (in *Instance) Step() error {
 }
 
 // StepBatch advances the trace by up to n operations through the batched
-// walk path (DESIGN.md §12) and returns how many completed. The batch is
+// walk path (DESIGN.md §11) and returns how many completed. The batch is
 // split into spans at fault-event boundaries — batchSpan sizes each span so
 // its end never overshoots the injector's next trigger op, which makes one
 // Tick per span bit-identical to the scalar path's per-op Tick (ticks
@@ -339,14 +339,8 @@ func (in *Instance) Finish() (*Result, error) {
 	if in.m.coverage != nil {
 		hits, total := in.m.coverage()
 		res.covHits, res.covTotal, res.covSet = hits, total, true
-		if total == 0 {
-			res.Coverage = 0
-		} else {
-			res.Coverage = float64(hits) / float64(total)
-		}
-	} else {
-		res.Coverage = 1
 	}
+	res.Coverage, _ = res.RegisterCoverage()
 	if in.m.footer != nil {
 		in.m.footer(res)
 	}
@@ -615,15 +609,7 @@ func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {
 	if len(traces) > 0 {
 		out.Trace = obs.MergeEvents(traces...)
 	}
-	if out.covSet {
-		if out.covTotal == 0 {
-			out.Coverage = 0
-		} else {
-			out.Coverage = float64(out.covHits) / float64(out.covTotal)
-		}
-	} else {
-		out.Coverage = 1
-	}
+	out.Coverage, _ = out.RegisterCoverage()
 	return out, nil
 }
 

@@ -194,14 +194,14 @@ func (c Config) withDefaults() Config {
 // CanonicalKey renders exactly this form.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
-// CanonicalKey renders the result-determining subset of a normalized
-// configuration as one stable text line: the durable identity of a
-// simulation, under which cmd/dmtsweep dedupes cells and addresses the
-// result store (internal/store). The leading version tag invalidates every
-// stored entry if the key schema ever changes. Workers is excluded (it
-// schedules, never changes results); the engine-only knobs a sweep does
-// not set (fault plans, TEA ablations, fragmentation targets) are not
-// part of the key.
+// CanonicalKey renders a normalized configuration's env, design, THP,
+// workload, working set, cache scale, ops, seed, shards and Verify as one
+// stable text line, led by a version tag that changes with the schema.
+// Workers and ColdBuild never change results and are left out. The key
+// also omits TEARegisters, TEAMergeThreshold, FragmentTarget, FaultPlan and
+// Trace/TraceCap, so two configurations that differ only there share a
+// key: a record keyed by it must either leave those at their zero values
+// or widen the key first.
 func CanonicalKey(cfg Config) string {
 	cfg = cfg.Normalized()
 	return fmt.Sprintf("v1 env=%s design=%s thp=%t wl=%s ws=%d scale=%d ops=%d seed=%d shards=%d verify=%t",
@@ -236,7 +236,7 @@ type Result struct {
 	TotalRefs  uint64
 	DataCycles uint64
 	// Coverage is the fraction of walks served by DMT registers without
-	// fallback (1.0 for non-DMT designs' notion of "always").
+	// fallback, 1 for designs without registers (see RegisterCoverage).
 	Coverage  float64
 	Fallbacks uint64
 
@@ -281,6 +281,21 @@ type Result struct {
 	// Coverage from the summed counters only when it does.
 	covHits, covTotal uint64
 	covSet            bool
+}
+
+// RegisterCoverage computes Coverage from the integer counters behind it:
+// the fraction of walks the design's fast path served (DMT registers,
+// Victima's spill ways, Utopia's RestSegs), and whether the design reports
+// coverage at all. A design without such a path reads (1, false); a
+// reporting design with no walks reads (0, true).
+func (r *Result) RegisterCoverage() (float64, bool) {
+	switch {
+	case !r.covSet:
+		return 1, false
+	case r.covTotal == 0:
+		return 0, true
+	}
+	return float64(r.covHits) / float64(r.covTotal), true
 }
 
 // AvgWalkCycles is the mean page-walk latency.

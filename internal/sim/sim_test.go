@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dmt/internal/core"
+	"dmt/internal/fault"
 	"dmt/internal/mem"
 	"dmt/internal/workload"
 )
@@ -218,10 +219,9 @@ func TestFragmentTargetNativeOnly(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyStable pins the durable cell identity byte for byte (a
-// result store written under this text must keep resolving), requires it
-// to be normalization-invariant and blind to Workers, and requires every
-// one of the ten result-determining fields to change it.
+// TestCanonicalKeyStable pins the key text byte for byte, requires it to
+// be normalization-invariant and blind to Workers, and requires every one
+// of the ten fields it renders to change it.
 func TestCanonicalKeyStable(t *testing.T) {
 	gups, err := workload.ByName("GUPS")
 	if err != nil {
@@ -319,5 +319,27 @@ func TestOracleFallbackSurvivesWrapper(t *testing.T) {
 				t.Fatalf("Finish = %v, want fallback mismatches", err)
 			}
 		})
+	}
+}
+
+// TestOracleLeafSlotUnderMigration runs virtualized pvDMT on Memcached
+// through a migration storm with the oracle on. Migration moves page-table
+// nodes while registers still cover their VMAs, so some walks reach a leaf
+// node outside its TEA slot. The fast path must fall back there, and the
+// oracle's reference (check.TEALevel.Serves) must say so through its
+// leaf-slot clause; without that clause this cell reports mismatches.
+func TestOracleLeafSlotUnderMigration(t *testing.T) {
+	mc, err := workload.ByName("Memcached")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.MigrationStorm(10_000)
+	res := run(t, Config{Env: EnvVirt, Design: DesignPvDMT, THP: true, Workload: mc,
+		Ops: 10_000, Seed: 42, CacheScale: 16, FaultPlan: &plan, Verify: true})
+	if res.Checked == 0 || res.Mismatches != 0 {
+		t.Fatalf("checked %d translations, %d mismatches; want some and none", res.Checked, res.Mismatches)
+	}
+	if cov, _ := res.RegisterCoverage(); cov == 0 || cov == 1 {
+		t.Fatalf("coverage %.4f: want both fast-path hits and fallbacks", cov)
 	}
 }

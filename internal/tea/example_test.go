@@ -55,7 +55,7 @@ func Example_fragmentation() {
 	radix := core.NewRadixWalker(as.PT, hier, tlb.NewPWC(), as.ASID())
 	radix.Sink = sink
 	rng := rand.New(rand.NewSource(1))
-	walkHeap := func() *core.DMTWalker {
+	walkHeap := func() (coverage float64) {
 		dmt := core.NewDMTWalker(mgr, as.Pool, hier, radix)
 		dmt.Sink = sink
 		for i := 0; i < 20000; i++ {
@@ -65,10 +65,11 @@ func Example_fragmentation() {
 				log.Fatalf("walk failed at %#x", uint64(va))
 			}
 		}
-		return dmt
+		hits, total := dmt.CoverageCounts()
+		return float64(hits) / float64(total)
 	}
 	fmt.Printf("register coverage under fragmentation: %.1f%% (rest served by the x86 walker)\n",
-		walkHeap().Coverage()*100)
+		walkHeap()*100)
 
 	// Free the background pins (processes exiting), compact, and rebuild:
 	// contiguity returns and so does full coverage.
@@ -91,7 +92,7 @@ func Example_fragmentation() {
 	if err := as.Populate(heap); err != nil {
 		log.Fatal(err)
 	}
-	coverage := walkHeap().Coverage()
+	coverage := walkHeap()
 	fmt.Printf("mappings now: %d; register coverage: %.1f%%\n", len(mgr.Mappings()), coverage*100)
 
 	// Output:

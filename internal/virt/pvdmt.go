@@ -133,18 +133,8 @@ func (w *PvDMTWalker) fallback(va mem.VAddr, partial core.WalkOutcome) core.Walk
 	return core.WalkFallback(w.Fallback, va, partial)
 }
 
-// Coverage returns the fraction of walks served without fallback.
-func (w *PvDMTWalker) Coverage() float64 {
-	total := w.RegisterHits + w.FallbackWalks
-	if total == 0 {
-		return 0
-	}
-	return float64(w.RegisterHits) / float64(total)
-}
-
-// CoverageCounts returns the raw hit/total counters behind Coverage; shard
-// results merge these integers so parallel runs reproduce serial coverage
-// bit-exactly.
+// CoverageCounts returns the walks served without fallback and all walks
+// (see core.DMTWalker.CoverageCounts).
 func (w *PvDMTWalker) CoverageCounts() (hits, total uint64) {
 	return w.RegisterHits, w.RegisterHits + w.FallbackWalks
 }
