@@ -27,8 +27,10 @@
 // is deterministic for a fixed -seed.
 //
 // Flag values are validated up front: nonsensical sizing (-ops 0, a
-// negative -workers, ...) exits with status 2 and a one-line message
-// instead of running — or silently misrunning — the simulation. SIGINT /
+// negative -workers, -workers or -shards under -faults, which runs every
+// cell on one worker and one shard, ...) exits with status 2 and a
+// one-line message instead of running — or silently misrunning — the
+// simulation. SIGINT /
 // SIGTERM cancel the run at its next step batch.
 //
 // Observability (see DESIGN.md §10):
@@ -133,6 +135,10 @@ func (f cliFlags) validate() (sim.Environment, sim.Design, workload.Spec, error)
 		return 0, "", workload.Spec{}, fmt.Errorf("-walk-trace must be >= 0 (got %d)", f.walkTrace)
 	case f.traceCap < 0:
 		return 0, "", workload.Spec{}, fmt.Errorf("-trace-cap must be >= 0 (got %d; 0 means the default ring)", f.traceCap)
+	case f.faults && f.workers > 1:
+		return 0, "", workload.Spec{}, fmt.Errorf("-faults runs every cell on one worker; drop -workers %d", f.workers)
+	case f.faults && f.shards != 0:
+		return 0, "", workload.Spec{}, fmt.Errorf("-faults runs every cell as one shard; drop -shards %d", f.shards)
 	}
 	env, err := sim.ParseEnvironment(f.envName)
 	if err != nil {
@@ -269,7 +275,6 @@ func main() {
 			Ops: campaignOps, WSBytes: uint64(f.wsMiB) << 20,
 			CacheScale: f.scale, Seed: f.seed,
 			Workloads: []workload.Spec{wl},
-			Workers:   f.workers,
 		}
 		if !f.quiet {
 			opt.Logf = func(format string, args ...interface{}) {
@@ -305,7 +310,7 @@ func main() {
 	fmt.Printf("avg seq refs/walk: %.2f (total refs/walk %.2f)\n",
 		res.AvgSeqRefs(), float64(res.TotalRefs)/float64(max64(res.Walks, 1)))
 	if cov, ok := res.RegisterCoverage(); ok {
-		fmt.Printf("register coverage: %.2f%%\n", cov*100)
+		fmt.Printf("%-19s%.2f%%\n", sim.CoverageLabel(design)+":", cov*100)
 	}
 	fmt.Printf("data cycles:       %d\n", res.DataCycles)
 	fmt.Printf("PT structures:     %.2f MiB\n", float64(res.PTEBytes)/(1<<20))

@@ -30,6 +30,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"unknown env", func(f *cliFlags) { f.envName = "bare-metal" }, "unknown environment"},
 		{"unknown design", func(f *cliFlags) { f.design = "radix64" }, "unknown design"},
 		{"unknown workload", func(f *cliFlags) { f.wlName = "STREAM" }, "workload"},
+		{"workers under faults", func(f *cliFlags) { f.faults, f.workers = true, 2 }, "-faults runs every cell on one worker"},
+		{"shards under faults", func(f *cliFlags) { f.faults, f.shards = true, 4 }, "-faults runs every cell as one shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +94,14 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	f.workers, f.shards, f.wsMiB, f.walkTrace, f.traceCap = 0, 0, 0, 0, 0
 	if _, _, _, err := f.validate(); err != nil {
 		t.Fatalf("validate() rejected zero defaults: %v", err)
+	}
+	// -faults accepts the worker and shard defaults, given or not.
+	f.faults = true
+	for _, w := range []int{0, 1} {
+		f.workers = w
+		if _, _, _, err := f.validate(); err != nil {
+			t.Fatalf("validate() rejected -faults -workers %d: %v", w, err)
+		}
 	}
 	// Env aliases (sim.ParseEnvironment) parse here too.
 	for _, alias := range []string{"virt", "virtualized", "nested"} {

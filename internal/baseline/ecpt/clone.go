@@ -5,10 +5,10 @@ import (
 	"dmt/internal/phys"
 )
 
-// Clone deep-copies the cuckoo table onto an already-cloned allocator
-// (regions stay at the same physical bases, so probe addresses — and hence
-// cache behaviour — are identical on both copies). Future resizes on the
-// clone allocate from alloc only.
+// Clone copies the cuckoo table onto an already-cloned allocator, the ways
+// shared copy-on-write (mem.Chunked). Regions stay at the same physical
+// bases, so probe addresses — and hence cache behaviour — are identical on
+// both copies. Future resizes on the clone allocate from alloc only.
 func (t *Table) Clone(alloc *phys.Allocator) *Table {
 	c := &Table{
 		size:    t.size,
@@ -22,12 +22,12 @@ func (t *Table) Clone(alloc *phys.Allocator) *Table {
 		Resizes: t.Resizes,
 	}
 	for w := range t.ways {
-		c.ways[w] = append([]entry(nil), t.ways[w]...)
+		c.ways[w] = t.ways[w].Clone()
 	}
 	return c
 }
 
-// Clone deep-copies every per-size table onto the cloned allocator.
+// Clone copies every per-size table onto the cloned allocator.
 func (s *System) Clone(alloc *phys.Allocator) *System {
 	c := &System{
 		sizes: append([]mem.PageSize(nil), s.sizes...),
@@ -38,4 +38,17 @@ func (s *System) Clone(alloc *phys.Allocator) *System {
 		}
 	}
 	return c
+}
+
+// Seal makes every per-size table read-only for cloning (see
+// mem.Chunked.Seal): the system may then be cloned from many goroutines at
+// once.
+func (s *System) Seal() {
+	for _, t := range s.tables {
+		if t != nil {
+			for w := range t.ways {
+				t.ways[w].Seal()
+			}
+		}
+	}
 }

@@ -46,10 +46,12 @@ const (
 // Table is one elastic cuckoo hash table mapping VPN groups of one page
 // size to packed PTEs. Ways occupy disjoint physically-contiguous regions
 // so every probe has a concrete physical address for the cache simulation.
+// Each way's elements live in a mem.Chunked array, shared copy-on-write
+// with clones.
 type Table struct {
 	size  mem.PageSize
 	slots int // element slots per way
-	ways  [Ways][]entry
+	ways  [Ways]mem.Chunked[entry]
 	bases [Ways]mem.PAddr
 	alloc *phys.Allocator
 	seeds [Ways]uint64
@@ -102,7 +104,7 @@ func (t *Table) allocate(slots int) error {
 			return fmt.Errorf("ecpt: allocating way %d: %w", w, err)
 		}
 		t.bases[w] = base
-		t.ways[w] = make([]entry, slots)
+		t.ways[w] = mem.Chunked[entry]{}
 	}
 	t.slots = slots
 	return nil
@@ -127,8 +129,7 @@ func (t *Table) SlotAddr(vpn uint64, way int) mem.PAddr {
 func (t *Table) Lookup(vpn uint64) (mem.PTE, bool) {
 	group := vpn / GroupPages
 	for w := 0; w < Ways; w++ {
-		e := &t.ways[w][t.hash(group, w)]
-		if e.valid && e.group == group {
+		if e := t.ways[w].Ref(t.hash(group, w)); e != nil && e.valid && e.group == group {
 			pte := e.ptes[vpn%GroupPages]
 			return pte, pte.Present()
 		}
@@ -143,8 +144,9 @@ func (t *Table) Insert(vpn uint64, pte mem.PTE) error {
 	group := vpn / GroupPages
 	// Fast path: the group already exists.
 	for w := 0; w < Ways; w++ {
-		e := &t.ways[w][t.hash(group, w)]
-		if e.valid && e.group == group {
+		slot := t.hash(group, w)
+		if e := t.ways[w].Ref(slot); e != nil && e.valid && e.group == group {
+			e = t.ways[w].Mut(slot)
 			if !e.ptes[vpn%GroupPages].Present() {
 				t.count++
 			}
@@ -176,8 +178,8 @@ func (t *Table) tryInsert(cur entry, bound int) bool {
 	way := 0
 	for i := 0; i < bound; i++ {
 		slot := t.hash(cur.group, way)
-		victim := t.ways[way][slot]
-		t.ways[way][slot] = cur
+		victim := t.ways[way].Get(slot)
+		t.ways[way].Set(slot, cur)
 		if !victim.valid {
 			return true
 		}
@@ -203,11 +205,11 @@ func (t *Table) resize() error {
 	moved := t.pending
 	t.pending = nil
 	for w := range old {
-		for _, e := range old[w] {
+		old[w].Range(func(_ int, e entry) {
 			if e.valid {
 				moved = append(moved, e)
 			}
-		}
+		})
 	}
 	for _, e := range moved {
 		if !t.tryInsert(e, 64) {
@@ -222,8 +224,8 @@ func (t *Table) Remove(vpn uint64) {
 	group := vpn / GroupPages
 	for w := 0; w < Ways; w++ {
 		slot := t.hash(group, w)
-		e := &t.ways[w][slot]
-		if e.valid && e.group == group {
+		if e := t.ways[w].Ref(slot); e != nil && e.valid && e.group == group {
+			e = t.ways[w].Mut(slot)
 			if e.ptes[vpn%GroupPages].Present() {
 				e.ptes[vpn%GroupPages] = 0
 				t.count--

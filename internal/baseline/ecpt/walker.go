@@ -121,9 +121,8 @@ func (s *System) probe(va mem.VAddr, g *core.FetchGroup, hier *cache.Hierarchy, 
 func (t *Table) probeWay(vpn uint64, w int) (mem.PAddr, mem.PTE, bool) {
 	group := vpn / GroupPages
 	slot := t.hash(group, w)
-	e := &t.ways[w][slot]
 	var pte mem.PTE
-	if e.valid && e.group == group {
+	if e := t.ways[w].Ref(slot); e != nil && e.valid && e.group == group {
 		pte = e.ptes[vpn%GroupPages]
 	}
 	return t.bases[w] + mem.PAddr(slot*entryBytes), pte, pte.Present()

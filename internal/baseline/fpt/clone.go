@@ -1,27 +1,30 @@
 package fpt
 
-import (
-	"dmt/internal/mem"
-	"dmt/internal/phys"
-)
+import "dmt/internal/phys"
 
-// Clone deep-copies the flattened table onto an already-cloned allocator.
-// Root and leaf regions keep their physical bases (slot addresses — and
-// hence cache behaviour — are identical on both copies); future leaf
-// allocations on the clone draw from alloc only.
+// Clone copies the flattened table onto an already-cloned allocator, the
+// root and leaf PTEs shared copy-on-write (mem.Chunked). Root and leaf
+// regions keep their physical bases (slot addresses — and hence cache
+// behaviour — are identical on both copies); future leaf allocations on
+// the clone draw from alloc only.
 func (t *Table) Clone(alloc *phys.Allocator) *Table {
 	c := &Table{
 		alloc:    alloc,
 		rootBase: t.rootBase,
-		root:     append([]mem.PTE(nil), t.root...),
+		root:     t.root.Clone(),
 		leaves:   make(map[int]*leafNode, len(t.leaves)),
 	}
 	for idx, n := range t.leaves {
-		c.leaves[idx] = &leafNode{
-			base:  n.base,
-			pte4k: append([]mem.PTE(nil), n.pte4k...),
-			pte2m: append([]mem.PTE(nil), n.pte2m...),
-		}
+		c.leaves[idx] = &leafNode{base: n.base, ptes: n.ptes.Clone()}
 	}
 	return c
+}
+
+// Seal makes the table read-only for cloning (see mem.Chunked.Seal): it
+// may then be cloned from many goroutines at once.
+func (t *Table) Seal() {
+	t.root.Seal()
+	for _, n := range t.leaves {
+		n.ptes.Seal()
+	}
 }

@@ -35,19 +35,25 @@ func rootIndex(va mem.VAddr) int { return int(uint64(va)>>30) & (flatEntries - 1
 func leafIndex(va mem.VAddr) int { return int(uint64(va)>>12) & (flatEntries - 1) }
 func hugeIndex(va mem.VAddr) int { return int(uint64(va)>>21) & 511 }
 
-// Table is one flattened page table.
+// Table is one flattened page table. The root and each leaf's PTEs live in
+// mem.Chunked arrays: a node's storage follows the 4 KiB pieces of it that
+// hold entries, and a clone shares them copy-on-write.
 type Table struct {
 	alloc    *phys.Allocator
 	rootBase mem.PAddr
-	root     []mem.PTE
+	root     mem.Chunked[mem.PTE]
 	leaves   map[int]*leafNode
 }
 
+// leafNode is one flattened leaf, laid out as in memory: the 4K PTEs at
+// [0, flatEntries), then the 2M PTEs.
 type leafNode struct {
-	base  mem.PAddr
-	pte4k []mem.PTE
-	pte2m []mem.PTE
+	base mem.PAddr
+	ptes mem.Chunked[mem.PTE]
 }
+
+func (n *leafNode) pte4k(va mem.VAddr) mem.PTE { return n.ptes.Get(leafIndex(va)) }
+func (n *leafNode) pte2m(va mem.VAddr) mem.PTE { return n.ptes.Get(flatEntries + hugeIndex(va)) }
 
 // New creates an empty flattened table; the merged L4L3 root occupies a
 // contiguous 2 MiB region.
@@ -57,12 +63,7 @@ func New(alloc *phys.Allocator) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fpt: root allocation: %w", err)
 	}
-	return &Table{
-		alloc:    alloc,
-		rootBase: base,
-		root:     make([]mem.PTE, flatEntries),
-		leaves:   map[int]*leafNode{},
-	}, nil
+	return &Table{alloc: alloc, rootBase: base, leaves: map[int]*leafNode{}}, nil
 }
 
 func (t *Table) leafFor(va mem.VAddr, create bool) (*leafNode, error) {
@@ -77,9 +78,9 @@ func (t *Table) leafFor(va mem.VAddr, create bool) (*leafNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fpt: leaf allocation: %w", err)
 	}
-	n := &leafNode{base: base, pte4k: make([]mem.PTE, flatEntries), pte2m: make([]mem.PTE, 512)}
+	n := &leafNode{base: base}
 	t.leaves[idx] = n
-	t.root[idx] = mem.MakePTE(base, 0)
+	t.root.Set(idx, mem.MakePTE(base, 0))
 	return n, nil
 }
 
@@ -92,9 +93,9 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize) error {
 	}
 	switch size {
 	case mem.Size4K:
-		n.pte4k[leafIndex(va)] = mem.MakePTE(pa, mem.PTEWritable)
+		n.ptes.Set(leafIndex(va), mem.MakePTE(pa, mem.PTEWritable))
 	case mem.Size2M:
-		n.pte2m[hugeIndex(va)] = mem.MakePTE(pa, mem.PTEWritable|mem.PTEHuge)
+		n.ptes.Set(flatEntries+hugeIndex(va), mem.MakePTE(pa, mem.PTEWritable|mem.PTEHuge))
 	default:
 		return fmt.Errorf("fpt: unsupported page size %v", size)
 	}
@@ -107,10 +108,10 @@ func (t *Table) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	if n == nil {
 		return 0, 0, false
 	}
-	if pte := n.pte2m[hugeIndex(va)]; pte.Present() {
+	if pte := n.pte2m(va); pte.Present() {
 		return pte.Frame() + mem.PAddr(mem.PageOffset(va, mem.Size2M)), mem.Size2M, true
 	}
-	if pte := n.pte4k[leafIndex(va)]; pte.Present() {
+	if pte := n.pte4k(va); pte.Present() {
 		return pte.Frame() + mem.PAddr(mem.PageOffset(va, mem.Size4K)), mem.Size4K, true
 	}
 	return 0, 0, false
@@ -139,10 +140,10 @@ func (t *Table) leafMatch(va mem.VAddr) int {
 	if n == nil {
 		return -1
 	}
-	if n.pte2m[hugeIndex(va)].Present() {
+	if n.pte2m(va).Present() {
 		return 1
 	}
-	if n.pte4k[leafIndex(va)].Present() {
+	if n.pte4k(va).Present() {
 		return 0
 	}
 	return -1

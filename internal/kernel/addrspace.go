@@ -62,8 +62,8 @@ type AddressSpace struct {
 // Each entry packs the (4 KiB-aligned) VA with the leaf size + 1 in the low
 // bits, so a zero word means "unmapped". It is a mem.FrameMap — the same
 // frame index the page-table node pool uses — keeping the demand-paging hot
-// path free of map operations, and a clone's copy limited to the 2 MiB
-// frame chunks that hold mapped data (one entry per chunk under THP).
+// path free of map operations, and a clone's copies limited to the 2 MiB
+// frame chunks it writes.
 type rmapTable struct {
 	frames mem.FrameMap[uint64]
 }
@@ -157,6 +157,12 @@ func (as *AddressSpace) FreeNodeFrame(pa mem.PAddr) { as.Phys.FreeFrame(pa) }
 // VMAs returns the VMA list, sorted by start address.
 func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
 
+// ReverseMap returns the page mapping the frame containing pa — its base
+// VA and leaf size — as the reverse map records it.
+func (as *AddressSpace) ReverseMap(pa mem.PAddr) (mem.VAddr, mem.PageSize, bool) {
+	return as.rmap.get(pa)
+}
+
 // FindVMA returns the VMA containing va.
 func (as *AddressSpace) FindVMA(va mem.VAddr) (*VMA, bool) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > va })
@@ -221,9 +227,6 @@ func (as *AddressSpace) Grow(v *VMA, newEnd mem.VAddr) error {
 	}
 	oldStart, oldEnd := v.Start, v.End
 	v.End = newEnd
-	if v.state != nil {
-		v.state = append(v.state, make([]pageState, v.Pages()-len(v.state))...)
-	}
 	if as.hooks != nil {
 		as.hooks.VMAResized(v, oldStart, oldEnd)
 	}
@@ -256,9 +259,6 @@ func (as *AddressSpace) Shrink(v *VMA, newEnd mem.VAddr) error {
 	})
 	oldStart, oldEnd := v.Start, v.End
 	v.End = newEnd
-	if v.state != nil {
-		v.state = v.state[:v.Pages()]
-	}
 	if as.hooks != nil {
 		as.hooks.VMAResized(v, oldStart, oldEnd)
 	}

@@ -2,12 +2,14 @@ package kernel
 
 import "dmt/internal/phys"
 
-// Clone returns a deep structural copy of the address space on top of an
+// Clone returns a structural copy of the address space on top of an
 // independently-cloned physical allocator (pa must be as.Phys.Clone(), made
 // by the caller so substrate and address space stay consistent): the VMA
 // list, page table, reverse map, and fault statistics are duplicated frame-
 // for-frame, so translations — including the physical PTE addresses the DMT
-// fetcher computes — are identical on both copies until they diverge.
+// fetcher computes — are identical on both copies until they diverge. The
+// reverse map, the frame index and the VMAs' page state share their chunks
+// copy-on-write (mem.Chunked).
 //
 // Hooks and invalidation callbacks are deliberately dropped: they close over
 // the prototype's TEA manager and TLBs. The owner re-installs its own
@@ -24,9 +26,14 @@ func (as *AddressSpace) Clone(pa *phys.Allocator) *AddressSpace {
 		MMapCalls:  as.MMapCalls,
 		MergedVMAs: as.MergedVMAs,
 	}
+	// One backing array for every VMA: workloads like Memcached map
+	// over a thousand, and a clone should not allocate each.
+	vmas := make([]VMA, len(as.vmas))
 	c.vmas = make([]*VMA, len(as.vmas))
 	for i, v := range as.vmas {
-		c.vmas[i] = v.clone()
+		vmas[i] = *v
+		vmas[i].state = v.state.Clone()
+		c.vmas[i] = &vmas[i]
 	}
 	c.rmap = as.rmap.clone()
 	c.PT = as.PT.Clone(c.allocNode, c.freeNode)
@@ -35,13 +42,16 @@ func (as *AddressSpace) Clone(pa *phys.Allocator) *AddressSpace {
 	return c
 }
 
-// clone value-copies the VMA, duplicating its page-state slice.
-func (v *VMA) clone() *VMA {
-	c := *v
-	if v.state != nil {
-		c.state = append([]pageState(nil), v.state...)
+// Seal makes the address space read-only for cloning (see
+// mem.Chunked.Seal): its page table, reverse map and VMA page state may
+// then be cloned from many goroutines at once. The allocator is sealed by
+// its owner.
+func (as *AddressSpace) Seal() {
+	as.PT.Seal()
+	as.rmap.frames.Seal()
+	for _, v := range as.vmas {
+		v.state.Seal()
 	}
-	return &c
 }
 
 func (r *rmapTable) clone() rmapTable {

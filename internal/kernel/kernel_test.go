@@ -305,10 +305,10 @@ func TestUnmapPageTHP(t *testing.T) {
 }
 
 // TestCloneRmapBytesFollowTouchedChunks pins the reverse map's clone cost
-// to the 2 MiB frame chunks holding mapped data: a THP address space with
-// a few scattered huge pages high in a 1 GiB machine has one rmap entry
-// per huge page, and its clone copies a handful of chunks, not a slice up
-// to the highest data frame.
+// below the 2 MiB frame chunks holding mapped data: a THP address space
+// with a few scattered huge pages high in a 1 GiB machine has one rmap
+// entry per huge page, and its clone shares the chunks until it writes
+// them, not a slice up to the highest data frame.
 func TestCloneRmapBytesFollowTouchedChunks(t *testing.T) {
 	as := newAS(t, 1<<18, Config{THP: true})
 	const start = mem.VAddr(1 << 30)

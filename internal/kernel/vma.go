@@ -55,12 +55,13 @@ type VMA struct {
 	Name  string
 
 	// state tracks populated pages (leaf mappings) with one byte per
-	// 4 KiB page, indexed by (va-Start)>>12 and allocated lazily on the
-	// first fault. The encoding packs the leaf size and the residency
-	// flag (see pageState); a page-indexed slice keeps the fault path
-	// free of map churn and makes present-page iteration ordered and
-	// allocation-free.
-	state     []pageState
+	// 4 KiB page, indexed by (va-Start)>>12, in chunks allocated on the
+	// first fault they take and shared copy-on-write with clones. The
+	// encoding packs the leaf size and the residency flag (see
+	// pageState); a page-indexed array keeps the fault path free of map
+	// churn and makes present-page iteration ordered and allocation-free.
+	// Pages at or beyond End are always absent: Shrink unmaps them.
+	state     mem.Chunked[pageState]
 	populated int
 }
 
@@ -79,10 +80,10 @@ func (v *VMA) pageIndex(base mem.VAddr) int { return int((base - v.Start) >> mem
 
 // pageAt returns the leaf size recorded at the page base, if populated.
 func (v *VMA) pageAt(base mem.VAddr) (mem.PageSize, bool) {
-	if base < v.Start || base >= v.End || v.state == nil {
+	if base < v.Start || base >= v.End {
 		return 0, false
 	}
-	s := v.state[v.pageIndex(base)] &^ pageResident
+	s := v.state.Get(v.pageIndex(base)) &^ pageResident
 	if s == pageAbsent {
 		return 0, false
 	}
@@ -91,35 +92,32 @@ func (v *VMA) pageAt(base mem.VAddr) (mem.PageSize, bool) {
 
 // isResident reports whether the page's frame is externally owned.
 func (v *VMA) isResident(base mem.VAddr) bool {
-	if base < v.Start || base >= v.End || v.state == nil {
+	if base < v.Start || base >= v.End {
 		return false
 	}
-	return v.state[v.pageIndex(base)]&pageResident != 0
+	return v.state.Get(v.pageIndex(base))&pageResident != 0
 }
 
 // setPresent records a populated leaf at the page base.
 func (v *VMA) setPresent(base mem.VAddr, size mem.PageSize, resident bool) {
-	if v.state == nil {
-		v.state = make([]pageState, v.Pages())
-	}
-	i := v.pageIndex(base)
-	if v.state[i] == pageAbsent {
+	slot := v.state.Mut(v.pageIndex(base))
+	if *slot == pageAbsent {
 		v.populated++
 	}
 	s := pageState(size) + 1
 	if resident {
 		s |= pageResident
 	}
-	v.state[i] = s
+	*slot = s
 }
 
 // clearPresent removes the record of a populated leaf.
 func (v *VMA) clearPresent(base mem.VAddr) {
-	if base < v.Start || base >= v.End || v.state == nil {
+	if base < v.Start || base >= v.End {
 		return
 	}
-	if i := v.pageIndex(base); v.state[i] != pageAbsent {
-		v.state[i] = pageAbsent
+	if i := v.pageIndex(base); v.state.Get(i) != pageAbsent {
+		v.state.Set(i, pageAbsent)
 		v.populated--
 	}
 }
@@ -127,10 +125,18 @@ func (v *VMA) clearPresent(base mem.VAddr) {
 // forEachPresent visits every populated page in ascending address order.
 // The callback may unmap the page it is handed (but no other).
 func (v *VMA) forEachPresent(fn func(base mem.VAddr, size mem.PageSize)) {
-	for i, s := range v.state {
-		if s &^= pageResident; s != pageAbsent {
-			fn(v.Start+mem.VAddr(i)<<mem.PageShift4K, mem.PageSize(s-1))
+	for i, n := 0, v.Pages(); i < n; {
+		span := v.state.Span(i, n-i)
+		if span == nil { // a chunk no fault ever wrote
+			i += mem.ChunkLen - i%mem.ChunkLen
+			continue
 		}
+		for j, s := range span {
+			if s &^= pageResident; s != pageAbsent {
+				fn(v.Start+mem.VAddr(i+j)<<mem.PageShift4K, mem.PageSize(s-1))
+			}
+		}
+		i += len(span)
 	}
 }
 

@@ -7,9 +7,9 @@ import "testing"
 // first overflow frames at 16 GiB, and frames far beyond it.
 var frameMapBases = []uint64{
 	0,
-	frameChunkLen - 2,
-	3*frameChunkLen - 1,
-	frameMapDense - frameChunkLen,
+	ChunkLen - 2,
+	3*ChunkLen - 1,
+	frameMapDense - ChunkLen,
 	frameMapDense - 2,
 	frameMapDense,
 	1 << 30,
@@ -110,7 +110,7 @@ func FuzzFrameMap(f *testing.F) {
 				maps = append(maps, c)
 				fm.set(pa, v+1)
 				c.set(pa, v+2)
-				c.set(pa+frameChunkLen*PageBytes4K, v+3)
+				c.set(pa+ChunkLen*PageBytes4K, v+3)
 				fm.del(pa - PageBytes4K)
 			}
 			if got, want := fm.m.Len(), len(fm.ref); got != want {

@@ -1,16 +1,18 @@
 package pagetable
 
-// Clone deep-copies the table into a fresh Pool, preserving every node's
+// Clone copies the table into a fresh Pool, preserving every node's
 // physical placement (clones translate identically, PTE addresses included)
-// while sharing no arena or index storage with the original. Nodes hold no
+// while sharing no arena storage with the original. Nodes hold no
 // references: a PTE names its child by frame, and the frame index maps that
 // frame to an arena-relative nodeID. So the copy is a flat memcpy of the
-// slots in use plus the frame index's allocated chunks, with no recursive
-// traversal and no pointer rewriting, and clone bytes follow the live nodes
-// and the 2 MiB frame chunks they sit in, not the slab size, the highest
-// node frame, or the tree shape. The placement callbacks are NOT
-// copied: they close over the prototype's allocator and TEA manager, so the
-// caller must supply replacements bound to the cloned substrate
+// slots in use, with the frame index shared copy-on-write (mem.Chunked), no
+// recursive traversal and no pointer rewriting, and clone bytes follow the
+// live nodes, not the slab size, the highest node frame, or the tree shape.
+// The slabs stay an eager copy: Agile, TEA and the overhead census cache
+// *Node pointers, which a copy-on-write slab would leave pointing at the
+// prototype's nodes. The placement callbacks are NOT copied: they close
+// over the prototype's allocator and TEA manager, so the caller must
+// supply replacements bound to the cloned substrate
 // (kernel.AddressSpace.Clone passes its own allocNode/freeNode).
 func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 	return &Table{
@@ -22,6 +24,10 @@ func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 		Mapped: t.Mapped,
 	}
 }
+
+// Seal makes the table read-only for cloning (see mem.Chunked.Seal): its
+// frame index may then be cloned from many goroutines at once.
+func (t *Table) Seal() { t.pool.index.Seal() }
 
 // clone copies the pool: the slots ever handed out, the freelist, and the
 // frame index. The clone's slabs are carved from one arena allocation, each

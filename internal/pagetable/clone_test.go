@@ -284,8 +284,9 @@ func cloneAllocBytes(tbl *Table) uint64 {
 
 // TestCloneBytesFollowLiveState pins clone cost to live state: a 4-node
 // table whose nodes sit near frame 200K (where the simulated workloads put
-// them) clones in under 96 KiB — one slab of 4 KiB nodes plus the chunk
-// its nodes sit in — with nothing sized by the highest node frame.
+// them) clones in under 96 KiB — one slab of 4 KiB nodes; the frame index
+// is shared until the clone writes it — with nothing sized by the highest
+// node frame.
 func TestCloneBytesFollowLiveState(t *testing.T) {
 	tbl, err := New(NewPool(), mem.Levels4, BumpAlloc(0x3200_0000), nil)
 	if err != nil {

@@ -11,19 +11,25 @@ import "fmt"
 //
 // A frame is free exactly when its kind is KindFree. Invariants checked:
 //   - freeFrames equals the number of KindFree frames;
-//   - every free-block head (blockOrder[f] >= 0) is naturally aligned,
+//   - every free-block head (order(f) >= 0) is naturally aligned,
 //     in bounds, and covers only KindFree frames;
 //   - every KindFree frame is covered by exactly one free-block head;
 //   - allocated frames are not block heads.
 //
-// Audit is O(frames) and performs no allocation beyond the coverage bitmap.
+// Audit is O(frames) and allocates only a flat copy of the frame state and
+// the coverage bitmap.
 func (a *Allocator) Audit() error {
+	state := make([]frameState, a.frames)
+	for f := uint32(0); f < a.frames; {
+		f += uint32(copy(state[f:], a.span(f, a.frames)))
+	}
+	order := func(f uint32) int { return int(state[f].head) - 1 }
 	var freeCount uint32
 	for f := uint32(0); f < a.frames; f++ {
-		if a.kind[f] == KindFree {
+		if state[f].kind == KindFree {
 			freeCount++
-		} else if a.blockOrder[f] >= 0 {
-			return fmt.Errorf("phys: allocated frame %d is a free-block head (order %d)", f, a.blockOrder[f])
+		} else if order(f) >= 0 {
+			return fmt.Errorf("phys: allocated frame %d is a free-block head (order %d)", f, order(f))
 		}
 	}
 	if freeCount != a.freeFrames {
@@ -31,11 +37,11 @@ func (a *Allocator) Audit() error {
 	}
 	covered := make([]bool, a.frames)
 	for f := uint32(0); f < a.frames; f++ {
-		o := a.blockOrder[f]
+		o := order(f)
 		if o < 0 {
 			continue
 		}
-		if int(o) > MaxOrder {
+		if o > MaxOrder {
 			return fmt.Errorf("phys: free block at frame %d has invalid order %d", f, o)
 		}
 		n := uint32(1) << uint(o)
@@ -46,7 +52,7 @@ func (a *Allocator) Audit() error {
 			return fmt.Errorf("phys: order-%d free block at frame %d overruns the zone", o, f)
 		}
 		for i := f; i < f+n; i++ {
-			if a.kind[i] != KindFree {
+			if state[i].kind != KindFree {
 				return fmt.Errorf("phys: order-%d free block at frame %d covers allocated frame %d", o, f, i)
 			}
 			if covered[i] {
@@ -56,7 +62,7 @@ func (a *Allocator) Audit() error {
 		}
 	}
 	for f := uint32(0); f < a.frames; f++ {
-		if a.kind[f] == KindFree && !covered[f] {
+		if state[f].kind == KindFree && !covered[f] {
 			return fmt.Errorf("phys: free frame %d not covered by any free block", f)
 		}
 	}

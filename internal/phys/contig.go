@@ -70,7 +70,7 @@ func (a *Allocator) FreeContig(pa mem.PAddr, nframes int) {
 		panic("phys: FreeContig beyond managed region")
 	}
 	for i := f; i < f+n; i++ {
-		if a.kind[i] == KindFree {
+		if a.kindOf(i) == KindFree {
 			panic(fmt.Sprintf("phys: double free of frame %d", i))
 		}
 	}
@@ -90,11 +90,11 @@ func (a *Allocator) ExpandContigInPlace(pa mem.PAddr, cur, extra int) bool {
 		return false
 	}
 	for i := start; i < end; i++ {
-		if a.kind[i] != KindFree {
+		if a.kindOf(i) != KindFree {
 			return false
 		}
 	}
-	kind := a.kind[f]
+	kind := a.kindOf(f)
 	a.claimWindow(start, uint32(extra), kind)
 	return true
 }
@@ -134,19 +134,22 @@ func (a *Allocator) releaseAllocated(f, n uint32) {
 // zone, like the isolation scanner in alloc_contig_range.
 func (a *Allocator) findWindow(n uint32, allowMovable bool) (uint32, bool) {
 	var runStart, runLen uint32
-	for f := uint32(0); f < a.frames; f++ {
-		ok := a.kind[f] == KindFree || (allowMovable && a.kind[f] == KindMovable)
-		if !ok {
-			runLen = 0
-			continue
+	for f := uint32(0); f < a.frames; {
+		s := a.span(f, a.frames)
+		for i := range s {
+			if k := s[i].kind; k != KindFree && (!allowMovable || k != KindMovable) {
+				runLen = 0
+				continue
+			}
+			if runLen == 0 {
+				runStart = f + uint32(i)
+			}
+			runLen++
+			if runLen >= n {
+				return runStart, true
+			}
 		}
-		if runLen == 0 {
-			runStart = f
-		}
-		runLen++
-		if runLen >= n {
-			return runStart, true
-		}
+		f += uint32(len(s))
 	}
 	return 0, false
 }
@@ -156,7 +159,7 @@ func (a *Allocator) findWindow(n uint32, allowMovable bool) (uint32, bool) {
 // migrated frames at their new homes) if any migration fails.
 func (a *Allocator) migrateOut(start, n uint32) bool {
 	for f := start; f < start+n; f++ {
-		if a.kind[f] != KindMovable {
+		if a.kindOf(f) != KindMovable {
 			continue
 		}
 		if !a.migrateFrame(f, start, n) {
@@ -193,14 +196,11 @@ func (a *Allocator) migrateFrame(f, wStart, wLen uint32) bool {
 // findFreeOutside locates a free frame outside the given window, searching
 // from the top of the zone downward (mirroring compaction's free scanner).
 func (a *Allocator) findFreeOutside(wStart, wLen uint32) (uint32, bool) {
-	for f := a.frames; f > 0; f-- {
-		i := f - 1
-		if i >= wStart && i < wStart+wLen {
-			continue
-		}
-		if a.kind[i] == KindFree {
-			return i, true
-		}
+	if f := a.scanDown(wStart+wLen, a.frames, KindFree); f > wStart+wLen {
+		return f - 1, true
+	}
+	if f := a.scanDown(0, wStart, KindFree); f > 0 {
+		return f - 1, true
 	}
 	return 0, false
 }
@@ -210,7 +210,7 @@ func (a *Allocator) findFreeOutside(wStart, wLen uint32) (uint32, bool) {
 func (a *Allocator) carveFrame(f uint32) {
 	head, order := a.containingFreeBlock(f)
 	// Detach the containing block.
-	a.blockOrder[head] = -1
+	a.setOrder(head, -1)
 	for order > 0 {
 		half := uint32(1) << (order - 1)
 		if f < head+half {
@@ -219,20 +219,20 @@ func (a *Allocator) carveFrame(f uint32) {
 			a.insertFree(head, order-1)
 			head += half
 		}
-		a.blockOrder[head] = -1
 		order--
 		a.Stats.Splits++
 	}
-	// f == head: an order-0 detached frame, still KindFree but unlisted.
-	// The caller claims it (setting its kind and adjusting freeFrames) next.
-	a.blockOrder[f] = -1
+	// f == head: an order-0 detached frame, still KindFree but unlisted
+	// (an interior frame of a free block heads nothing, so the half kept
+	// for f never needs its head cleared). The caller claims it (setting
+	// its kind and adjusting freeFrames) next.
 }
 
 // containingFreeBlock finds the head and order of the free block holding f.
 func (a *Allocator) containingFreeBlock(f uint32) (uint32, int) {
 	for order := 0; order <= MaxOrder; order++ {
 		head := f &^ (uint32(1)<<order - 1)
-		if a.blockOrder[head] == int8(order) {
+		if a.order(head) == order {
 			return head, order
 		}
 	}
@@ -243,12 +243,12 @@ func (a *Allocator) containingFreeBlock(f uint32) (uint32, int) {
 // blocks that straddle its edges.
 func (a *Allocator) claimWindow(start, n uint32, kind Kind) {
 	for f := start; f < start+n; f++ {
-		if a.kind[f] != KindFree {
+		if a.kindOf(f) != KindFree {
 			panic("phys: claimWindow over non-free frame")
 		}
 		a.carveFrame(f)
-		a.kind[f] = kind
 	}
+	a.setKinds(start, n, kind)
 	a.freeFrames -= n
 	a.Stats.Allocs++
 }
@@ -263,15 +263,10 @@ func (a *Allocator) Compact() int {
 	migrated := 0
 	lo, hi := uint32(0), a.frames
 	for lo < hi {
-		// Advance lo to the next free frame.
-		for lo < hi && a.kind[lo] != KindFree {
-			lo++
-		}
-		// Retreat hi to the next movable frame.
-		for lo < hi && (hi == 0 || a.kind[hi-1] != KindMovable) {
-			hi--
-		}
-		if lo >= hi || hi == 0 {
+		// Advance lo to the next free frame, and retreat hi to just
+		// above the next movable frame.
+		lo = a.scanUp(lo, hi, KindFree)
+		if hi = a.scanDown(lo, hi, KindMovable); lo >= hi {
 			break
 		}
 		src := hi - 1
@@ -312,16 +307,20 @@ func (a *Allocator) FragmentationIndex(order int) float64 {
 }
 
 // FreeBlockCounts returns the number of free blocks at each order, computed
-// from the authoritative blockOrder map rather than the lazy-deletion
+// from the authoritative frame state rather than the lazy-deletion
 // stacks: a head detached by carveFrame and later re-inserted by coalescing
 // appears twice on its stack, and counting stack entries (as an earlier
 // revision did) double-counted such blocks, skewing FragmentationIndex low.
 func (a *Allocator) FreeBlockCounts() [MaxOrder + 1]int {
 	var counts [MaxOrder + 1]int
-	for f := uint32(0); f < a.frames; f++ {
-		if o := a.blockOrder[f]; o >= 0 {
-			counts[o]++
+	for f := uint32(0); f < a.frames; {
+		s := a.span(f, a.frames)
+		for i := range s {
+			if h := s[i].head; h > 0 {
+				counts[h-1]++
+			}
 		}
+		f += uint32(len(s))
 	}
 	return counts
 }

@@ -66,28 +66,112 @@ type Relocator interface {
 // Allocator is a buddy allocator managing a contiguous physical region.
 // It is not safe for concurrent use; the simulated kernel serializes calls
 // the way a zone lock would.
+//
+// The per-frame state and the free stacks live in mem.Chunked arrays, so a
+// Clone shares them copy-on-write and pays for the chunks it writes.
 type Allocator struct {
 	base   mem.PAddr
 	frames uint32
 
-	// blockOrder[f] is the order of the free block headed at frame f,
-	// or -1 when f is allocated or interior to a free block.
-	blockOrder []int8
-	// kind[f] is the owner class of frame f; KindFree means f belongs to
-	// a free block. Splitting or coalescing free blocks leaves it alone:
-	// only frames changing hands between free and allocated are written.
-	kind []Kind
+	// state is the per-frame buddy state, indexed by frame.
+	state mem.Chunked[frameState]
 
 	// freeStacks holds candidate free-block heads per order with lazy
-	// deletion: entries are validated against blockOrder when popped,
-	// which keeps allocation deterministic (LIFO) and O(1) amortized.
-	freeStacks [MaxOrder + 1][]uint32
+	// deletion: entries are validated against the frame state when
+	// popped, which keeps allocation deterministic (LIFO) and O(1)
+	// amortized.
+	freeStacks [MaxOrder + 1]stack
 
 	freeFrames uint32
 	relocator  Relocator
 
 	// Stats counts allocator work for the §6.3 overhead experiments.
 	Stats Stats
+}
+
+// frameState is one frame's buddy state. head is the order + 1 of the free
+// block headed at the frame, 0 when the frame is allocated or interior to
+// a free block. kind is the frame's owner class; KindFree means it belongs
+// to a free block. Splitting or coalescing free blocks leaves kind alone:
+// only frames changing hands between free and allocated are written.
+type frameState struct {
+	head uint8
+	kind Kind
+}
+
+// order returns the order of the free block headed at f, or -1.
+func (a *Allocator) order(f uint32) int { return int(a.state.Get(int(f)).head) - 1 }
+
+// setOrder makes f the head of a free block of the given order, or no head
+// for -1.
+func (a *Allocator) setOrder(f uint32, order int) { a.state.Mut(int(f)).head = uint8(order + 1) }
+
+// kindOf returns the owner class of frame f.
+func (a *Allocator) kindOf(f uint32) Kind { return a.state.Get(int(f)).kind }
+
+// setKinds sets the owner class of the n frames from f.
+func (a *Allocator) setKinds(f, n uint32, k Kind) {
+	for end := f + n; f < end; {
+		s := a.state.MutSpan(int(f), int(end-f))
+		for i := range s {
+			s[i].kind = k
+		}
+		f += uint32(len(s))
+	}
+}
+
+// freeSpan is the state of the frames of a never-written chunk: free, and
+// heading no block.
+var freeSpan [mem.ChunkLen]frameState
+
+// span returns the states of the frames from f up to end or the end of f's
+// chunk, whichever comes first, for reading only.
+func (a *Allocator) span(f, end uint32) []frameState {
+	if s := a.state.Span(int(f), int(end-f)); s != nil {
+		return s
+	}
+	return freeSpan[:min(end-f, mem.ChunkLen-f%mem.ChunkLen)]
+}
+
+// scanUp returns the first frame of kind k in [lo, hi), or hi.
+func (a *Allocator) scanUp(lo, hi uint32, k Kind) uint32 {
+	for lo < hi {
+		s := a.span(lo, hi)
+		for i := range s {
+			if s[i].kind == k {
+				return lo + uint32(i)
+			}
+		}
+		lo += uint32(len(s))
+	}
+	return hi
+}
+
+// scanDown returns one past the last frame of kind k in [lo, hi), or lo.
+func (a *Allocator) scanDown(lo, hi uint32, k Kind) uint32 {
+	for hi > lo {
+		start := max(lo, (hi-1)&^(mem.ChunkLen-1))
+		s := a.span(start, hi)
+		for i := len(s) - 1; i >= 0; i-- {
+			if s[i].kind == k {
+				return start + uint32(i) + 1
+			}
+		}
+		hi = start
+	}
+	return lo
+}
+
+// stack is one order's free stack: n entries at the bottom of a chunked
+// array, so pushes and pops on a clone touch only the top chunk.
+type stack struct {
+	s mem.Chunked[uint32]
+	n int
+}
+
+func (s *stack) push(f uint32) {
+	s.s.Set(s.n, f)
+	s.n++
 }
 
 // Stats aggregates allocator activity.
@@ -112,15 +196,7 @@ func New(base mem.PAddr, frames int) *Allocator {
 	if frames <= 0 {
 		panic("phys: non-positive frame count")
 	}
-	a := &Allocator{
-		base:       base,
-		frames:     uint32(frames),
-		blockOrder: make([]int8, frames),
-		kind:       make([]Kind, frames), // all KindFree
-	}
-	for i := range a.blockOrder {
-		a.blockOrder[i] = -1
-	}
+	a := &Allocator{base: base, frames: uint32(frames)} // every frame KindFree
 	// Seed free lists with maximal aligned blocks.
 	f := uint32(0)
 	for f < a.frames {
@@ -150,7 +226,7 @@ func (a *Allocator) FreeFrames() int { return int(a.freeFrames) }
 
 // FrameKind returns the owner class of the frame containing pa.
 func (a *Allocator) FrameKind(pa mem.PAddr) Kind {
-	return a.kind[a.frameOf(pa)]
+	return a.kindOf(a.frameOf(pa))
 }
 
 func (a *Allocator) frameOf(pa mem.PAddr) uint32 {
@@ -172,16 +248,16 @@ func (a *Allocator) addrOf(f uint32) mem.PAddr {
 // pushes it on that order's stack. The block's frames must already be
 // KindFree.
 func (a *Allocator) insertFree(f uint32, order int) {
-	a.blockOrder[f] = int8(order)
-	stack := append(a.freeStacks[order], f)
+	a.setOrder(f, order)
+	s := &a.freeStacks[order]
+	s.push(f)
 	// Lazy deletion leaves stale entries behind; over a multi-million-event
 	// aging run (carveFrame detaches heads without popping them) the stacks
 	// would otherwise grow without bound. Compact once a stack exceeds the
 	// maximum possible number of live heads at this order plus slack.
-	if len(stack) > int(a.frames>>uint(order))+64 {
-		stack = a.compactStack(stack, order)
+	if s.n > int(a.frames>>uint(order))+64 {
+		a.compactStack(s, order)
 	}
-	a.freeStacks[order] = stack
 }
 
 // compactStack drops entries invalidated by lazy deletion and collapses
@@ -189,12 +265,12 @@ func (a *Allocator) insertFree(f uint32, order int) {
 // each. Pops take the newest entry first and claiming a head invalidates
 // its older duplicates, so the sequence of successful pops — and therefore
 // allocation determinism — is unchanged.
-func (a *Allocator) compactStack(stack []uint32, order int) []uint32 {
-	seen := make(map[uint32]struct{}, len(stack))
-	kept := make([]uint32, 0, len(stack))
-	for i := len(stack) - 1; i >= 0; i-- {
-		f := stack[i]
-		if a.blockOrder[f] != int8(order) {
+func (a *Allocator) compactStack(s *stack, order int) {
+	seen := make(map[uint32]struct{}, s.n)
+	kept := make([]uint32, 0, s.n)
+	for i := s.n - 1; i >= 0; i-- {
+		f := s.s.Get(i)
+		if a.order(f) != order {
 			continue
 		}
 		if _, dup := seen[f]; dup {
@@ -204,26 +280,22 @@ func (a *Allocator) compactStack(stack []uint32, order int) []uint32 {
 		kept = append(kept, f)
 	}
 	// kept is newest-first; restore stack order (oldest at the bottom).
-	out := stack[:0]
+	s.n = 0
 	for i := len(kept) - 1; i >= 0; i-- {
-		out = append(out, kept[i])
+		s.push(kept[i])
 	}
-	return out
 }
 
 // popFree removes and returns a valid free block head of the given order,
 // or (0, false) when none exists.
 func (a *Allocator) popFree(order int) (uint32, bool) {
-	stack := a.freeStacks[order]
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if a.blockOrder[f] == int8(order) {
-			a.freeStacks[order] = stack
+	s := &a.freeStacks[order]
+	for s.n > 0 {
+		s.n--
+		if f := s.s.Get(s.n); a.order(f) == order {
 			return f, true
 		}
 	}
-	a.freeStacks[order] = stack
 	return 0, false
 }
 
@@ -310,10 +382,8 @@ func (a *Allocator) split(f uint32, order, to int) {
 }
 
 func (a *Allocator) claim(f, n uint32, kind Kind) {
-	a.blockOrder[f] = -1
-	for i := f; i < f+n; i++ {
-		a.kind[i] = kind
-	}
+	a.setOrder(f, -1)
+	a.setKinds(f, n, kind)
 	a.freeFrames -= n
 }
 
@@ -325,7 +395,7 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 		panic("phys: Free of unaligned block")
 	}
 	for i := f; i < f+n; i++ {
-		if a.kind[i] == KindFree {
+		if a.kindOf(i) == KindFree {
 			panic(fmt.Sprintf("phys: double free of frame %d", i))
 		}
 	}
@@ -338,16 +408,14 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 // lists, coalescing with its buddy while possible. Only the block's own
 // frames change kind; the buddies it absorbs are already KindFree.
 func (a *Allocator) freeBlock(f uint32, order int) {
-	for i := f; i < f+1<<order; i++ {
-		a.kind[i] = KindFree
-	}
+	a.setKinds(f, 1<<order, KindFree)
 	for order < MaxOrder {
 		buddy := f ^ (1 << order)
-		if buddy >= a.frames || a.blockOrder[buddy] != int8(order) {
+		if buddy >= a.frames || a.order(buddy) != order {
 			break
 		}
 		// Detach the buddy (lazy deletion handles the stack entry).
-		a.blockOrder[buddy] = -1
+		a.setOrder(buddy, -1)
 		if buddy < f {
 			f = buddy
 		}

@@ -288,7 +288,7 @@ func TestFreeFramesInvariant(t *testing.T) {
 		}
 		count := 0
 		for f := uint32(0); f < a.frames; f++ {
-			if a.kind[f] == KindFree {
+			if a.kindOf(f) == KindFree {
 				count++
 			}
 		}

@@ -267,7 +267,7 @@ func TestFreeStackStaysBounded(t *testing.T) {
 			a.Compact()
 		}
 		for order := 0; order <= MaxOrder; order++ {
-			if n, max := len(a.freeStacks[order]), frames>>uint(order)+64; n > max {
+			if n, max := a.freeStacks[order].n, frames>>uint(order)+64; n > max {
 				t.Fatalf("step %d: order-%d stack has %d entries, bound %d", i, order, n, max)
 			}
 		}

@@ -1,11 +1,18 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
 	"dmt/internal/fault"
+	"dmt/internal/kernel"
+	"dmt/internal/mem"
+	"dmt/internal/pagetable"
+	"dmt/internal/phys"
+	"dmt/internal/tea"
 	"dmt/internal/virt"
 	"dmt/internal/workload"
 )
@@ -79,65 +86,202 @@ func TestDeterminismCloneEquality(t *testing.T) {
 	}
 }
 
-// TestDeterminismCloneIsolation is the aliasing audit: drive one clone
-// through a mutation-heavy plan (TEA migrations, unmaps, huge-page flips,
-// register spills), then check that a sibling clone made *before* the run
-// and one made *after* produce identical results — i.e. nothing the driven
-// clone did (hook callbacks, TLB shootdowns, arena writes, backend
-// allocation) reached the prototype they share.
+// TestDeterminismCloneIsolation is the aliasing audit: for every
+// environment × design at a small working set, two goroutines each drive
+// clones of one prototype through all six fault plans (TEA migrations,
+// unmaps, huge-page flips, register spills, allocation pressure) at once.
+// The prototype's parts must hash the same before and after, the two
+// goroutines' results must agree plan by plan, and a clone minted after
+// the runs must still match a from-scratch build — i.e. nothing a driven
+// clone did (hook callbacks, TLB shootdowns, arena writes, copy-on-write
+// chunk copies, backend allocation) reached the prototype they share.
 func TestDeterminismCloneIsolation(t *testing.T) {
 	wl := detWorkload(t)
-	suite := fault.Suite(detOps)
-	churn := &suite[0]
+	var plans []*fault.Plan
+	for _, p := range fault.Suite(detOps) {
+		p := p
+		plans = append(plans, &p)
+	}
 
-	for _, tc := range []struct {
-		env Environment
-		d   Design
-	}{
-		{EnvNative, DesignDMT},
-		{EnvVirt, DesignPvDMT},
-		{EnvNested, DesignPvDMT},
-	} {
-		t.Run(fmt.Sprintf("%v/%s", tc.env, tc.d), func(t *testing.T) {
-			cfg := detConfig(tc.env, tc.d, churn)
-			cfg.Workload = wl
-			cfg.Shards = 1
-			cfg.Workers = 1
+	for _, env := range []Environment{EnvNative, EnvVirt, EnvNested} {
+		for _, d := range Designs(env) {
+			t.Run(fmt.Sprintf("%v/%s", env, d), func(t *testing.T) {
+				cfg := detConfig(env, d, nil)
+				cfg.Workload = wl
+				cfg.WSBytes = 16 << 20
+				cfg.Shards = 1
+				cfg.Workers = 1
 
-			proto, err := NewPrototype(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runClone := func() *Result {
-				in, err := proto.NewInstance(cfg)
+				proto, err := NewPrototype(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < in.Ops(); i++ {
-					if err := in.Step(); err != nil {
+				before := partsHash(proto.parts)
+				runClone := func(plan *fault.Plan) (*Result, error) {
+					c := cfg
+					c.FaultPlan = plan
+					in, err := proto.NewInstance(c)
+					if err != nil {
+						return nil, err
+					}
+					for i := 0; i < in.Ops(); i++ {
+						if err := in.Step(); err != nil {
+							return nil, err
+						}
+					}
+					return in.Finish()
+				}
+				var results [2][]*Result
+				errs := make(chan error, 2)
+				for g := range results {
+					go func() {
+						for _, plan := range plans {
+							res, err := runClone(plan)
+							if err != nil {
+								errs <- fmt.Errorf("%s: %w", plan.Name, err)
+								return
+							}
+							results[g] = append(results[g], res)
+						}
+						errs <- nil
+					}()
+				}
+				for range results {
+					if err := <-errs; err != nil {
 						t.Fatal(err)
 					}
 				}
-				res, err := in.Finish()
+				if after := partsHash(proto.parts); after != before {
+					t.Fatalf("prototype parts changed under driven clones: hash %#x, was %#x", after, before)
+				}
+				for i, plan := range plans {
+					t.Run(plan.Name, func(t *testing.T) { requireEqualResults(t, results[0][i], results[1][i]) })
+				}
+
+				// The prototype must also still match a from-scratch build.
+				c := cfg
+				c.FaultPlan = plans[0]
+				cold := c
+				cold.ColdBuild = true
+				want, err := Run(cold)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
-			}
-			before := runClone() // mutation-heavy run over clone A
-			after := runClone()  // clone B, minted from the same prototype
-			requireEqualResults(t, before, after)
-
-			// The prototype must also still match a from-scratch build.
-			cold := cfg
-			cold.ColdBuild = true
-			want, err := Run(cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireEqualResults(t, want, after)
-		})
+				got, err := runClone(plans[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEqualResults(t, want, got)
+			})
+		}
 	}
+}
+
+// partsHash digests what a driven clone could disturb in the parts it was
+// cloned from: every allocator's frame kinds, free blocks and statistics;
+// every address space's VMAs, page-table nodes and reverse map; the TEA
+// managers and exit counters; and the design structures, read through
+// their lookups at every mapped page.
+func partsHash(p *parts) uint64 {
+	h := fnv.New64a()
+	add := func(vs ...uint64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	addf := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
+	lookups := func(as *kernel.AddressSpace, lookup func(mem.VAddr) (mem.PAddr, mem.PageSize, bool)) {
+		for _, v := range as.VMAs() {
+			for _, pg := range v.PresentPages() {
+				pa, size, ok := lookup(pg.VA)
+				addf("%x %x %d %v;", pg.VA, pa, size, ok)
+			}
+		}
+	}
+
+	spaces := []*kernel.AddressSpace{p.as}
+	var vms []*virt.VM
+	if p.hyp != nil {
+		add(p.hyp.Hypercalls, p.hyp.VMExits, p.hyp.ShadowSyncs, p.hyp.IsolationFaults)
+		vms = append(vms, p.vm)
+		if p.l1 != nil {
+			vms = append(vms, p.l1)
+		}
+		for _, vm := range vms {
+			spaces = append(spaces, vm.HostAS)
+		}
+	}
+	allocs := map[*phys.Allocator]bool{}
+	for _, as := range spaces {
+		a := as.Phys
+		if !allocs[a] {
+			allocs[a] = true
+			addf("%+v %d %v;", a.Stats, a.FreeFrames(), a.FreeBlockCounts())
+		}
+		addf("%d %d %d %d %d;", as.Faults, as.THPMapped, as.MMapCalls, as.MergedVMAs, as.PT.Mapped)
+		for f := 0; f < a.TotalFrames(); f++ {
+			pa := a.Base() + mem.PAddr(f)<<mem.PageShift4K
+			va, size, ok := as.ReverseMap(pa)
+			add(uint64(a.FrameKind(pa)), uint64(va), uint64(size), boolBit(ok))
+		}
+		for _, v := range as.VMAs() {
+			add(uint64(v.Start), uint64(v.End), uint64(v.PopulatedPages()))
+		}
+		lookups(as, as.PT.Lookup)
+		hashNodes(as.Pool, add)
+	}
+	if p.spt != nil {
+		hashNodes(p.spt.Pool(), add)
+	}
+	mgrs := []*tea.Manager{p.mgr}
+	for _, vm := range vms {
+		mgrs = append(mgrs, vm.HostTEA)
+	}
+	for _, m := range mgrs {
+		if m != nil {
+			addf("%+v %+v;", m.Registers(), m.Stats)
+			for _, mp := range m.Mappings() {
+				add(uint64(mp.Start), uint64(mp.End))
+			}
+		}
+	}
+	if p.sys != nil {
+		lookups(p.as, p.sys.Lookup)
+	}
+	if p.ft != nil {
+		lookups(p.as, p.ft.Lookup)
+	}
+	if p.seg != nil {
+		lookups(p.as, p.seg.Lookup)
+	}
+	if p.hsys != nil {
+		lookups(p.vm.HostAS, p.hsys.Lookup)
+	}
+	if p.hft != nil {
+		lookups(p.vm.HostAS, p.hft.Lookup)
+	}
+	return h.Sum64()
+}
+
+// hashNodes adds every live node of a page-table pool: level, base and
+// all 512 entries, in frame order.
+func hashNodes(pool *pagetable.Pool, add func(...uint64)) {
+	pool.CountNodes(func(n *pagetable.Node) bool {
+		add(uint64(n.Level), uint64(n.Base))
+		for i := 0; i < mem.EntriesPerNode; i++ {
+			add(uint64(n.Entry(i)))
+		}
+		return false
+	})
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestMulticoreSmokeClonedShards is the CI multicore smoke: a 4-worker run

@@ -47,18 +47,21 @@ type envSpec struct {
 type envSpecs [EnvNested + 1]*envSpec
 
 // designTable is the design registry: one entry per design, in the order
-// ParseDesign, allDesigns and Designs report, with its wiring in every
-// environment that runs it (nil elsewhere). Register new designs here.
+// ParseDesign, allDesigns and Designs report, with the name of what its
+// fast-path coverage counts (empty for designs without one, see
+// CoverageLabel) and its wiring in every environment that runs it (nil
+// elsewhere). Register new designs here.
 var designTable = []struct {
-	name Design
-	envs envSpecs
+	name     Design
+	coverage string
+	envs     envSpecs
 }{
-	{DesignVanilla, envSpecs{
+	{DesignVanilla, "", envSpecs{
 		EnvNative: {wire: walkBase},
 		EnvVirt:   {wire: walkBase},
 		EnvNested: {wire: walkBase},
 	}},
-	{DesignShadow, envSpecs{
+	{DesignShadow, "", envSpecs{
 		EnvVirt: {build: buildShadow, wire: func(w *wiring) core.Walker {
 			rw := core.NewRadixWalker(w.p.spt, w.p.hier, tlb.NewPWCScaled(w.cfg.CacheScale), 1)
 			rw.Sink = w.m.sink
@@ -69,7 +72,7 @@ var designTable = []struct {
 			return rw
 		}},
 	}},
-	{DesignDMT, envSpecs{
+	{DesignDMT, "register coverage", envSpecs{
 		EnvNative: {tea: teaPhys, wire: func(w *wiring) core.Walker {
 			d := core.NewDMTWalker(w.p.mgr, w.p.as.Pool, w.p.hier, w.base)
 			d.Sink = w.m.sink
@@ -88,7 +91,7 @@ var designTable = []struct {
 			}
 		}},
 	}},
-	{DesignPvDMT, envSpecs{
+	{DesignPvDMT, "register coverage", envSpecs{
 		EnvVirt: {tea: teaHypercall, wire: func(w *wiring) core.Walker {
 			p := w.p
 			pw := virt.NewPvDMTWalker(p.vm, p.mgr, p.as.Pool, p.hier, w.base)
@@ -110,7 +113,7 @@ var designTable = []struct {
 			return pw
 		}},
 	}},
-	{DesignECPT, envSpecs{
+	{DesignECPT, "", envSpecs{
 		EnvNative: {build: buildECPT, wire: func(w *wiring) core.Walker {
 			ew := &ecpt.Walker{Sys: w.p.sys, Hier: w.p.hier, Sink: w.m.sink}
 			w.resync(func() { ew.Sys = w.p.sys })
@@ -123,7 +126,7 @@ var designTable = []struct {
 			return ew
 		}},
 	}},
-	{DesignFPT, envSpecs{
+	{DesignFPT, "", envSpecs{
 		EnvNative: {build: buildFPT, wire: func(w *wiring) core.Walker {
 			fw := &fpt.Walker{T: w.p.ft, Hier: w.p.hier, Sink: w.m.sink}
 			w.resync(func() { fw.T = w.p.ft })
@@ -136,7 +139,7 @@ var designTable = []struct {
 			return fw
 		}},
 	}},
-	{DesignAgile, envSpecs{
+	{DesignAgile, "", envSpecs{
 		EnvVirt: {build: buildAgile, wire: func(w *wiring) core.Walker {
 			aw := agile.NewWalker(w.p.mirror, w.p.as.PT, w.p.vm.HostAS.PT, w.p.hier, 1)
 			aw.HostPWC = tlb.NewPWCScaled(w.cfg.CacheScale)
@@ -147,7 +150,7 @@ var designTable = []struct {
 			return aw
 		}},
 	}},
-	{DesignASAP, envSpecs{
+	{DesignASAP, "", envSpecs{
 		EnvNative: {wire: func(w *wiring) core.Walker {
 			var steps []pagetable.Step
 			var refs []core.MemRef
@@ -195,7 +198,7 @@ var designTable = []struct {
 	// gVA→machine under virtualization), so a spill hit skips the whole
 	// walk. The spill blocks occupy machine L2 ways, so the store lives in
 	// machine memory.
-	{DesignVictima, envSpecs{
+	{DesignVictima, "spill-hit share", envSpecs{
 		EnvNative: {build: buildVictima, wire: wireVictima},
 		EnvVirt:   {build: buildVictima, wire: wireVictima},
 		EnvNested: {build: buildVictima, wire: wireVictima},
@@ -203,7 +206,7 @@ var designTable = []struct {
 	// RestSegs map (guest-)virtual straight to machine addresses and live
 	// in machine memory: a restrictive hit needs no second dimension, which
 	// is the design's collapsed-2D-walk claim.
-	{DesignUtopia, envSpecs{
+	{DesignUtopia, "RestSeg-hit share", envSpecs{
 		EnvNative: {build: buildUtopia, wire: func(w *wiring) core.Walker {
 			uw := wireUtopia(w)
 			w.m.footer = func(r *Result) {
@@ -225,6 +228,18 @@ var allDesigns = func() []Design {
 	}
 	return out
 }()
+
+// CoverageLabel names what Result.RegisterCoverage counts for design d:
+// register hits for the DMT family, spill hits for Victima, RestSeg hits
+// for Utopia. It is empty for designs without a fast-path coverage.
+func CoverageLabel(d Design) string {
+	for _, e := range designTable {
+		if e.name == d {
+			return e.coverage
+		}
+	}
+	return ""
+}
 
 // Designs returns the designs env supports, in registry order.
 func Designs(env Environment) []Design {

@@ -156,6 +156,16 @@ func (s *vmStage) clone() (*vmStage, error) {
 	return c, nil
 }
 
+// seal makes the stage read-only for cloning, before the prototype cache
+// publishes it: clones may then be taken from many goroutines at once.
+func (s *vmStage) seal() {
+	s.hyp.Seal()
+	if s.l1 != nil {
+		s.l1.Seal()
+	}
+	s.vm.Seal()
+}
+
 // parts is the cloneable substrate of a machine in any environment:
 // everything whose construction cost the prototype cache amortizes.
 // Walkers, TLBs, sinks and trace generators are not parts: wireMachine
@@ -325,6 +335,31 @@ func (p *parts) clone() (*parts, error) {
 		c.seg = p.seg.Clone()
 	}
 	return c, nil
+}
+
+// seal makes the parts read-only for cloning (DESIGN.md §9): every
+// copy-on-write array is sealed, so a clone only reads them and a write
+// to a prototype panics. A cold-built machine is driven, never sealed.
+func (p *parts) seal() {
+	if p.hyp != nil {
+		p.vmStage.seal()
+	} else {
+		p.pa.Seal()
+	}
+	p.as.Seal()
+	if p.spt != nil {
+		p.spt.Seal()
+	}
+	for _, s := range []*ecpt.System{p.sys, p.hsys} {
+		if s != nil {
+			s.Seal()
+		}
+	}
+	for _, t := range []*fpt.Table{p.ft, p.hft} {
+		if t != nil {
+			t.Seal()
+		}
+	}
 }
 
 // ref is the ground-truth translation: the live page table of the

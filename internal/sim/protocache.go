@@ -55,8 +55,10 @@ func buildKeyFor(cfg Config) buildKey {
 }
 
 // Prototype is a built-once machine snapshot. It is never driven: every
-// drivable machine is wired over a structural clone of its parts, so
-// concurrent NewInstance calls from shard workers only ever read it.
+// drivable machine is wired over a structural clone of its parts, and its
+// parts are sealed before it is handed out, so concurrent NewInstance
+// calls from shard workers only ever read it while each clone copies the
+// chunks it writes (DESIGN.md §9).
 type Prototype struct {
 	cfg   Config
 	spec  *envSpec
@@ -74,7 +76,12 @@ var buildFailureHook func(Config) error
 // run with ColdBuild unset); this entry point exists for benchmarks and
 // tests that need to measure or isolate a single build.
 func NewPrototype(cfg Config) (*Prototype, error) {
-	return buildPrototype(cfg.withDefaults(), buildVMStage)
+	p, err := buildPrototype(cfg.withDefaults(), buildVMStage)
+	if err != nil {
+		return nil, err
+	}
+	p.parts.seal()
+	return p, nil
 }
 
 // buildPrototype builds the parts for cfg. A virt or nested machine starts
@@ -179,7 +186,9 @@ func cachedPrototype(cfg Config) (*Prototype, error) {
 	e := lookup(key, &protoCache.stats.Hits, &protoCache.stats.Misses, "build.clone", "build.cold")
 	e.once.Do(func() {
 		start := time.Now()
-		e.proto, e.err = buildPrototype(cfg, cachedStage)
+		if e.proto, e.err = buildPrototype(cfg, cachedStage); e.err == nil {
+			e.proto.parts.seal()
+		}
 		ns := time.Since(start).Nanoseconds()
 		protoCache.mu.Lock()
 		protoCache.stats.BuildNs += ns
@@ -200,7 +209,9 @@ func cachedPrototype(cfg Config) (*Prototype, error) {
 func cachedStage(k stageKey) (*vmStage, error) {
 	e := lookup(k, &protoCache.stats.StageHits, &protoCache.stats.StageMisses, "build.stage_clone", "build.stage_cold")
 	e.once.Do(func() {
-		e.stage, e.err = buildVMStage(k)
+		if e.stage, e.err = buildVMStage(k); e.err == nil {
+			e.stage.seal()
+		}
 	})
 	if e.err != nil {
 		forget(k, e)

@@ -10,7 +10,8 @@ import (
 // TestDesignRegistry checks the design table (designs.go) against what the
 // engine actually assembles: for every environment × registered design,
 // NewInstance succeeds exactly when Designs(env) lists the design, and
-// otherwise fails with an error naming both. The per-environment counts
+// otherwise fails with an error naming both, and a design's coverage label
+// is set exactly when its results report a coverage. The per-environment counts
 // are pinned to the cells bench/ and the evaluation run.
 func TestDesignRegistry(t *testing.T) {
 	wantCount := map[Environment]int{EnvNative: 7, EnvVirt: 10, EnvNested: 4}
@@ -28,10 +29,20 @@ func TestDesignRegistry(t *testing.T) {
 				cfg := detConfig(env, d, nil)
 				cfg.Workload = wl
 				cfg.Ops = 8
-				_, err := NewInstance(cfg)
+				in, err := NewInstance(cfg)
 				switch {
 				case supported[d] && err != nil:
 					t.Fatalf("supported cell failed to assemble: %v", err)
+				case supported[d]:
+					// The registry's coverage label names exactly the
+					// designs whose results report a coverage.
+					res, err := in.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := res.RegisterCoverage(); ok != (CoverageLabel(d) != "") {
+						t.Fatalf("result reports coverage %v, but the coverage label is %q", ok, CoverageLabel(d))
+					}
 				case !supported[d] && err == nil:
 					t.Fatal("cell assembles but Designs does not list it")
 				case err != nil:

@@ -9,8 +9,9 @@ import (
 	"dmt/internal/tea"
 )
 
-// Clone deep-copies the machine-wide state: the L0 allocator, the cache
-// hierarchy (warm from the build), and the exit accounting — VM creation
+// Clone copies the machine-wide state: the L0 allocator (its arrays shared
+// copy-on-write), the cache hierarchy (warm from the build), and the exit
+// accounting — VM creation
 // runs hypercalls and shadow syncs at build time, so a clone must carry the
 // counters for its final Result footer to match a fresh build's.
 func (h *Hypervisor) Clone() *Hypervisor {
@@ -24,7 +25,7 @@ func (h *Hypervisor) Clone() *Hypervisor {
 	}
 }
 
-// Clone deep-copies the VM onto an already-cloned hypervisor (and, for an
+// Clone copies the VM onto an already-cloned hypervisor (and, for an
 // L2 VM, an already-cloned parent — pass the clone corresponding to
 // vm.Parent). The host address space, guest allocator, host TEA manager,
 // gTEA table, and pv-TEA window cursors are duplicated; the host TEA's
@@ -82,6 +83,19 @@ func (vm *VM) Clone(hyp *Hypervisor, parent *VM) (*VM, error) {
 		c.HostTEA = ht
 	}
 	return c, nil
+}
+
+// Seal makes the machine allocator read-only for cloning (see
+// mem.Chunked.Seal). The cache hierarchy stays an eager copy: every access
+// writes its tags.
+func (h *Hypervisor) Seal() { h.MachinePhys.Seal() }
+
+// Seal makes the VM's guest allocator and host address space read-only
+// for cloning. The host allocator is sealed by its owner: the hypervisor,
+// or the parent VM under nesting.
+func (vm *VM) Seal() {
+	vm.GuestPhys.Seal()
+	vm.HostAS.Seal()
 }
 
 // CloneShadow clones a shadow table built by BuildShadowVA or
