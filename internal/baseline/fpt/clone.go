@@ -3,7 +3,7 @@ package fpt
 import "dmt/internal/phys"
 
 // Clone copies the flattened table onto an already-cloned allocator, the
-// root and leaf PTEs shared copy-on-write (mem.Chunked). Root and leaf
+// leaf PTEs shared copy-on-write (mem.Chunked). Root and leaf
 // regions keep their physical bases (slot addresses — and hence cache
 // behaviour — are identical on both copies); future leaf allocations on
 // the clone draw from alloc only.
@@ -11,7 +11,6 @@ func (t *Table) Clone(alloc *phys.Allocator) *Table {
 	c := &Table{
 		alloc:    alloc,
 		rootBase: t.rootBase,
-		root:     t.root.Clone(),
 		leaves:   make(map[int]*leafNode, len(t.leaves)),
 	}
 	for idx, n := range t.leaves {
@@ -23,7 +22,6 @@ func (t *Table) Clone(alloc *phys.Allocator) *Table {
 // Seal makes the table read-only for cloning (see mem.Chunked.Seal): it
 // may then be cloned from many goroutines at once.
 func (t *Table) Seal() {
-	t.root.Seal()
 	for _, n := range t.leaves {
 		n.ptes.Seal()
 	}

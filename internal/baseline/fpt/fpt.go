@@ -35,13 +35,14 @@ func rootIndex(va mem.VAddr) int { return int(uint64(va)>>30) & (flatEntries - 1
 func leafIndex(va mem.VAddr) int { return int(uint64(va)>>12) & (flatEntries - 1) }
 func hugeIndex(va mem.VAddr) int { return int(uint64(va)>>21) & 511 }
 
-// Table is one flattened page table. The root and each leaf's PTEs live in
-// mem.Chunked arrays: a node's storage follows the 4 KiB pieces of it that
-// hold entries, and a clone shares them copy-on-write.
+// Table is one flattened page table. The root is only its physical
+// region: walkers charge its slots (RootSlot) and resolve through leaves,
+// keyed by root index. Each leaf's PTEs live in a mem.Chunked array: its
+// storage follows the 4 KiB pieces of it that hold entries, and a clone
+// shares them copy-on-write.
 type Table struct {
 	alloc    *phys.Allocator
 	rootBase mem.PAddr
-	root     mem.Chunked[mem.PTE]
 	leaves   map[int]*leafNode
 }
 
@@ -80,7 +81,6 @@ func (t *Table) leafFor(va mem.VAddr, create bool) (*leafNode, error) {
 	}
 	n := &leafNode{base: base}
 	t.leaves[idx] = n
-	t.root.Set(idx, mem.MakePTE(base, 0))
 	return n, nil
 }
 

@@ -43,7 +43,7 @@ type Config struct {
 // Mismatch is one disagreement between a walker and the oracle.
 type Mismatch struct {
 	VA     mem.VAddr
-	Kind   string // "ok" | "pa" | "size" | "fallback" | "invariant"
+	Kind   string // "ok" | "pa" | "size" | "fallback" | "invariant" | "balance"
 	Detail string
 }
 
@@ -124,6 +124,15 @@ func (c *Checker) CheckInvariants() {
 	}
 	for _, v := range c.cfg.Invariants() {
 		c.record(0, "invariant", "%s", v)
+	}
+}
+
+// CheckBalance records a "balance" mismatch when a counter identity does
+// not hold: left and right are its two sides, name spells it out. It checks
+// no translation, so Checked does not move.
+func (c *Checker) CheckBalance(name string, left, right uint64) {
+	if left != right {
+		c.record(0, "balance", "%s: %d != %d", name, left, right)
 	}
 }
 

@@ -174,6 +174,9 @@ func (in *Injector) Tick(op int) error {
 // fully executes regardless of op count).
 func (in *Injector) Drain() error { return in.Tick(1 << 62) }
 
+// Events returns the number of events in the plan.
+func (in *Injector) Events() int { return len(in.plan.Events) }
+
 // NextAt returns the trigger op of the next pending event, or a sentinel far
 // beyond any trace once the schedule is exhausted. The batched engine sizes
 // its spans with it: ticking once at the start of a span whose end never

@@ -21,6 +21,7 @@ func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 		root:   t.root,
 		alloc:  alloc,
 		free:   free,
+		gen:    t.gen,
 		Mapped: t.Mapped,
 	}
 }

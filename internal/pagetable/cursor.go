@@ -147,4 +147,5 @@ func (c *Cursor) MapRun(va mem.VAddr, pas []mem.PAddr, flags mem.PTE) {
 	}
 	c.leaf.live += len(pas)
 	c.t.Mapped[mem.Size4K] += len(pas)
+	c.t.gen++
 }

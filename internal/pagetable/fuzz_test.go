@@ -114,7 +114,9 @@ func fuzzOps(seed int64, n int) []byte {
 // to a node one level down based at that frame, reached from one parent
 // only; and that NodeCount equals the number of reachable nodes, so no
 // index entry outlives a prune or a relocation. A table cloned mid-run must
-// still match the reference as it stood at the clone once the run ends.
+// still match the reference as it stood at the clone once the run ends. Gen
+// never falls, and a step that leaves it unchanged leaves every probed
+// Lookup unchanged, which is what lets a memo keyed by Gen stay exact.
 //
 // Input: the first byte picks the depth (odd: 5 levels); then each 4-byte
 // op is kind, size/mode, VA (fuzzVA), and a PA or relocation selector.
@@ -147,6 +149,7 @@ func FuzzTableOps(f *testing.F) {
 			kind, mode, vb, pb := data[i]%7, data[i+1], data[i+2], data[i+3]
 			size := mem.PageSize(mode % 3)
 			va := fuzzVA(vb, size)
+			gen, before := tbl.Gen(), probeLookups(tbl)
 			switch kind {
 			case 0, 1: // Map
 				pa := mem.PAddr(1<<40 | uint64(pb)<<size.Shift())
@@ -249,6 +252,11 @@ func FuzzTableOps(f *testing.F) {
 				tbl = tbl.Clone(a.alloc, a.release)
 				cur = tbl.Cursor()
 			}
+			if g := tbl.Gen(); g < gen {
+				t.Fatalf("op %d: Gen fell from %d to %d", i/4, gen, g)
+			} else if g == gen && probeLookups(tbl) != before {
+				t.Fatalf("op %d (kind %d) changed a translation but left Gen at %d", i/4, kind, g)
+			}
 			checkAgainstRef(t, tbl, &cur, ref)
 		}
 		if frozen != nil {
@@ -256,6 +264,22 @@ func FuzzTableOps(f *testing.F) {
 			checkAgainstRef(t, frozen, &c, frozenRef)
 		}
 	})
+}
+
+// probed is one Lookup result.
+type probed struct {
+	pa   mem.PAddr
+	size mem.PageSize
+	ok   bool
+}
+
+// probeLookups returns Lookup of every page of the VA grid.
+func probeLookups(tbl *Table) (out [256]probed) {
+	for b := range out {
+		pa, size, ok := tbl.Lookup(fuzzVA(byte(b), mem.Size4K) + 0x123)
+		out[b] = probed{pa, size, ok}
+	}
+	return out
 }
 
 // checkAgainstRef checks tbl's structure and every translation path

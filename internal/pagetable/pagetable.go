@@ -181,6 +181,9 @@ type Table struct {
 	root   nodeID
 	alloc  NodeAllocFunc
 	free   NodeFreeFunc
+	// gen counts the PTE writes that changed a translation or a node's
+	// placement; SetAccessed leaves it alone (see Gen).
+	gen uint64
 
 	// Mapped counts live leaf entries per page size.
 	Mapped [3]int
@@ -203,6 +206,13 @@ func New(pool *Pool, levels int, alloc NodeAllocFunc, free NodeFreeFunc) (*Table
 
 // Levels returns the table depth.
 func (t *Table) Levels() int { return t.levels }
+
+// Gen returns the table's structural generation. It advances at every PTE
+// write that changes a translation or a node's placement — every such write
+// is in this package, because Node.entries is unexported — and never goes
+// back, so while Gen is unchanged every Lookup and Walk result is too. A/D
+// bit updates (SetAccessed) change no translation and do not advance it.
+func (t *Table) Gen() uint64 { return t.gen }
 
 // RootPA returns the physical address of the root node (the CR3 analogue).
 func (t *Table) RootPA() mem.PAddr { return t.pool.node(t.root).Base }
@@ -264,6 +274,7 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 		child := t.pool.node(id)
 		node.entries[idx] = mem.MakePTE(child.Base, 0)
 		node.live++
+		t.gen++
 		node = child
 	}
 	return t.install(node, mem.Index(va, leaf), pa, size, flags)
@@ -278,6 +289,7 @@ func (t *Table) discard(top *Node, va mem.VAddr, made []nodeID) {
 	}
 	top.entries[mem.Index(va, t.pool.node(made[0]).Level+1)] = 0
 	top.live--
+	t.gen++
 	for i := len(made) - 1; i >= 0; i-- {
 		n := t.pool.node(made[i])
 		level, base := n.Level, n.Base
@@ -306,6 +318,7 @@ func (t *Table) install(node *Node, idx int, pa mem.PAddr, size mem.PageSize, fl
 	node.entries[idx] = mem.MakePTE(pa, flags)
 	node.live++
 	t.Mapped[size]++
+	t.gen++
 	return nil
 }
 
@@ -330,11 +343,13 @@ func (t *Table) Unmap(va mem.VAddr, size mem.PageSize) error {
 	node.entries[idx] = 0
 	node.live--
 	t.Mapped[size]--
+	t.gen++
 	// Prune empty nodes bottom-up, recycling each freed node's arena slot.
 	for level := leaf; level < t.levels && node.live == 0; level++ {
 		parent := path[level]
 		parent.entries[mem.Index(va, level+1)] = 0
 		parent.live--
+		t.gen++
 		freedLevel, freedBase := node.Level, node.Base
 		t.pool.release(t.pool.index.Get(freedBase))
 		if t.free != nil {
@@ -503,6 +518,7 @@ func (t *Table) RelocateNode(va mem.VAddr, level int, newBase mem.PAddr) error {
 	node.Base = newBase
 	t.pool.index.Set(newBase, id)
 	parent.entries[idx] = mem.MakePTE(newBase, 0)
+	t.gen++
 	if t.free != nil {
 		t.free(level, old)
 	}

@@ -327,8 +327,14 @@ func (in *Instance) Finish() (*Result, error) {
 		res.FaultsSkipped = in.inj.Skipped
 		res.FaultLog = in.inj.Log
 	}
+	c := in.counters()
 	if in.chk != nil {
 		in.chk.CheckInvariants()
+		events := 0
+		if in.inj != nil {
+			events = in.inj.Events()
+		}
+		reconcile(in.chk, c, events)
 		res.Checked = in.chk.Checked
 		res.Mismatches = in.chk.Mismatched
 		if err := in.chk.Err(); err != nil {
@@ -344,17 +350,31 @@ func (in *Instance) Finish() (*Result, error) {
 	if in.m.footer != nil {
 		in.m.footer(res)
 	}
-	in.sealObservability(res)
+	in.sealObservability(res, c)
 	return res, nil
 }
 
-// sealObservability snapshots the instance's named counters and trace ring
-// into the Result. It runs once, at Finish, so the walk hot path never
-// formats a counter name; everything recorded here merges commutatively
-// across shards (MergeShards) and is a pure function of (Config, shard) —
-// cross-run machine state like prototype-cache warmth stays out and goes to
-// the process-global obs.Default registry instead.
-func (in *Instance) sealObservability(res *Result) {
+// reconcile records a balance mismatch on chk for every counter identity
+// c breaks. events is the fault plan's event count: each event is applied
+// or skipped exactly once. The L2 and step-cycle identities are not here:
+// ASAP's prefetches and Victima's probes reach the L2 without an L1D
+// access, and a parallel-fetch walk's breakdown sums every probe, not only
+// the one its latency was charged for (ROADMAP 4(b)).
+func reconcile(chk *check.Checker, c obs.Counters, events int) {
+	chk.CheckBalance("tlb.l1_hits + tlb.l2_hits + tlb.misses == mmu.lookups",
+		c["tlb.l1_hits"]+c["tlb.l2_hits"]+c["tlb.misses"], c["mmu.lookups"])
+	chk.CheckBalance("cache.l1d_hits + cache.l1d_misses == cache.accesses",
+		c["cache.l1d_hits"]+c["cache.l1d_misses"], c["cache.accesses"])
+	chk.CheckBalance("cache.llc_misses == cache.mem_fetches", c["cache.llc_misses"], c["cache.mem_fetches"])
+	if _, faults := c["fault.applied"]; faults {
+		chk.CheckBalance("fault.applied + fault.skipped == plan events",
+			c["fault.applied"]+c["fault.skipped"], uint64(events))
+	}
+}
+
+// counters reads the instance's machine and fault counters by name. It runs
+// once, at Finish, so the walk hot path never formats a counter name.
+func (in *Instance) counters() obs.Counters {
 	c := obs.Counters{}
 	if t := in.mmu.TLB; t != nil {
 		c.Add("tlb.l1_hits", t.L1Hits)
@@ -377,8 +397,17 @@ func (in *Instance) sealObservability(res *Result) {
 		c.Add("fault.applied", uint64(in.inj.Applied))
 		c.Add("fault.skipped", uint64(in.inj.Skipped))
 		c.Add("fault.refaults", uint64(in.inj.Refaults))
-		c.Add("fault.demand", res.DemandFaults)
+		c.Add("fault.demand", in.res.DemandFaults)
 	}
+	return c
+}
+
+// sealObservability adds the checker's and hypervisor's counters to c and
+// snapshots c and the trace ring into the Result. Everything recorded here
+// merges commutatively across shards (MergeShards) and is a pure function
+// of (Config, shard) — cross-run machine state like prototype-cache warmth
+// stays out and goes to the process-global obs.Default registry instead.
+func (in *Instance) sealObservability(res *Result, c obs.Counters) {
 	if in.chk != nil {
 		c.Add("check.checked", res.Checked)
 		c.Add("check.mismatches", res.Mismatches)

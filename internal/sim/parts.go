@@ -364,7 +364,8 @@ func (p *parts) seal() {
 
 // ref is the ground-truth translation: the live page table of the
 // process, composed under virtualization with the host (and, under
-// nesting, parent) tables.
+// nesting, parent) tables. The oracle reads it through refMemo, which
+// FuzzRefMemo checks against it.
 func (p *parts) ref(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	pa, size, ok := p.as.PT.Lookup(va)
 	if !ok || p.vm == nil {
@@ -372,6 +373,79 @@ func (p *parts) ref(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	}
 	ma, ok := p.vm.MachineAddr(pa)
 	return ma, size, ok
+}
+
+// refMemoBits sizes the reference memo: 1<<refMemoBits slots, direct-mapped.
+const refMemoBits = 10
+
+// refMemo is an exact memo of parts.ref for a verified instance (DESIGN.md
+// §7). An entry holds the composed translation of one grain: the smallest
+// page size along the reference chain, capped at 2 MiB, since that is the
+// span over which every table of the chain maps contiguously. A negative
+// result is kept at 4 KiB only. An entry is live while the chain's
+// generation — the sum of every table's Gen, each of which only grows —
+// equals the one it was filled at, so any PTE write on the chain retires
+// every entry at once and the memo answers exactly as parts.ref would.
+type refMemo struct {
+	tables []*pagetable.Table // the process table, then each VM's host table up the Parent chain
+	slots  [1 << refMemoBits]refSlot
+}
+
+// refSlot is one memo entry. key is the grain-aligned VA with the grain's
+// page size + 1 in its low bits, so an empty slot's zero key matches none.
+type refSlot struct {
+	key  uint64
+	gen  uint64
+	base mem.PAddr    // the reference PA of the key's VA
+	size mem.PageSize // the process table's page size, which ref reports
+	ok   bool
+}
+
+func newRefMemo(p *parts) *refMemo {
+	m := &refMemo{tables: []*pagetable.Table{p.as.PT}}
+	for vm := p.vm; vm != nil; vm = vm.Parent {
+		m.tables = append(m.tables, vm.HostAS.PT)
+	}
+	return m
+}
+
+// refKey returns va's memo key at grain g and the slot it maps to.
+func refKey(va mem.VAddr, g mem.PageSize) (uint64, int) {
+	key := uint64(mem.AlignDown(va, g.Bytes())) | (uint64(g) + 1)
+	return key, int((key * 0x9e3779b97f4a7c15) >> (64 - refMemoBits))
+}
+
+// ref is parts.ref through the memo: a 2 MiB key, then a 4 KiB key, then
+// the chain's tables, whose result fills the slot of its grain.
+func (m *refMemo) ref(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
+	var gen uint64
+	for _, t := range m.tables {
+		gen += t.Gen()
+	}
+	for _, g := range [...]mem.PageSize{mem.Size2M, mem.Size4K} {
+		key, i := refKey(va, g)
+		if s := &m.slots[i]; s.key == key && s.gen == gen {
+			if !s.ok {
+				return 0, s.size, false
+			}
+			return s.base + mem.PAddr(mem.PageOffset(va, g)), s.size, true
+		}
+	}
+	// A failed Lookup returns PA 0 and size 0, which is 4 KiB: a negative
+	// result is kept at 4 KiB.
+	pa, size, ok := m.tables[0].Lookup(va)
+	grain := min(size, mem.Size2M)
+	for _, t := range m.tables[1:] {
+		if !ok {
+			break
+		}
+		var s mem.PageSize
+		pa, s, ok = t.Lookup(mem.VAddr(pa))
+		grain = min(grain, s)
+	}
+	key, i := refKey(va, grain)
+	m.slots[i] = refSlot{key: key, gen: gen, base: pa - mem.PAddr(mem.PageOffset(va, grain)), size: size, ok: ok}
+	return pa, size, ok
 }
 
 // footer copies the hypervisor's counters and the page-table footprint
@@ -452,7 +526,6 @@ func wireMachine(cfg Config, spec *envSpec, p *parts) (*machine, error) {
 		gen:       p.built.NewGen(cfg.genSeed()),
 		sink:      &core.RefSink{},
 		footer:    p.footer,
-		ref:       p.ref,
 		sizeExact: true,
 	}
 	m.target = fault.Target{AS: p.as, Mgr: p.mgr, Backend: p.flaky}
@@ -498,6 +571,9 @@ func wireMachine(cfg Config, spec *envSpec, p *parts) (*machine, error) {
 		}
 	}
 	m.walker = spec.wire(&wiring{cfg: cfg, p: p, m: m, base: base, spec: spec})
+	if cfg.Verify {
+		m.ref = newRefMemo(p).ref
+	}
 	if p.mgr != nil {
 		m.invariants = check.TEAInvariants(p.mgr, p.as)
 	}

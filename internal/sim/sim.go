@@ -525,7 +525,7 @@ type machine struct {
 
 	// Fault/verification harness, filled by wireMachine.
 	target     fault.Target         // handles the injector perturbs
-	ref        check.Ref            // ground-truth translation (live PTs)
+	ref        check.Ref            // ground-truth translation (live PTs), set when verifying
 	fastPath   func(mem.VAddr) bool // DMT fast-path reference, set by the design's wire
 	sizeExact  bool                 // outcome size must equal reference size
 	invariants func() []string      // TEA structural invariants
