@@ -28,30 +28,27 @@
 //
 // Flag values are validated up front: nonsensical sizing (-ops 0, a
 // negative -workers, -workers or -shards under -faults, which runs every
-// cell on one worker and one shard, ...) exits with status 2 and a
+// cell on one worker and one shard, -counters under -faults or -scenario,
+// which have no single run to report, ...) exits with status 2 and a
 // one-line message instead of running — or silently misrunning — the
-// simulation. SIGINT /
-// SIGTERM cancel the run at its next step batch.
+// simulation.
 //
 // Observability (see DESIGN.md §10):
 //
 //	-pprof f      write a CPU profile of the run to f
 //	-trace-out f  write a runtime execution trace to f
-//	-counters     dump the process-wide counter registry after the run
+//	-counters     print the run's counters, then the build-cache traffic
 //	-walk-trace N capture per-walk trace events and print the last N
 //	-trace-cap N  bound each shard's walk-trace ring (default 4096)
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"runtime/pprof"
 	"runtime/trace"
-	"syscall"
 
 	"dmt/internal/experiments"
 	"dmt/internal/obs"
@@ -105,6 +102,8 @@ func (f cliFlags) validateScenario(design string) ([]string, error) {
 		return nil, fmt.Errorf("-epochs must be >= 0 (got %d; 0 means the default)", f.epochs)
 	case f.memMiB < 0:
 		return nil, fmt.Errorf("-mem must be >= 0 (got %d; 0 means the default)", f.memMiB)
+	case f.counters:
+		return nil, fmt.Errorf("-counters prints one run's counters; -scenario has no single run")
 	}
 	switch design {
 	case "":
@@ -139,6 +138,8 @@ func (f cliFlags) validate() (sim.Environment, sim.Design, workload.Spec, error)
 		return 0, "", workload.Spec{}, fmt.Errorf("-faults runs every cell on one worker; drop -workers %d", f.workers)
 	case f.faults && f.shards != 0:
 		return 0, "", workload.Spec{}, fmt.Errorf("-faults runs every cell as one shard; drop -shards %d", f.shards)
+	case f.faults && f.counters:
+		return 0, "", workload.Spec{}, fmt.Errorf("-counters prints one run's counters; -faults has no single run")
 	}
 	env, err := sim.ParseEnvironment(f.envName)
 	if err != nil {
@@ -203,7 +204,7 @@ func main() {
 	flag.IntVar(&f.shards, "shards", 0, "trace shards (0 = workers); results depend on shards, not workers")
 	flag.StringVar(&f.pprofOut, "pprof", "", "write a CPU profile to this file")
 	flag.StringVar(&f.traceOut, "trace-out", "", "write a runtime execution trace to this file")
-	flag.BoolVar(&f.counters, "counters", false, "dump the process-wide counter registry after the run")
+	flag.BoolVar(&f.counters, "counters", false, "print the run's counters, then the build-cache traffic")
 	flag.IntVar(&f.walkTrace, "walk-trace", 0, "capture per-walk trace events and print the last N")
 	flag.IntVar(&f.traceCap, "trace-cap", 0, "bound each shard's walk-trace ring (0 = default 4096)")
 	flag.BoolVar(&f.scenario, "scenario", false, "run the long-horizon node-aging scenario and print the node-age table")
@@ -252,11 +253,6 @@ func main() {
 	}
 
 	defer startProfiling(f.pprofOut, f.traceOut)()
-	if f.counters {
-		defer func() { fmt.Print("\nprocess counters:\n" + obs.Default.Dump()) }()
-	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 
 	if f.faults {
 		campaignOps := f.ops
@@ -281,14 +277,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 			}
 		}
-		out, err := experiments.FaultCampaign(ctx, experiments.NewRunner(opt))
+		out, err := experiments.FaultCampaign(experiments.NewRunner(opt))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(out)
 		return
 	}
-	res, err := sim.RunCtx(ctx, sim.Config{
+	res, err := sim.Run(sim.Config{
 		Env: env, Design: design, THP: f.thp, Workload: wl,
 		WSBytes: uint64(f.wsMiB) << 20, Ops: f.ops, Seed: f.seed, CacheScale: f.scale,
 		Workers: f.workers, Shards: f.shards,
@@ -336,6 +332,14 @@ func main() {
 		for i := range events {
 			fmt.Println("  " + events[i].String())
 		}
+	}
+	if f.counters {
+		b := sim.ReadBuildCacheStats()
+		fmt.Print("\ncounters:\n" + res.Counters.Dump())
+		fmt.Print("\nbuild cache:\n" + obs.Counters{
+			"build.clone": b.Hits, "build.cold": b.Misses,
+			"build.stage_clone": b.StageHits, "build.stage_cold": b.StageMisses,
+		}.Dump())
 	}
 }
 

@@ -32,6 +32,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"unknown workload", func(f *cliFlags) { f.wlName = "STREAM" }, "workload"},
 		{"workers under faults", func(f *cliFlags) { f.faults, f.workers = true, 2 }, "-faults runs every cell on one worker"},
 		{"shards under faults", func(f *cliFlags) { f.faults, f.shards = true, 4 }, "-faults runs every cell as one shard"},
+		{"counters under faults", func(f *cliFlags) { f.faults, f.counters = true, true }, "-faults has no single run"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +69,7 @@ func TestValidateScenario(t *testing.T) {
 		"negative epochs": {func(f *cliFlags) { f.epochs = -1 }, "", "-epochs must be >= 0"},
 		"negative mem":    {func(f *cliFlags) { f.memMiB = -1 }, "", "-mem must be >= 0"},
 		"sim-only design": {func(*cliFlags) {}, "vanilla", "-scenario supports -design dmt or pvdmt"},
+		"counters":        {func(f *cliFlags) { f.counters = true }, "", "-scenario has no single run"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			f := goodFlags()

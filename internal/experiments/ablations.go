@@ -49,7 +49,7 @@ func Ablations(r *Runner) (string, error) {
 			cfg := sim.Config{
 				Env: sim.EnvNative, Design: sim.DesignDMT, Workload: a.wl,
 				WSBytes: o.WSBytes, Ops: o.Ops, Seed: o.Seed,
-				CacheScale: o.CacheScale, Workers: o.Workers, ColdBuild: o.ColdBuild,
+				CacheScale: o.CacheScale, Workers: o.Workers,
 			}
 			a.set(&cfg, i)
 			o.Logf("ablation %s %s=%s ...", a.wl.Name, a.knob, label)

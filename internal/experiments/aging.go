@@ -86,7 +86,7 @@ func AgingCampaign(opt AgingOptions) (string, error) {
 				fmt.Sprintf("%.2f", row.Frag4()),
 				fmt.Sprintf("%.2f", row.Frag9()),
 				fmt.Sprintf("%.1f%%", row.RegisterCoverage()*100),
-				row.Walk.Quantile(0.50), row.Walk.Quantile(0.99), row.Walk.Max)
+				row.Walk.Quantile(50), row.Walk.Quantile(99), row.Walk.Max)
 		}
 	}
 	out := t.String()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -20,13 +19,11 @@ import (
 //
 // Results are deterministic for a fixed Options.Seed: schedules carry
 // their own seeds and the simulator introduces no other randomness.
-// Cancelling ctx aborts the in-flight cell at its next step batch, and the
-// campaign returns the context error instead of a partial table.
-func FaultCampaign(ctx context.Context, r *Runner) (string, error) {
+func FaultCampaign(r *Runner) (string, error) {
 	var b strings.Builder
 	opt := r.Options()
 	for _, wl := range opt.Workloads {
-		s, err := faultCampaignFor(ctx, opt, wl)
+		s, err := faultCampaignFor(opt, wl)
 		if err != nil {
 			return "", err
 		}
@@ -35,7 +32,7 @@ func FaultCampaign(ctx context.Context, r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-func faultCampaignFor(ctx context.Context, opt Options, wl workload.Spec) (string, error) {
+func faultCampaignFor(opt Options, wl workload.Spec) (string, error) {
 	t := &stats.Table{
 		Title: fmt.Sprintf("Fault campaign: graceful degradation under injected faults (%s, %d ops, seed %d)",
 			wl.Name, opt.Ops, opt.Seed),
@@ -45,16 +42,13 @@ func faultCampaignFor(ctx context.Context, opt Options, wl workload.Spec) (strin
 	totalChecked := uint64(0)
 	for _, env := range []sim.Environment{sim.EnvNative, sim.EnvVirt, sim.EnvNested} {
 		for _, d := range sim.Designs(env) {
-			if err := ctx.Err(); err != nil {
-				return "", err
-			}
 			cfg := sim.Config{
 				Env: env, Design: d, THP: true, Workload: wl,
 				WSBytes: opt.WSBytes, Ops: opt.Ops, Seed: opt.Seed,
 				CacheScale: opt.CacheScale,
 			}
 			opt.Logf("fault campaign baseline %v/%s %s ...", env, d, wl.Name)
-			base, err := sim.RunCtx(ctx, cfg)
+			base, err := sim.Run(cfg)
 			if err != nil {
 				return "", fmt.Errorf("baseline %v/%s: %w", env, d, err)
 			}
@@ -64,7 +58,7 @@ func faultCampaignFor(ctx context.Context, opt Options, wl workload.Spec) (strin
 				fcfg.FaultPlan = &p
 				fcfg.Verify = true
 				opt.Logf("fault campaign %v/%s/%s %s ...", env, d, plan.Name, wl.Name)
-				res, err := sim.RunCtx(ctx, fcfg)
+				res, err := sim.Run(fcfg)
 				if err != nil {
 					return "", fmt.Errorf("%v/%s/%s: %w", env, d, plan.Name, err)
 				}

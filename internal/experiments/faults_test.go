@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ func TestFaultCampaign(t *testing.T) {
 		Ops: 4_000, WSBytes: 24 << 20, CacheScale: 1, Seed: 42,
 		Workloads: []workload.Spec{workload.GUPS()},
 	})
-	s, err := FaultCampaign(context.Background(), r)
+	s, err := FaultCampaign(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func TestFaultCampaign(t *testing.T) {
 	}
 	// Deterministic for a fixed seed: the degradation table is the
 	// artifact the docs quote, so it must be bit-for-bit repeatable.
-	s2, err := FaultCampaign(context.Background(), NewRunner(Options{
+	s2, err := FaultCampaign(NewRunner(Options{
 		Ops: 4_000, WSBytes: 24 << 20, CacheScale: 1, Seed: 42,
 		Workloads: []workload.Spec{workload.GUPS()},
 	}))

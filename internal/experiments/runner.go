@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,13 +37,6 @@ type Options struct {
 	// shards its trace and runs the shards on this many goroutines.
 	// Results are identical for any value (sharded determinism).
 	Workers int
-	// ColdBuild is passed through to sim.Config.ColdBuild, forcing every
-	// shard to build its machine from scratch instead of cloning from
-	// sim's prototype cache. Results are bit-identical either way; leave
-	// it unset so matrix cells sharing a machine (the Vanilla baselines
-	// every WalkRatio call re-requests, cross-Runner repeats in the
-	// benchmark harness) build it once and clone thereafter.
-	ColdBuild bool
 	// Verbose emits progress lines via Logf.
 	Logf func(format string, args ...interface{})
 }
@@ -100,15 +92,6 @@ func (r *Runner) Options() Options { return r.opt }
 // Run returns the (memoized) result for one configuration; concurrent
 // callers of the same configuration share a single simulation.
 func (r *Runner) Run(env sim.Environment, design sim.Design, thp bool, wl workload.Spec) (*sim.Result, error) {
-	return r.RunCtx(context.Background(), env, design, thp, wl)
-}
-
-// RunCtx is Run under a context: the simulation aborts at its next shard
-// step batch when ctx dies. The memoized entry belongs to whichever caller
-// ran it — a cancelled entry memoizes context.Canceled like any other
-// failure, which is the desired campaign semantics (one context governs a
-// whole campaign; once it is cancelled, every cell is).
-func (r *Runner) RunCtx(ctx context.Context, env sim.Environment, design sim.Design, thp bool, wl workload.Spec) (*sim.Result, error) {
 	key := fmt.Sprintf("%d/%s/%v/%s", env, design, thp, wl.Name)
 	r.mu.Lock()
 	f, ok := r.cache[key]
@@ -121,11 +104,10 @@ func (r *Runner) RunCtx(ctx context.Context, env sim.Environment, design sim.Des
 		r.sem <- struct{}{}
 		defer func() { <-r.sem }()
 		r.opt.Logf("running %v/%s thp=%v %s ...", env, design, thp, wl.Name)
-		f.res, f.err = sim.RunCtx(ctx, sim.Config{
+		f.res, f.err = sim.Run(sim.Config{
 			Env: env, Design: design, THP: thp, Workload: wl,
 			WSBytes: r.opt.WSBytes, Ops: r.opt.Ops, Seed: r.opt.Seed,
 			CacheScale: r.opt.CacheScale, Workers: r.opt.Workers,
-			ColdBuild: r.opt.ColdBuild,
 		})
 	})
 	return f.res, f.err
@@ -136,12 +118,6 @@ func (r *Runner) RunCtx(ctx context.Context, env sim.Environment, design sim.Des
 // configurations are attempted; every failure is reported, joined in matrix
 // order and annotated with its cell.
 func (r *Runner) Warm(env sim.Environment, designs []sim.Design, thps []bool, wls []workload.Spec) error {
-	return r.WarmCtx(context.Background(), env, designs, thps, wls)
-}
-
-// WarmCtx is Warm under a context: cancellation aborts the in-flight cells
-// at their next step batch and the remaining cells report the context error.
-func (r *Runner) WarmCtx(ctx context.Context, env sim.Environment, designs []sim.Design, thps []bool, wls []workload.Spec) error {
 	if r.opt.Parallel <= 1 {
 		return nil // nothing to gain; let callers run lazily
 	}
@@ -164,7 +140,7 @@ func (r *Runner) WarmCtx(ctx context.Context, env sim.Environment, designs []sim
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.RunCtx(ctx, env, c.d, c.thp, c.wl); err != nil {
+			if _, err := r.Run(env, c.d, c.thp, c.wl); err != nil {
 				errs[i] = fmt.Errorf("warm %v/%s thp=%v %s: %w", env, c.d, c.thp, c.wl.Name, err)
 			}
 		}()

@@ -1,6 +1,6 @@
 // Package obs is the observability substrate of the simulator: power-of-two
 // latency histograms with exact extrema, fixed-size per-shard rings of
-// structured walk-trace events, and a named counter registry. The package
+// structured walk-trace events, and named counter snapshots. The package
 // is built for the engine's determinism contract — histograms, counters,
 // and rings all merge commutatively across shards, so a run's
 // observability output is a pure function of (Config minus Workers)

@@ -233,17 +233,6 @@ func TestCountersMergeAndDump(t *testing.T) {
 	}
 }
 
-func TestRegistryAccumulates(t *testing.T) {
-	r := NewRegistry()
-	r.Add("runs", 1)
-	r.Add("runs", 2)
-	r.AddAll(Counters{"runs": 1, "other": 5})
-	snap := r.Snapshot()
-	if snap["runs"] != 4 || snap["other"] != 5 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-}
-
 func TestWalkEventString(t *testing.T) {
 	e := WalkEvent{Shard: 2, Seq: 9, VA: 0x1000, Cycles: 42, Fallback: true, NumSteps: 2}
 	e.Steps[0] = StepTrace{Dim: "g", Step: 1, Level: 4, Served: 3, Cycles: 20}

@@ -11,6 +11,7 @@ import (
 	"dmt/internal/mem"
 	"dmt/internal/obs"
 	"dmt/internal/phys"
+	"dmt/internal/shard"
 	"dmt/internal/tea"
 	"dmt/internal/tlb"
 	"dmt/internal/virt"
@@ -573,11 +574,11 @@ func appendTagged(dst []string, tag string, msgs []string) []string {
 	return dst
 }
 
-func runShard(cfg Config, shard int) shardResult {
-	events := shardOps(cfg.Events, shard, cfg.Shards)
-	n, err := newNode(cfg, shardSeed(cfg.Seed, shard))
+func runShard(cfg Config, s int) (shardResult, error) {
+	events := shard.Ops(cfg.Events, s, cfg.Shards)
+	n, err := newNode(cfg, shard.Seed(cfg.Seed, s))
 	if err != nil {
-		return shardResult{err: err}
+		return shardResult{}, err
 	}
 	epochLen := events / cfg.Epochs
 	if epochLen < 1 {
@@ -591,7 +592,7 @@ func runShard(cfg Config, shard int) shardResult {
 	since := 0
 	for i := 1; i <= events; i++ {
 		if err := n.step(); err != nil {
-			return shardResult{err: fmt.Errorf("event %d: %w", i, err)}
+			return shardResult{}, fmt.Errorf("event %d: %w", i, err)
 		}
 		since++
 		if i%compactEvery == 0 {
@@ -600,13 +601,13 @@ func runShard(cfg Config, shard int) shardResult {
 		}
 		if cfg.CheckEvery > 0 && i%cfg.CheckEvery == 0 {
 			if err := n.verify(); err != nil {
-				return shardResult{err: fmt.Errorf("event %d: %w", i, err)}
+				return shardResult{}, fmt.Errorf("event %d: %w", i, err)
 			}
 		}
 		if len(rows) < cfg.Epochs && i%epochLen == 0 {
 			if cfg.Verify {
 				if err := n.verify(); err != nil {
-					return shardResult{err: fmt.Errorf("epoch %d (event %d): %w", len(rows), i, err)}
+					return shardResult{}, fmt.Errorf("epoch %d (event %d): %w", len(rows), i, err)
 				}
 			}
 			rows = append(rows, n.sample(since))
@@ -617,5 +618,5 @@ func runShard(cfg Config, shard int) shardResult {
 		rows = append(rows, n.sample(since))
 		since = 0
 	}
-	return shardResult{rows: rows, checks: n.checks}
+	return shardResult{rows: rows, checks: n.checks}, nil
 }

@@ -22,9 +22,9 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"dmt/internal/obs"
+	"dmt/internal/shard"
 )
 
 // Config parameterizes one aging campaign cell.
@@ -170,7 +170,6 @@ type Result struct {
 type shardResult struct {
 	rows   []EpochRow
 	checks int
-	err    error
 }
 
 // Run executes the scenario and merges per-shard epoch rows in shard
@@ -181,37 +180,24 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("scenario: unknown design %q (want dmt or pvdmt)", cfg.Design)
 	}
 	outs := make([]shardResult, cfg.Shards)
-	idx := make(chan int)
-	workers := cfg.Workers
-	if workers > cfg.Shards {
-		workers = cfg.Shards
+	err := shard.Run(cfg.Shards, cfg.Workers, func(s int) error {
+		out, err := runShard(cfg, s)
+		if err != nil {
+			return fmt.Errorf("scenario: shard %d: %w", s, err)
+		}
+		outs[s] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range idx {
-				outs[s] = runShard(cfg, s)
-			}
-		}()
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		idx <- s
-	}
-	close(idx)
-	wg.Wait()
 
 	res := &Result{Config: cfg, Rows: make([]EpochRow, cfg.Epochs)}
 	for e := range res.Rows {
 		res.Rows[e].Epoch = e
 		res.Rows[e].Shards = cfg.Shards
 	}
-	for s := 0; s < cfg.Shards; s++ {
-		out := outs[s]
-		if out.err != nil {
-			return nil, fmt.Errorf("scenario: shard %d: %w", s, out.err)
-		}
+	for _, out := range outs {
 		res.OracleChecks += out.checks
 		for e, row := range out.rows {
 			dst := &res.Rows[e]
@@ -231,30 +217,4 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// shardOps splits total ops across shards, front-loading the remainder —
-// the same partition the sweep engine uses.
-func shardOps(ops, shard, shards int) int {
-	base := ops / shards
-	if shard < ops%shards {
-		base++
-	}
-	return base
-}
-
-// shardSeed derives a shard's seed from the campaign seed via splitmix64,
-// so shard streams are decorrelated but reproducible.
-func shardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	s := int64(z)
-	if s == 0 {
-		s = 1
-	}
-	return s
 }

@@ -34,7 +34,7 @@ func TestAgingRuns(t *testing.T) {
 			for _, row := range r.Rows {
 				t.Logf("epoch %d: live=%d boots=%d kills=%d teaOK=%.3f defrag=%.2f frag9=%.2f cov=%.2f p99=%d",
 					row.Epoch, row.LiveVMs, row.Boots, row.Kills, row.TEASuccessRate(),
-					row.DefragCost(), row.Frag9(), row.RegisterCoverage(), row.Walk.Quantile(0.99))
+					row.DefragCost(), row.Frag9(), row.RegisterCoverage(), row.Walk.Quantile(99))
 				boots += row.Boots
 				kills += row.Kills
 				allocs += row.TEAAllocs

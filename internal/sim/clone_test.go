@@ -52,7 +52,7 @@ func TestDeterminismCloneEquality(t *testing.T) {
 						cfg.Workers = 2 // schedule shards concurrently too
 
 						cold := cfg
-						cold.ColdBuild = true
+						cold.coldBuild = true
 						want, err := Run(cold)
 						if err != nil {
 							t.Fatal(err)
@@ -162,7 +162,7 @@ func TestDeterminismCloneIsolation(t *testing.T) {
 				c := cfg
 				c.FaultPlan = plans[0]
 				cold := c
-				cold.ColdBuild = true
+				cold.coldBuild = true
 				want, err := Run(cold)
 				if err != nil {
 					t.Fatal(err)
@@ -311,7 +311,7 @@ func TestMulticoreSmokeClonedShards(t *testing.T) {
 	}
 
 	cold := cfg
-	cold.ColdBuild = true
+	cold.coldBuild = true
 	cold.Workers = 1
 	cold.Shards = 4 // results are a function of Shards, not Workers
 	want, err := Run(cold)
@@ -389,7 +389,7 @@ func TestDeterminismStageReuse(t *testing.T) {
 							t.Fatal(err)
 						}
 						cold := cfg
-						cold.ColdBuild = true
+						cold.coldBuild = true
 						want, err := Run(cold)
 						if err != nil {
 							t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dmt/internal/fault"
@@ -131,6 +132,37 @@ func TestDeterminismSingleShardMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, ra, rb)
+}
+
+// TestDeterminismFailingRun: when every shard fails, the run reports the
+// same error at Workers 1 and Workers 8 — the lowest shard's, annotated
+// with its index.
+func TestDeterminismFailingRun(t *testing.T) {
+	const ops = 16_000
+	cfg := Config{
+		Env: EnvNative, Design: DesignVanilla, THP: true, Workload: detWorkload(t),
+		WSBytes: detWS, Ops: ops, Seed: 7, Shards: 16,
+		// An unknown kind fails the injector when the event fires, halfway
+		// through each shard's trace.
+		FaultPlan: &fault.Plan{Name: "poison", Seed: 9, Events: []fault.Event{
+			{At: ops / 2, Kind: fault.Kind(99)},
+		}},
+	}
+	var msgs []string
+	for _, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		res, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("Workers %d: poisoned run succeeded (%d ops)", workers, res.Ops)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("error text depends on Workers:\n  1: %s\n  8: %s", msgs[0], msgs[1])
+	}
+	if !strings.HasPrefix(msgs[0], "shard 0: ") || !strings.Contains(msgs[0], "unknown fault kind") {
+		t.Fatalf("not shard 0's injector failure: %s", msgs[0])
+	}
 }
 
 // TestMergePermutationProperty: folding shard results in any order yields

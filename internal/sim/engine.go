@@ -1,17 +1,15 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"dmt/internal/check"
 	"dmt/internal/core"
 	"dmt/internal/fault"
 	"dmt/internal/mem"
 	"dmt/internal/obs"
+	"dmt/internal/shard"
 	"dmt/internal/tlb"
 )
 
@@ -62,31 +60,30 @@ func NewInstance(cfg Config) (*Instance, error) {
 	return newShardInstance(cfg.withDefaults(), 0, 1)
 }
 
-// newShardInstance builds shard `shard` of `shards` for an already-defaulted
+// newShardInstance builds shard `s` of `shards` for an already-defaulted
 // config: its slice of the op budget, a decorrelated trace seed, and a fault
 // plan rescaled into shard-local op space. With shards == 1 everything is
 // used verbatim, reproducing the classic serial run bit-exactly.
-func newShardInstance(cfg Config, shard, shards int) (*Instance, error) {
+func newShardInstance(cfg Config, s, shards int) (*Instance, error) {
 	scfg := cfg
-	scfg.Ops = shardOps(cfg.Ops, shard, shards)
+	scfg.Ops = shard.Ops(cfg.Ops, s, shards)
 	if shards > 1 {
-		scfg.traceSeed = shardSeed(cfg.Seed, shard)
+		scfg.traceSeed = shard.Seed(cfg.Seed, s)
 	}
 	m, err := buildMachine(scfg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: building %v/%v/%s: %w", cfg.Env, cfg.Design, cfg.Workload.Name, err)
 	}
-	return assembleInstance(cfg, scfg, m, shard, shards)
+	return assembleInstance(cfg, scfg, m, s, shards)
 }
 
 // buildMachine returns a drivable machine for scfg. By default it clones
 // from the prototype cache — every shard of a run shares one build, as do
-// all runs whose build keys agree (the matrix workloads). cfg.ColdBuild
+// all runs whose build keys agree (the matrix workloads). cfg.coldBuild
 // forces the from-scratch path, used by differential tests proving clones
 // bit-identical to cold builds.
 func buildMachine(scfg Config) (*machine, error) {
-	if scfg.ColdBuild {
-		obs.Default.Add("build.cold_forced", 1)
+	if scfg.coldBuild {
 		return coldBuild(scfg)
 	}
 	proto, err := cachedPrototype(scfg)
@@ -109,7 +106,7 @@ func coldBuild(scfg Config) (*machine, error) {
 // oracle, fault injector) around an already-built machine. cfg is the
 // run-level config the Result reports; scfg is the shard-level config
 // (sliced ops, per-shard trace seed) the instance executes.
-func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instance, error) {
+func assembleInstance(cfg, scfg Config, m *machine, s, shards int) (*Instance, error) {
 	res := &Result{Config: cfg, breakdown: map[string]*StepAgg{}, WalkHist: &obs.Hist{}}
 	rec := &recordingWalker{
 		inner: m.walker,
@@ -155,10 +152,10 @@ func assembleInstance(cfg, scfg Config, m *machine, shard, shards int) (*Instanc
 	if cfg.FaultPlan != nil {
 		m.target.Hier = m.hier
 		m.target.FlushTLB = dtlb.Flush
-		plan := shardPlan(*cfg.FaultPlan, cfg.Ops, scfg.Ops, shard, shards)
+		plan := shardPlan(*cfg.FaultPlan, cfg.Ops, scfg.Ops, s, shards)
 		inj = fault.New(plan, m.target)
 	}
-	in := &Instance{cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ring: ring, shard: shard, ops: scfg.Ops}
+	in := &Instance{cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ring: ring, shard: s, ops: scfg.Ops}
 	in.rec = rec
 	in.reqs = make([]core.Req, BatchOps)
 	in.bres = make([]core.Res, BatchOps)
@@ -406,7 +403,7 @@ func (in *Instance) counters() obs.Counters {
 // snapshots c and the trace ring into the Result. Everything recorded here
 // merges commutatively across shards (MergeShards) and is a pure function
 // of (Config, shard) — cross-run machine state like prototype-cache warmth
-// stays out and goes to the process-global obs.Default registry instead.
+// stays out (ReadBuildCacheStats reports it).
 func (in *Instance) sealObservability(res *Result, c obs.Counters) {
 	if in.chk != nil {
 		c.Add("check.checked", res.Checked)
@@ -433,133 +430,49 @@ type ShardResult struct {
 	Res   *Result
 }
 
-// BatchOps is the engine's walk-batch size AND its cancellation
-// granularity: a shard checks its context between batches, never inside
-// one, so cancellation lands within one batch of simulated work per
-// running shard — prompt at simulation timescales — while the walk hot
-// path itself never touches the context. The two roles are deliberately
-// one constant: splitting them would let a batch span multiple
-// cancellation windows (or vice versa) and silently loosen the bound
-// TestRunCtx* pins.
+// BatchOps is the engine's walk-batch size: a shard steps its trace
+// BatchOps operations per StepBatch call.
 const BatchOps = 1024
 
-// RunShards executes every shard of cfg — concurrently when cfg.Workers > 1
-// — and returns the per-shard results. Each part depends only on (cfg,
-// shard), never on scheduling, so callers may merge them in any order.
+// RunShards executes every shard of cfg — on up to cfg.Workers goroutines
+// (internal/shard) — and returns the per-shard results. Each part depends
+// only on (cfg, shard), never on scheduling, so callers may merge them in
+// any order, and a failing run reports the lowest-shard failure at any
+// worker count.
 func RunShards(cfg Config) ([]ShardResult, error) {
-	return RunShardsCtx(context.Background(), cfg)
-}
-
-// RunShardsCtx is RunShards under a context: cancellation (or deadline
-// expiry) aborts every shard at its next step-batch boundary and returns
-// ctx.Err(). When one shard fails on its own, its siblings are aborted the
-// same way — finishing them cannot change the outcome, only burn the full
-// simulation cost — and the error reported is deterministically the
-// lowest-shard real failure, never a sibling's abort echo.
-func RunShardsCtx(ctx context.Context, cfg Config) ([]ShardResult, error) {
 	cfg = cfg.withDefaults()
 	shards := cfg.Shards
 	parts := make([]ShardResult, shards)
-	runShard := func(ctx context.Context, s int) error {
-		if err := ctx.Err(); err != nil {
-			obs.Default.Add("engine.shard_aborts", 1)
-			return err
-		}
-		in, err := newShardInstance(cfg, s, shards)
+	err := shard.Run(shards, cfg.Workers, func(s int) error {
+		res, err := runShard(cfg, s, shards)
 		if err != nil {
-			return err
-		}
-		// Account executed steps once per shard (off the hot path); the
-		// abort regression tests bound this across a failing campaign.
-		defer func() { obs.Default.Add("engine.steps_run", uint64(in.op)) }()
-		for in.op < in.ops {
-			if in.op > 0 {
-				if err := ctx.Err(); err != nil {
-					obs.Default.Add("engine.shard_aborts", 1)
-					return err
-				}
+			// The classic single-shard run keeps its historical error text.
+			if shards > 1 {
+				return fmt.Errorf("shard %d: %w", s, err)
 			}
-			if _, err := in.StepBatch(BatchOps); err != nil {
-				return err
-			}
-		}
-		res, err := in.Finish()
-		if err != nil {
 			return err
 		}
 		parts[s] = ShardResult{Shard: s, Res: res}
 		return nil
-	}
-	// wrapShard annotates a shard's own failure with its index; the classic
-	// single-shard run keeps its historical error text.
-	wrapShard := func(s int, err error) error {
-		if shards == 1 {
-			return err
-		}
-		return fmt.Errorf("shard %d: %w", s, err)
-	}
-
-	workers := cfg.Workers
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			if err := runShard(ctx, s); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				return nil, wrapShard(s, err)
-			}
-		}
-		return parts, nil
-	}
-
-	// ictx aborts the sibling pool on the first shard failure; the parent
-	// ctx still distinguishes caller-initiated cancellation afterwards.
-	ictx, cancelSiblings := context.WithCancel(ctx)
-	defer cancelSiblings()
-	errs := make([]error, shards)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				if err := runShard(ictx, s); err != nil {
-					errs[s] = err
-					cancelSiblings()
-				}
-			}
-		}()
-	}
-	for s := 0; s < shards; s++ {
-		work <- s
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// The caller cancelled (or timed out): report that, not whichever
-		// shard noticed first.
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Deterministic error selection: the lowest-shard real failure wins.
-	// Shards that returned context.Canceled were aborted on a sibling's
-	// behalf (the parent context is live here) — their echoes must not mask
-	// the failure that triggered the abort.
-	for s := 0; s < shards; s++ {
-		if errs[s] == nil || errors.Is(errs[s], context.Canceled) {
-			continue
-		}
-		return nil, wrapShard(s, errs[s])
-	}
-	for s := 0; s < shards; s++ {
-		if errs[s] != nil {
-			return nil, wrapShard(s, errs[s])
-		}
-	}
 	return parts, nil
+}
+
+// runShard builds shard s of shards and steps it to the end of its trace.
+func runShard(cfg Config, s, shards int) (*Result, error) {
+	in, err := newShardInstance(cfg, s, shards)
+	if err != nil {
+		return nil, err
+	}
+	for in.op < in.ops {
+		if _, err := in.StepBatch(BatchOps); err != nil {
+			return nil, err
+		}
+	}
+	return in.Finish()
 }
 
 // MergeShards combines per-shard results into the run's Result. The merge is
@@ -642,38 +555,12 @@ func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {
 	return out, nil
 }
 
-// shardOps slices the op budget: ops/shards each, the remainder spread one
-// op at a time over the leading shards.
-func shardOps(ops, shard, shards int) int {
-	base := ops / shards
-	if shard < ops%shards {
-		base++
-	}
-	return base
-}
-
-// shardSeed decorrelates per-shard randomness with a splitmix64 step, so
-// shard traces are independent streams rather than offset copies.
-func shardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	s := int64(z)
-	if s == 0 {
-		s = 1 // a zero seed would be re-defaulted downstream
-	}
-	return s
-}
-
 // shardPlan rescales a fault plan into shard-local op space: event trigger
 // points map proportionally onto the shard's shorter trace (every shard
 // replays the full schedule against its own machine replica), and the
 // plan's own RNG is decorrelated per shard. With one shard the plan is used
 // verbatim.
-func shardPlan(p fault.Plan, totalOps, ops, shard, shards int) fault.Plan {
+func shardPlan(p fault.Plan, totalOps, ops, s, shards int) fault.Plan {
 	if shards == 1 {
 		return p
 	}
@@ -697,5 +584,5 @@ func shardPlan(p fault.Plan, totalOps, ops, shard, shards int) fault.Plan {
 		e.At = at
 		events[i] = e
 	}
-	return fault.Plan{Name: p.Name, Seed: shardSeed(p.Seed, shard), Events: events}
+	return fault.Plan{Name: p.Name, Seed: shard.Seed(p.Seed, s), Events: events}
 }

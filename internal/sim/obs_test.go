@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dmt/internal/fault"
+	"dmt/internal/shard"
 )
 
 // TestDeterminismObservability extends the metamorphic determinism suite to
@@ -111,21 +112,21 @@ func TestShardPlanClampsEndOfTrace(t *testing.T) {
 		},
 	}
 	for _, shards := range []int{2, 3, 4, 7, 8} {
-		for shard := 0; shard < shards; shard++ {
-			ops := shardOps(totalOps, shard, shards)
-			sp := shardPlan(plan, totalOps, ops, shard, shards)
+		for s := 0; s < shards; s++ {
+			ops := shard.Ops(totalOps, s, shards)
+			sp := shardPlan(plan, totalOps, ops, s, shards)
 			if len(sp.Events) != len(plan.Events) {
 				t.Fatalf("shards=%d shard=%d: %d events, want %d",
-					shards, shard, len(sp.Events), len(plan.Events))
+					shards, s, len(sp.Events), len(plan.Events))
 			}
 			for i, e := range sp.Events {
 				if e.At < 0 || e.At >= ops {
 					t.Errorf("shards=%d shard=%d event %d: At=%d outside [0,%d)",
-						shards, shard, i, e.At, ops)
+						shards, s, i, e.At, ops)
 				}
 			}
 			if sp.Seed == plan.Seed {
-				t.Errorf("shards=%d shard=%d: plan RNG not decorrelated", shards, shard)
+				t.Errorf("shards=%d shard=%d: plan RNG not decorrelated", shards, s)
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"dmt/internal/obs"
 )
 
 // This file implements build-once, clone-many machine construction. A
@@ -73,8 +71,8 @@ var buildFailureHook func(Config) error
 // NewPrototype builds the substrate for cfg once, uncached and fully cold:
 // a virtualized prototype backs its own guest RAM rather than cloning a
 // cached VM stage. Most callers want the engine's transparent cache (just
-// run with ColdBuild unset); this entry point exists for benchmarks and
-// tests that need to measure or isolate a single build.
+// call Run); this entry point exists for benchmarks and tests that need to
+// measure or isolate a single build.
 func NewPrototype(cfg Config) (*Prototype, error) {
 	p, err := buildPrototype(cfg.withDefaults(), buildVMStage)
 	if err != nil {
@@ -183,7 +181,7 @@ var protoCache = struct {
 // nested build starts from a clone of the cached VM stage.
 func cachedPrototype(cfg Config) (*Prototype, error) {
 	key := buildKeyFor(cfg)
-	e := lookup(key, &protoCache.stats.Hits, &protoCache.stats.Misses, "build.clone", "build.cold")
+	e := lookup(key, &protoCache.stats.Hits, &protoCache.stats.Misses)
 	e.once.Do(func() {
 		start := time.Now()
 		if e.proto, e.err = buildPrototype(cfg, cachedStage); e.err == nil {
@@ -196,7 +194,6 @@ func cachedPrototype(cfg Config) (*Prototype, error) {
 	})
 	if e.err != nil {
 		forget(key, e)
-		obs.Default.Add("build.failed", 1)
 		return nil, e.err
 	}
 	return e.proto, nil
@@ -207,7 +204,7 @@ func cachedPrototype(cfg Config) (*Prototype, error) {
 // build or clone time is charged to the prototype build that asked for
 // it, inside BuildNs.
 func cachedStage(k stageKey) (*vmStage, error) {
-	e := lookup(k, &protoCache.stats.StageHits, &protoCache.stats.StageMisses, "build.stage_clone", "build.stage_cold")
+	e := lookup(k, &protoCache.stats.StageHits, &protoCache.stats.StageMisses)
 	e.once.Do(func() {
 		if e.stage, e.err = buildVMStage(k); e.err == nil {
 			e.stage.seal()
@@ -222,18 +219,16 @@ func cachedStage(k stageKey) (*vmStage, error) {
 
 // lookup returns key's entry, creating it on a miss and evicting the
 // least recently used entries beyond protoCacheCap, and counts the hit or
-// miss in the given stats fields and obs counters.
-func lookup(key any, hits, misses *uint64, hitCounter, missCounter string) *cacheEntry {
+// miss in the given stats field.
+func lookup(key any, hits, misses *uint64) *cacheEntry {
 	protoCache.mu.Lock()
 	defer protoCache.mu.Unlock()
 	if e, ok := protoCache.entries[key]; ok {
 		*hits++
-		obs.Default.Add(hitCounter, 1)
 		touchLocked(key)
 		return e
 	}
 	*misses++
-	obs.Default.Add(missCounter, 1)
 	e := &cacheEntry{}
 	protoCache.entries[key] = e
 	protoCache.order = append(protoCache.order, key)

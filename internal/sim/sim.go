@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -136,12 +135,6 @@ type Config struct {
 	// when Workers <= 1 (the classic serial run), else Workers. Results
 	// are a function of Shards, not Workers.
 	Shards int
-	// ColdBuild bypasses the prototype cache, constructing every shard's
-	// machine from scratch (the pre-snapshot behaviour). Results are
-	// bit-identical either way — the differential clone-equality tests
-	// enforce it — so this exists for those tests and for benchmarking
-	// the cold path, not for correctness.
-	ColdBuild bool
 	// Trace enables per-walk structured trace capture (internal/obs): each
 	// shard records its walks into a fixed-size overwrite-oldest ring, and
 	// MergeShards concatenates the rings ordered by (shard, seq) into
@@ -159,6 +152,10 @@ type Config struct {
 	// fragmentation) stays identical across replicas while each shard
 	// draws a decorrelated reference stream.
 	traceSeed int64
+	// coldBuild bypasses the prototype cache, constructing every shard's
+	// machine from scratch. Results are bit-identical either way; the
+	// differential clone-equality tests set it to prove so.
+	coldBuild bool
 }
 
 func (c Config) withDefaults() Config {
@@ -197,7 +194,7 @@ func (c Config) Normalized() Config { return c.withDefaults() }
 // CanonicalKey renders a normalized configuration's env, design, THP,
 // workload, working set, cache scale, ops, seed, shards and Verify as one
 // stable text line, led by a version tag that changes with the schema.
-// Workers and ColdBuild never change results and are left out. The key
+// Workers never changes results and is left out. The key
 // also omits TEARegisters, TEAMergeThreshold, FragmentTarget, FaultPlan and
 // Trace/TraceCap, so two configurations that differ only there share a
 // key: a record keyed by it must either leave those at their zero values
@@ -536,28 +533,12 @@ type machine struct {
 // cfg.Workers goroutines and merged order-independently (engine.go); with
 // the defaults (one shard, one worker) this is the classic serial run.
 func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a context: cancellation or deadline expiry aborts
-// every shard at its next step-batch boundary (engine.go) and returns
-// ctx.Err(). An aborted run leaves no residue — the prototype cache keeps
-// only successfully built machines, so the same configuration re-runs
-// cleanly afterwards.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	parts, err := RunShardsCtx(ctx, cfg)
+	parts, err := RunShards(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := MergeShards(cfg, parts)
-	if err != nil {
-		return nil, err
-	}
-	// Fold the run's counter snapshot into the process-global registry
-	// (dmtsim -counters dumps it); Result.Counters itself stays per-run.
-	obs.Default.AddAll(res.Counters)
-	return res, nil
+	return MergeShards(cfg, parts)
 }
 
 // scaledTLB divides the Table 3 TLB capacities by scale.
