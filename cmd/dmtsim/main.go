@@ -38,8 +38,6 @@
 //	-pprof f      write a CPU profile of the run to f
 //	-trace-out f  write a runtime execution trace to f
 //	-counters     print the run's counters, then the build-cache traffic
-//	-walk-trace N capture per-walk trace events and print the last N
-//	-trace-cap N  bound each shard's walk-trace ring (default 4096)
 package main
 
 import (
@@ -75,8 +73,6 @@ type cliFlags struct {
 	pprofOut  string
 	traceOut  string
 	counters  bool
-	walkTrace int
-	traceCap  int
 
 	scenario bool
 	vms      int
@@ -130,10 +126,6 @@ func (f cliFlags) validate() (sim.Environment, sim.Design, workload.Spec, error)
 		return 0, "", workload.Spec{}, fmt.Errorf("-ws must be >= 0 (got %d; 0 means the scaled default)", f.wsMiB)
 	case f.scale < 1:
 		return 0, "", workload.Spec{}, fmt.Errorf("-scale must be >= 1 (got %d)", f.scale)
-	case f.walkTrace < 0:
-		return 0, "", workload.Spec{}, fmt.Errorf("-walk-trace must be >= 0 (got %d)", f.walkTrace)
-	case f.traceCap < 0:
-		return 0, "", workload.Spec{}, fmt.Errorf("-trace-cap must be >= 0 (got %d; 0 means the default ring)", f.traceCap)
 	case f.faults && f.workers > 1:
 		return 0, "", workload.Spec{}, fmt.Errorf("-faults runs every cell on one worker; drop -workers %d", f.workers)
 	case f.faults && f.shards != 0:
@@ -205,8 +197,6 @@ func main() {
 	flag.StringVar(&f.pprofOut, "pprof", "", "write a CPU profile to this file")
 	flag.StringVar(&f.traceOut, "trace-out", "", "write a runtime execution trace to this file")
 	flag.BoolVar(&f.counters, "counters", false, "print the run's counters, then the build-cache traffic")
-	flag.IntVar(&f.walkTrace, "walk-trace", 0, "capture per-walk trace events and print the last N")
-	flag.IntVar(&f.traceCap, "trace-cap", 0, "bound each shard's walk-trace ring (0 = default 4096)")
 	flag.BoolVar(&f.scenario, "scenario", false, "run the long-horizon node-aging scenario and print the node-age table")
 	flag.IntVar(&f.vms, "vms", 0, "aging: per-shard live-VM target (0 = default)")
 	flag.IntVar(&f.epochs, "epochs", 0, "aging: node-age sampling points (0 = default)")
@@ -288,7 +278,6 @@ func main() {
 		Env: env, Design: design, THP: f.thp, Workload: wl,
 		WSBytes: uint64(f.wsMiB) << 20, Ops: f.ops, Seed: f.seed, CacheScale: f.scale,
 		Workers: f.workers, Shards: f.shards,
-		Trace: f.walkTrace > 0, TraceCap: f.traceCap,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -320,17 +309,6 @@ func main() {
 			fmt.Printf("  %-10s %8.2f cyc  %5.1f%%  (%d hits)\n", s.Label,
 				float64(s.Cycles)/float64(res.Walks),
 				100*float64(s.Cycles)/float64(max64(res.WalkCycles, 1)), s.Count)
-		}
-	}
-	if f.walkTrace > 0 {
-		events := res.Trace
-		if len(events) > f.walkTrace {
-			events = events[len(events)-f.walkTrace:]
-		}
-		fmt.Printf("\nwalk trace (last %d of %d captured, %d total):\n",
-			len(events), len(res.Trace), res.TraceTotal)
-		for i := range events {
-			fmt.Println("  " + events[i].String())
 		}
 	}
 	if f.counters {

@@ -25,8 +25,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"negative shards", func(f *cliFlags) { f.shards = -4 }, "-shards must be >= 0"},
 		{"negative ws", func(f *cliFlags) { f.wsMiB = -1 }, "-ws must be >= 0"},
 		{"zero scale", func(f *cliFlags) { f.scale = 0 }, "-scale must be >= 1"},
-		{"negative walk-trace", func(f *cliFlags) { f.walkTrace = -3 }, "-walk-trace must be >= 0"},
-		{"negative trace-cap", func(f *cliFlags) { f.traceCap = -1 }, "-trace-cap must be >= 0"},
 		{"unknown env", func(f *cliFlags) { f.envName = "bare-metal" }, "unknown environment"},
 		{"unknown design", func(f *cliFlags) { f.design = "radix64" }, "unknown design"},
 		{"unknown workload", func(f *cliFlags) { f.wlName = "STREAM" }, "workload"},
@@ -93,7 +91,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 		t.Fatalf("validate() parsed (%v, %s, %s)", env, design, wl.Name)
 	}
 	// Zero values that mean "use the default" must stay accepted.
-	f.workers, f.shards, f.wsMiB, f.walkTrace, f.traceCap = 0, 0, 0, 0, 0
+	f.workers, f.shards, f.wsMiB = 0, 0, 0
 	if _, _, _, err := f.validate(); err != nil {
 		t.Fatalf("validate() rejected zero defaults: %v", err)
 	}

@@ -129,7 +129,7 @@ func (m *Mirror) walkUpper(va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSi
 		idx := mem.Index(va, level)
 		addr := node.base + mem.PAddr(idx*mem.PTEBytes)
 		r := hier.Access(addr)
-		sink.Append(core.MemRef{Addr: addr, Cycles: r.Cycles, Served: r.Served, Level: level, Dim: "s"})
+		sink.Append(core.MemRef{Addr: addr, Cycles: r.Cycles, Level: level, Dim: "s"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 		if !node.present[idx] {
@@ -214,7 +214,7 @@ func (w *Walker) Walk(gva mem.VAddr) core.WalkOutcome {
 			return out
 		}
 		r := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g"})
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Level: s.Level, Dim: "g"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}
@@ -248,7 +248,7 @@ func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, b
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h"})
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: "h"})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}

@@ -103,7 +103,7 @@ func (s *System) probe(va mem.VAddr, g *core.FetchGroup, hier *cache.Hierarchy, 
 				psz = sz
 			}
 			r := hier.Access(slot)
-			g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: sz.LeafLevel(), Dim: dim},
+			g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: sz.LeafLevel(), Dim: dim},
 				match && critical)
 		}
 	}
@@ -238,7 +238,7 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 			continue
 		}
 		r := w.Hier.Access(c.machine)
-		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Served: r.Served, Dim: "g"}, c.isMatch)
+		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Dim: "g"}, c.isMatch)
 	}
 	g.Commit(&out)
 	if !gok {

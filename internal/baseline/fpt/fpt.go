@@ -204,7 +204,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 func resolve(t *Table, va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSink, dim string, out *core.WalkOutcome) {
 	root := t.RootSlot(va)
 	r := hier.Access(root)
-	sink.Append(core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: dim})
+	sink.Append(core.MemRef{Addr: root, Cycles: r.Cycles, Level: 3, Dim: dim})
 	out.Cycles += r.Cycles
 	out.SeqSteps++
 	g := core.FetchGroup{Sink: sink}
@@ -224,7 +224,7 @@ func leafProbes(t *Table, va mem.VAddr, hier *cache.Hierarchy, dim string, g *co
 	match := t.leafMatch(va)
 	for i, slot := range [2]mem.PAddr{s4, s2} {
 		r := hier.Access(slot)
-		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: 1, Dim: dim}, i == match)
+		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: 1, Dim: dim}, i == match)
 	}
 	return true
 }
@@ -292,7 +292,7 @@ func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, ou
 	for _, s := range slots[:n] {
 		root := w.Host.RootSlot(mem.VAddr(s))
 		r := w.Hier.Access(root)
-		g.Add(core.MemRef{Addr: root, Cycles: r.Cycles, Served: r.Served, Level: 3, Dim: "h"}, true)
+		g.Add(core.MemRef{Addr: root, Cycles: r.Cycles, Level: 3, Dim: "h"}, true)
 	}
 	g.Commit(out)
 	// Host leaf probes for every slot (parallel; the valid entry's line
@@ -321,7 +321,7 @@ func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, ou
 	}
 	for i, m := range machines[:n] {
 		r := w.Hier.Access(m)
-		g.Add(core.MemRef{Addr: m, Cycles: r.Cycles, Served: r.Served, Dim: "g"}, i == match)
+		g.Add(core.MemRef{Addr: m, Cycles: r.Cycles, Dim: "g"}, i == match)
 	}
 	g.Commit(out)
 	return true

@@ -274,7 +274,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	g := core.FetchGroup{Sink: w.Sink}
 	for _, slot := range [2]mem.PAddr{s4, s2} {
 		r := w.Hier.Access(slot)
-		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Served: r.Served, Level: 1, Dim: "n"}, true)
+		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: 1, Dim: "n"}, true)
 	}
 	g.Commit(&out)
 	if pa, size, ok := w.Seg.Lookup(va); ok {

@@ -190,7 +190,7 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 		probeWay = 0
 	}
 	addr := w.Store.BlockAddr(set, probeWay)
-	w.Sink.Append(core.MemRef{Addr: addr, Cycles: w.l2Lat, Served: cache.LevelL2, Level: 2, Dim: "n"})
+	w.Sink.Append(core.MemRef{Addr: addr, Cycles: w.l2Lat, Level: 2, Dim: "n"})
 	out.Cycles += w.l2Lat
 	out.SeqSteps++
 	if way >= 0 {

@@ -141,8 +141,11 @@ func TestColdMissRecordsProbeThenInnerWalk(t *testing.T) {
 		t.Fatalf("cold miss recorded %d refs over %d steps, want %d over %d (probe + radix walk)",
 			len(refs), out.SeqSteps, 1+len(steps), 1+len(steps))
 	}
-	if refs[0].Served != cache.LevelL2 || refs[0].Cycles != hier.Config().L2.LatencyRT {
-		t.Fatalf("first ref is not the spill-block probe: %+v", refs[0])
+	// A cold miss probes way 0 of va's spill set.
+	tag := uint64(va) >> blockShift
+	probe := w.Store.BlockAddr(int(tag%uint64(w.Store.sets)), 0)
+	if refs[0].Addr != probe || refs[0].Cycles != hier.Config().L2.LatencyRT {
+		t.Fatalf("first ref is not the spill-block probe at %#x: %+v", probe, refs[0])
 	}
 	for i, s := range steps {
 		if got := refs[1+i]; got.Addr != s.Addr || got.Level != s.Level {

@@ -33,9 +33,9 @@ type Res struct {
 
 // WalkRecorder observes every walker invocation inside a batch — the
 // engine's measurement harness (per-step aggregation, latency capture,
-// trace ring, differential oracle) implements it. RecordWalk runs after
-// the walk and before the TLB refill, exactly where the scalar path's
-// recording wrapper sits.
+// differential oracle) implements it. RecordWalk runs after the walk and
+// before the TLB refill, exactly where the scalar path's recording wrapper
+// sits.
 type WalkRecorder interface {
 	RecordWalk(va mem.VAddr, out *WalkOutcome)
 }

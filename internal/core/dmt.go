@@ -94,7 +94,7 @@ func (w *DMTWalker) Walk(va mem.VAddr) WalkOutcome {
 		r := w.Hier.Access(pteAddr)
 		pte, ok := w.Pool.ReadPTE(pteAddr)
 		match := ok && LeafValid(pte, s)
-		g.Add(MemRef{Addr: pteAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: w.Dim}, match)
+		g.Add(MemRef{Addr: pteAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: w.Dim}, match)
 		if match {
 			out.PA = pte.Frame() + mem.PAddr(mem.PageOffset(va, s))
 			out.Size = s

@@ -139,8 +139,8 @@ func Example_hugePages() {
 	fmt.Printf("  resolved as a %v page in %d sequential step (%d parallel TEA probes)\n",
 		out.Size, out.SeqSteps, len(sink.Refs()))
 	for _, r := range sink.Refs() {
-		fmt.Printf("    probe of the %v-PTE TEA at %#x: %d cycles (%v)\n",
-			mem.PageSize(r.Level-1), uint64(r.Addr), r.Cycles, r.Served)
+		fmt.Printf("    probe of the %v-PTE TEA at %#x: %d cycles\n",
+			mem.PageSize(r.Level-1), uint64(r.Addr), r.Cycles)
 	}
 
 	// The register carries both TEAs; only the 2M one holds valid leaves
@@ -173,8 +173,8 @@ func Example_hugePages() {
 	// THP-mapped regions: 32
 	// translate va=0x402abcde
 	//   resolved as a 2M page in 1 sequential step (2 parallel TEA probes)
-	//     probe of the 4K-PTE TEA at 0x3fc21558: 200 cycles (Mem)
-	//     probe of the 2M-PTE TEA at 0x3fc01008: 200 cycles (Mem)
+	//     probe of the 4K-PTE TEA at 0x3fc21558: 200 cycles
+	//     probe of the 2M-PTE TEA at 0x3fc01008: 200 cycles
 	// register: base=0x40000000 limit=0x44000000 4K-TEA=true 2M-TEA=true
 	// after demotion: resolved as a 4K page, still 1 sequential step, fallback=false
 }

@@ -57,7 +57,7 @@ func (w *RadixWalker) Walk(va mem.VAddr) WalkOutcome {
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: w.Dim})
+		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: w.Dim})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}

@@ -10,7 +10,6 @@
 package core
 
 import (
-	"dmt/internal/cache"
 	"dmt/internal/mem"
 )
 
@@ -18,7 +17,6 @@ import (
 type MemRef struct {
 	Addr   mem.PAddr
 	Cycles int
-	Served cache.Level
 	// Level is the page-table level fetched (1–5), when meaningful.
 	Level int
 	// Dim distinguishes dimensions of nested walks: "n" native, "g"

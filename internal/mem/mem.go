@@ -116,14 +116,9 @@ func AlignUp(va VAddr, align uint64) VAddr {
 	return VAddr((uint64(va) + align - 1) &^ (align - 1))
 }
 
-// AlignDownP and AlignUpP are the physical-address analogues.
+// AlignDownP is AlignDown's physical-address analogue.
 func AlignDownP(pa PAddr, align uint64) PAddr {
 	return PAddr(uint64(pa) &^ (align - 1))
-}
-
-// AlignUpP rounds pa up to a multiple of align (a power of two).
-func AlignUpP(pa PAddr, align uint64) PAddr {
-	return PAddr((uint64(pa) + align - 1) &^ (align - 1))
 }
 
 // IsAligned reports whether v is a multiple of align (a power of two).

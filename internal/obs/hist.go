@@ -1,24 +1,21 @@
 // Package obs is the observability substrate of the simulator: power-of-two
-// latency histograms with exact extrema, fixed-size per-shard rings of
-// structured walk-trace events, and named counter snapshots. The package
-// is built for the engine's determinism contract — histograms, counters,
-// and rings all merge commutatively across shards, so a run's
-// observability output is a pure function of (Config minus Workers)
-// exactly like its Result (DESIGN.md §10).
+// latency histograms with exact extrema, and named counter snapshots. The
+// package is built for the engine's determinism contract — histograms and
+// counters merge commutatively across shards, so a run's observability
+// output is a pure function of (Config minus Workers) exactly like its
+// Result (DESIGN.md §10).
 //
 // Cost model: histogram observation and counter snapshots are unconditional
 // and allocation-free (two array increments per walk; counters are read once
-// at Finish); per-walk trace capture is opt-in (sim.Config.Trace) and writes
-// into a preallocated ring, so the walk hot path allocates nothing either
-// way. sim.TestStepBatchZeroAllocs pins this at 0 allocs per batch in every
-// environment × design cell, with tracing off and on.
+// at Finish), so the walk hot path allocates nothing.
+// sim.TestStepBatchZeroAllocs pins this at 0 allocs per batch in every
+// environment × design cell.
 package obs
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // histBuckets is one bucket per possible bits.Len64 value: bucket i counts
@@ -163,36 +160,4 @@ func bucketUpper(i int) uint64 {
 func (h *Hist) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p90=%d p99=%d max=%d",
 		h.Count, h.Mean(), h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Max)
-}
-
-// Render draws an ASCII bucket chart of the non-empty range, one row per
-// occupied power-of-two bucket (the text stand-in for Figure 4/14/15-style
-// per-walk distributions).
-func (h *Hist) Render(title string, width int) string {
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	var peak uint64
-	for _, c := range h.Buckets {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		b.WriteString("  (empty)\n")
-		return b.String()
-	}
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		var lo uint64
-		if i > 0 {
-			lo = 1 << uint(i-1)
-		}
-		n := int(float64(c) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "  [%8d,%8d] %8d |%s\n", lo, bucketUpper(i), c, strings.Repeat("#", n))
-	}
-	return b.String()
 }

@@ -155,66 +155,6 @@ func TestHistMergeCommutes(t *testing.T) {
 	}
 }
 
-func TestRingWrapAndOrder(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		e := r.Next()
-		if e == nil {
-			t.Fatal("Next returned nil for positive capacity")
-		}
-		if e.Seq != uint64(i) {
-			t.Fatalf("Seq = %d, want %d", e.Seq, i)
-		}
-		e.VA = uint64(100 + i)
-		e.NumSteps = 0
-	}
-	if r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("Total/Dropped = %d/%d, want 10/6", r.Total(), r.Dropped())
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if e.Seq != uint64(6+i) {
-			t.Fatalf("event %d has Seq %d, want %d (oldest-first)", i, e.Seq, 6+i)
-		}
-	}
-}
-
-func TestRingZeroCapacity(t *testing.T) {
-	r := NewRing(0)
-	if e := r.Next(); e != nil {
-		t.Fatal("zero-capacity ring returned a slot")
-	}
-	if r.Total() != 1 || len(r.Events()) != 0 {
-		t.Fatal("zero-capacity ring retained events")
-	}
-}
-
-func TestMergeEventsDeterministicOrder(t *testing.T) {
-	mk := func(shard int32, seqs ...uint64) []WalkEvent {
-		var out []WalkEvent
-		for _, s := range seqs {
-			out = append(out, WalkEvent{Shard: shard, Seq: s})
-		}
-		return out
-	}
-	a := mk(0, 0, 1, 2)
-	b := mk(1, 0, 1)
-	ab := MergeEvents(a, b)
-	ba := MergeEvents(b, a)
-	if !reflect.DeepEqual(ab, ba) {
-		t.Fatal("MergeEvents depends on input order")
-	}
-	for i := 1; i < len(ab); i++ {
-		p, q := ab[i-1], ab[i]
-		if p.Shard > q.Shard || (p.Shard == q.Shard && p.Seq >= q.Seq) {
-			t.Fatalf("merged events out of (shard, seq) order at %d", i)
-		}
-	}
-}
-
 func TestCountersMergeAndDump(t *testing.T) {
 	a := Counters{"x": 1, "y": 2}
 	b := Counters{"y": 3, "z": 4}
@@ -230,32 +170,5 @@ func TestCountersMergeAndDump(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(d), "\n")
 	if len(lines) != 3 || !sort.StringsAreSorted(lines) {
 		t.Fatalf("dump not sorted:\n%s", d)
-	}
-}
-
-func TestWalkEventString(t *testing.T) {
-	e := WalkEvent{Shard: 2, Seq: 9, VA: 0x1000, Cycles: 42, Fallback: true, NumSteps: 2}
-	e.Steps[0] = StepTrace{Dim: "g", Step: 1, Level: 4, Served: 3, Cycles: 20}
-	e.Steps[1] = StepTrace{Dim: "h", Step: 2, Level: 1, Served: 0, Cycles: 4}
-	s := e.String()
-	for _, frag := range []string{"s2#9", "va=0x1000", "cyc=42", "fallback", "1:gL4@Mem", "2:hL1@L1"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("event string %q missing %q", s, frag)
-		}
-	}
-}
-
-func TestHistRender(t *testing.T) {
-	var h Hist
-	for i := uint64(1); i <= 64; i++ {
-		h.Observe(i)
-	}
-	out := h.Render("latency", 20)
-	if !strings.Contains(out, "latency") || !strings.Contains(out, "#") {
-		t.Fatalf("render missing content:\n%s", out)
-	}
-	var empty Hist
-	if !strings.Contains(empty.Render("", 10), "empty") {
-		t.Fatal("empty render should say so")
 	}
 }

@@ -1,48 +1,137 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"sort"
 	"testing"
 
+	"dmt/internal/core"
 	"dmt/internal/fault"
+	"dmt/internal/mem"
 )
 
 // The batch-walk contract (DESIGN.md §11): the batched engine loop is a
 // pure restructuring of the scalar one — every Result field, counter,
-// histogram bucket, and trace event must be bit-identical to the per-op
-// reference path, for every environment, design, fault plan, verification
-// mode, and batch size, including sizes that don't divide the op count.
-// These are metamorphic tests: the scalar leg (runShardsWith driving
-// Instance.Step per trace operation) is the oracle for the batched leg, and
-// CI runs the suite under -race.
+// histogram bucket, and walk must be bit-identical to the per-op reference
+// path, for every environment, design, fault plan, verification mode, and
+// batch size, including sizes that don't divide the op count. These are
+// metamorphic tests: the scalar leg (runShardsWith driving Instance.Step per
+// trace operation) is the oracle for the batched leg, and CI runs the suite
+// under -race. Beyond the aggregates, each leg folds every walk into a
+// per-shard digest (walkDigest), so the two legs must also agree walk by
+// walk, in order.
 
-// batchEquivConfig is detConfig plus the observability surfaces the
-// equivalence must cover: trace capture on (with a small ring so the
-// overwrite path is compared too) and two workers so the batched path also
-// runs concurrently under the race detector.
+// batchEquivConfig is detConfig plus two workers, so the engine leg also
+// runs shards concurrently under the race detector.
 func batchEquivConfig(t *testing.T, env Environment, d Design, plan *fault.Plan, verify bool) Config {
 	cfg := detConfig(env, d, plan)
 	cfg.Workload = detWorkload(t)
 	cfg.Verify = verify
 	cfg.Workers = 2
-	cfg.Trace = true
-	cfg.TraceCap = 128
 	return cfg
+}
+
+// walkDigest folds every walk one instance makes — its VA, cycles and
+// fallback flag, then each ref the sink holds (address, cycles, level,
+// dimension, step) — into an FNV-1a hash, in walk order.
+type walkDigest struct {
+	walks uint64
+	h     hash.Hash64
+	buf   []byte
+}
+
+func (d *walkDigest) fold(va mem.VAddr, out *core.WalkOutcome, refs []core.MemRef) {
+	b := binary.LittleEndian.AppendUint64(d.buf[:0], uint64(va))
+	b = binary.LittleEndian.AppendUint64(b, uint64(out.Cycles))
+	if out.Fallback {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	for i := range refs {
+		r := &refs[i]
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Addr))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Cycles))
+		b = append(b, byte(r.Level), byte(r.Step), byte(len(r.Dim)))
+		b = append(b, r.Dim...)
+	}
+	d.h.Write(b)
+	d.buf = b
+	d.walks++
+}
+
+// digestWalker folds the scalar leg's walks: it wraps the MMU's walker
+// (the recording walker), so it sees each outcome and the sink once the
+// walk is recorded.
+type digestWalker struct {
+	core.Walker
+	d    *walkDigest
+	sink *core.RefSink
+}
+
+func (w digestWalker) Walk(va mem.VAddr) core.WalkOutcome {
+	out := w.Walker.Walk(va)
+	w.d.fold(va, &out, w.sink.Refs())
+	return out
+}
+
+// digestRecorder folds the batched leg's walks, which core.RunBatch reports
+// through the batch's recorder instead of the MMU's walker.
+type digestRecorder struct {
+	core.WalkRecorder
+	d    *walkDigest
+	sink *core.RefSink
+}
+
+func (r digestRecorder) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
+	r.d.fold(va, out, r.sink.Refs())
+	r.WalkRecorder.RecordWalk(va, out)
+}
+
+// digestWalks arms in so that every walk it makes, through Step or
+// StepBatch, folds into the returned digest.
+func digestWalks(in *Instance) *walkDigest {
+	d := &walkDigest{h: fnv.New64a()}
+	in.mmu.Walker = digestWalker{in.mmu.Walker, d, in.m.sink}
+	in.batch.Rec = digestRecorder{in.batch.Rec, d, in.m.sink}
+	return d
+}
+
+// requireEqualWalks asserts that two legs' per-shard digests agree and
+// that together they saw every walk res counts.
+func requireEqualWalks(t *testing.T, res *Result, a, b []*walkDigest) {
+	t.Helper()
+	var walks uint64
+	for s := range a {
+		if a[s].walks != b[s].walks || a[s].h.Sum64() != b[s].h.Sum64() {
+			t.Fatalf("shard %d walks differ: %d walks (digest %#x) vs %d walks (digest %#x)",
+				s, a[s].walks, a[s].h.Sum64(), b[s].walks, b[s].h.Sum64())
+		}
+		walks += a[s].walks
+	}
+	if walks != res.Walks {
+		t.Fatalf("digests saw %d walks, the Result counts %d", walks, res.Walks)
+	}
 }
 
 // runShardsWith is RunShards followed by MergeShards with the engine's
 // step loop replaced by step, which advances an instance by at least one
-// op. Shards run serially; results do not depend on scheduling.
-func runShardsWith(t *testing.T, cfg Config, step func(*Instance) error) *Result {
+// op. Shards run serially; results do not depend on scheduling. It also
+// returns each shard's walk digest.
+func runShardsWith(t *testing.T, cfg Config, step func(*Instance) error) (*Result, []*walkDigest) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	parts := make([]ShardResult, cfg.Shards)
+	digests := make([]*walkDigest, cfg.Shards)
 	for s := range parts {
 		in, err := newShardInstance(cfg, s, cfg.Shards)
 		if err != nil {
 			t.Fatal(err)
 		}
+		digests[s] = digestWalks(in)
 		for in.op < in.ops {
 			if err := step(in); err != nil {
 				t.Fatalf("shard %d: %v", s, err)
@@ -58,35 +147,40 @@ func runShardsWith(t *testing.T, cfg Config, step func(*Instance) error) *Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, digests
 }
 
 // runBatchVsScalar runs cfg through the per-op reference loop and through
-// the batched one, and asserts bit-identical Results. With batchCap 0 the
-// batched leg is the engine itself (Run, at BatchOps, shards on
-// cfg.Workers goroutines); a positive cap drives StepBatch(batchCap).
-func runBatchVsScalar(t *testing.T, cfg Config, batchCap int) (*Result, *Result) {
+// StepBatch(batchCap), and asserts bit-identical Results and walk digests.
+// With batchCap 0 the batched leg steps at BatchOps, and the engine itself
+// (Run, shards on cfg.Workers goroutines) must reproduce the Result too.
+func runBatchVsScalar(t *testing.T, cfg Config, batchCap int) *Result {
 	t.Helper()
-	want := runShardsWith(t, cfg, (*Instance).Step)
-	var got *Result
-	if batchCap == 0 {
-		var err error
-		if got, err = Run(cfg); err != nil {
-			t.Fatalf("batched leg: %v", err)
-		}
-	} else {
-		got = runShardsWith(t, cfg, func(in *Instance) error {
-			_, err := in.StepBatch(batchCap)
-			return err
-		})
+	want, wantWalks := runShardsWith(t, cfg, (*Instance).Step)
+	n := batchCap
+	if n == 0 {
+		n = BatchOps
 	}
+	got, gotWalks := runShardsWith(t, cfg, func(in *Instance) error {
+		_, err := in.StepBatch(n)
+		return err
+	})
 	requireEqualResults(t, want, got)
-	return want, got
+	requireEqualWalks(t, want, wantWalks, gotWalks)
+	if batchCap == 0 {
+		eng, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("engine leg: %v", err)
+		}
+		requireEqualResults(t, want, eng)
+	}
+	return want
 }
 
 // TestBatchScalarEquivalenceMatrix is the full metamorphic sweep: every
 // (environment × design) cell, with and without a fault plan, with and
-// without the verification oracle, batched at the production span size.
+// without the verification oracle, batched at the production span size
+// through both StepBatch and the engine's Run.
 func TestBatchScalarEquivalenceMatrix(t *testing.T) {
 	suite := fault.Suite(detOps)
 	if len(suite) == 0 {
@@ -104,7 +198,7 @@ func TestBatchScalarEquivalenceMatrix(t *testing.T) {
 					}
 					t.Run(name, func(t *testing.T) {
 						cfg := batchEquivConfig(t, env, d, plan, verify)
-						want, _ := runBatchVsScalar(t, cfg, 0)
+						want := runBatchVsScalar(t, cfg, 0)
 						if want.Walks == 0 || want.TLBMisses == 0 {
 							t.Fatalf("degenerate run: %d walks, %d misses", want.Walks, want.TLBMisses)
 						}
@@ -144,8 +238,7 @@ func TestBatchCapSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s/cap=%d", cell.env, cell.d, cap), func(t *testing.T) {
 				cfg := batchEquivConfig(t, cell.env, cell.d, churn, true)
 				cfg.Ops = oddOps
-				cfg.TraceCap = 32 // exercise ring overwrite on both legs
-				want, _ := runBatchVsScalar(t, cfg, cap)
+				want := runBatchVsScalar(t, cfg, cap)
 				if want.Ops != oddOps {
 					t.Fatalf("merged Ops = %d, want %d", want.Ops, oddOps)
 				}
@@ -171,6 +264,7 @@ func TestBatchInstanceResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scalarWalks := digestWalks(scalar)
 	for i := 0; i < scalar.Ops(); i++ {
 		if err := scalar.Step(); err != nil {
 			t.Fatal(err)
@@ -185,6 +279,7 @@ func TestBatchInstanceResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batchedWalks := digestWalks(batched)
 	sizes := []int{1, 7, 100, 3 * BatchOps, 13, 1024}
 	done := 0
 	for i := 0; done < batched.Ops(); i++ {
@@ -208,14 +303,15 @@ func TestBatchInstanceResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, want, got)
+	requireEqualWalks(t, want, []*walkDigest{scalarWalks}, []*walkDigest{batchedWalks})
 }
 
 // fuzzBatchWalkCell drives one (environment × design) cell through both
 // engine legs at a fuzzed op count, batch cap, and trace seed, asserting
-// bit-identical Results — the walker-level extension of the span fuzzing
-// below: instead of checking the seam arithmetic in isolation, it checks
-// that a real walker fed through those seams (including the batch probe
-// paths tlb.LookupBatch / cache.AccessBatch) never diverges from the
+// bit-identical Results and walks — the walker-level extension of the span
+// fuzzing below: instead of checking the seam arithmetic in isolation, it
+// checks that a real walker fed through those seams (including the batch
+// probe paths tlb.LookupBatch / cache.AccessBatch) never diverges from the
 // scalar oracle.
 func fuzzBatchWalkCell(t *testing.T, env Environment, d Design, rawOps uint16, rawCap uint8, seed int64, withPlan bool) {
 	ops := int(rawOps)%997 + 32 // small but non-degenerate; 997 prime, so caps rarely divide it
@@ -230,7 +326,6 @@ func fuzzBatchWalkCell(t *testing.T, env Environment, d Design, rawOps uint16, r
 	cfg := batchEquivConfig(t, env, d, plan, true)
 	cfg.Ops = ops
 	cfg.Seed = seed
-	cfg.TraceCap = 32
 	runBatchVsScalar(t, cfg, int(rawCap)%BatchOps+1)
 }
 

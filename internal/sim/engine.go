@@ -28,17 +28,15 @@ import (
 // machine construction out of the timed region; the engine uses it as the
 // unit of shard execution.
 type Instance struct {
-	cfg   Config
-	m     *machine
-	mmu   *core.MMU
-	inj   *fault.Injector
-	chk   *check.Checker
-	res   *Result
-	ring  *obs.Ring
-	shard int
-	op    int
-	ops   int
-	done  bool
+	cfg  Config
+	m    *machine
+	mmu  *core.MMU
+	inj  *fault.Injector
+	chk  *check.Checker
+	res  *Result
+	op   int
+	ops  int
+	done bool
 
 	// Batched-walk state (DESIGN.md §11): the reusable request/result
 	// buffers trace generation fills per span, the per-instance Batch the
@@ -115,15 +113,6 @@ func assembleInstance(cfg, scfg Config, m *machine, s, shards int) (*Instance, e
 		hist:  res.WalkHist,
 		fast:  make([]*StepAgg, labelFastSize),
 	}
-	var ring *obs.Ring
-	if cfg.Trace {
-		cap := cfg.TraceCap
-		if cap == 0 {
-			cap = 4096
-		}
-		ring = obs.NewRing(cap)
-		rec.ring = ring
-	}
 	dtlb, err := tlb.New(scaledTLB(cfg.CacheScale))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -155,7 +144,7 @@ func assembleInstance(cfg, scfg Config, m *machine, s, shards int) (*Instance, e
 		plan := shardPlan(*cfg.FaultPlan, cfg.Ops, scfg.Ops, s, shards)
 		inj = fault.New(plan, m.target)
 	}
-	in := &Instance{cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ring: ring, shard: s, ops: scfg.Ops}
+	in := &Instance{cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ops: scfg.Ops}
 	in.rec = rec
 	in.reqs = make([]core.Req, BatchOps)
 	in.bres = make([]core.Res, BatchOps)
@@ -322,7 +311,6 @@ func (in *Instance) Finish() (*Result, error) {
 		}
 		res.FaultsApplied = in.inj.Applied
 		res.FaultsSkipped = in.inj.Skipped
-		res.FaultLog = in.inj.Log
 	}
 	c := in.counters()
 	if in.chk != nil {
@@ -400,7 +388,7 @@ func (in *Instance) counters() obs.Counters {
 }
 
 // sealObservability adds the checker's and hypervisor's counters to c and
-// snapshots c and the trace ring into the Result. Everything recorded here
+// snapshots c into the Result. Everything recorded here
 // merges commutatively across shards (MergeShards) and is a pure function
 // of (Config, shard) — cross-run machine state like prototype-cache warmth
 // stays out (ReadBuildCacheStats reports it).
@@ -414,13 +402,6 @@ func (in *Instance) sealObservability(res *Result, c obs.Counters) {
 	c.Add("hyp.shadow_syncs", res.ShadowSyncs)
 	c.Add("hyp.isolation_faults", res.IsolationFaults)
 	res.Counters = c
-	if in.ring != nil {
-		res.Trace = in.ring.Events()
-		for i := range res.Trace {
-			res.Trace[i].Shard = int32(in.shard)
-		}
-		res.TraceTotal = in.ring.Total()
-	}
 }
 
 // ShardResult pairs one shard's Result with its index so merge order never
@@ -503,7 +484,6 @@ func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {
 
 	cfg = cfg.withDefaults()
 	out := &Result{Config: cfg, breakdown: map[string]*StepAgg{}, WalkHist: &obs.Hist{}, Counters: obs.Counters{}}
-	traces := make([][]obs.WalkEvent, 0, len(sorted))
 	for _, p := range sorted {
 		r := p.Res
 		out.Ops += r.Ops
@@ -528,10 +508,6 @@ func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {
 		out.covSet = out.covSet || r.covSet
 		out.WalkHist.Merge(r.WalkHist)
 		out.Counters.Merge(r.Counters)
-		if len(r.Trace) > 0 {
-			traces = append(traces, r.Trace)
-		}
-		out.TraceTotal += r.TraceTotal
 		for label, agg := range r.breakdown {
 			dst := out.breakdown[label]
 			if dst == nil {
@@ -541,16 +517,10 @@ func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {
 			dst.Cycles += agg.Cycles
 			dst.Count += agg.Count
 		}
-		for _, line := range r.FaultLog {
-			out.FaultLog = append(out.FaultLog, fmt.Sprintf("s%d %s", p.Shard, line))
-		}
 	}
 	// Structural footprint: every shard builds an identical replica, so the
 	// figure comes from one of them rather than summing copies.
 	out.PTEBytes = sorted[0].Res.PTEBytes
-	if len(traces) > 0 {
-		out.Trace = obs.MergeEvents(traces...)
-	}
 	out.Coverage, _ = out.RegisterCoverage()
 	return out, nil
 }

@@ -135,17 +135,6 @@ type Config struct {
 	// when Workers <= 1 (the classic serial run), else Workers. Results
 	// are a function of Shards, not Workers.
 	Shards int
-	// Trace enables per-walk structured trace capture (internal/obs): each
-	// shard records its walks into a fixed-size overwrite-oldest ring, and
-	// MergeShards concatenates the rings ordered by (shard, seq) into
-	// Result.Trace. Off by default — the ring is the only observability
-	// feature with per-walk hot-path cost (the latency histogram and the
-	// Finish-time counter snapshot are always on and allocation-free).
-	Trace bool
-	// TraceCap bounds each shard's trace ring (default 4096 events when
-	// Trace is set; ignored otherwise). Result.TraceTotal counts every
-	// walk offered, so TraceTotal - len(Trace) were overwritten.
-	TraceCap int
 
 	// traceSeed, when non-zero, overrides Seed for trace generation only;
 	// the engine sets it per shard so machine construction (layout,
@@ -194,11 +183,10 @@ func (c Config) Normalized() Config { return c.withDefaults() }
 // CanonicalKey renders a normalized configuration's env, design, THP,
 // workload, working set, cache scale, ops, seed, shards and Verify as one
 // stable text line, led by a version tag that changes with the schema.
-// Workers never changes results and is left out. The key
-// also omits TEARegisters, TEAMergeThreshold, FragmentTarget, FaultPlan and
-// Trace/TraceCap, so two configurations that differ only there share a
-// key: a record keyed by it must either leave those at their zero values
-// or widen the key first.
+// Workers never changes results and is left out. The key also omits
+// TEARegisters, TEAMergeThreshold, FragmentTarget and FaultPlan, so two
+// configurations that differ only there share a key: a record keyed by it
+// must either leave those at their zero values or widen the key first.
 func CanonicalKey(cfg Config) string {
 	cfg = cfg.Normalized()
 	return fmt.Sprintf("v1 env=%s design=%s thp=%t wl=%s ws=%d scale=%d ops=%d seed=%d shards=%d verify=%t",
@@ -248,7 +236,6 @@ type Result struct {
 	// Fault-injection and verification outcome (zero unless enabled).
 	FaultsApplied int
 	FaultsSkipped int
-	FaultLog      []string
 	DemandFaults  uint64
 	Checked       uint64
 	Mismatches    uint64
@@ -263,11 +250,6 @@ type Result struct {
 	// hypervisor exits, fault and verification outcomes. Shard merging
 	// sums per name.
 	Counters obs.Counters
-	// Trace holds the merged per-walk events when Config.Trace is set,
-	// ordered by (shard, seq); TraceTotal counts every walk offered to the
-	// rings, including overwritten ones.
-	Trace      []obs.WalkEvent
-	TraceTotal uint64
 
 	breakdown map[string]*StepAgg
 
@@ -351,11 +333,9 @@ type recordingWalker struct {
 	chk   *check.Checker
 	sink  *core.RefSink
 
-	// hist observes every walk's latency; ring (nil unless Config.Trace)
-	// captures per-walk structured events. Both are per-shard and merged
-	// by the engine, like every other counter.
+	// hist observes every walk's latency; it is per-shard and merged by
+	// the engine, like every other counter.
 	hist *obs.Hist
-	ring *obs.Ring
 
 	// fast interns (step, level, dim) → aggregate so the hot path skips
 	// refLabel's Sprintf (and its allocations) after the first encounter:
@@ -415,10 +395,9 @@ func (w *recordingWalker) Walk(va mem.VAddr) core.WalkOutcome {
 }
 
 // RecordWalk aggregates one walker invocation: the differential oracle,
-// whole-walk counters, per-step label aggregation, latency observation,
-// and trace-ring capture. It is the measurement half of Walk, factored out
-// so the batched engine (core.RunBatch) can invoke it directly as a
-// core.WalkRecorder at exactly the scalar path's sequence point — after
+// whole-walk counters, per-step label aggregation and latency observation.
+// It is the measurement half of Walk, factored out so the batched engine
+// (core.RunBatch) can invoke it directly as a core.WalkRecorder at exactly the scalar path's sequence point — after
 // the walk, before the TLB refill.
 func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 	if w.chk != nil {
@@ -448,9 +427,6 @@ func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 	} else if w.hist != nil {
 		w.hist.Observe(uint64(out.Cycles))
 	}
-	if w.ring != nil {
-		w.capture(va, out, refs)
-	}
 }
 
 // intern resolves (or creates) the breakdown aggregate for ref's label;
@@ -463,37 +439,6 @@ func (w *recordingWalker) intern(ref *core.MemRef) *StepAgg {
 		w.res.breakdown[label] = agg
 	}
 	return agg
-}
-
-// capture records one walk into the trace ring: VA, whole-walk latency,
-// fallback flag, and up to obs.MaxSteps per-fetch step records (dimension,
-// architectural step, level, serving cache level, cycles). The slot is
-// reused in place across ring laps, so every field — including the step
-// prefix — is overwritten here.
-func (w *recordingWalker) capture(va mem.VAddr, out *core.WalkOutcome, refs []core.MemRef) {
-	ev := w.ring.Next()
-	if ev == nil {
-		return
-	}
-	ev.VA = uint64(va)
-	ev.Cycles = uint32(out.Cycles)
-	ev.Fallback = out.Fallback
-	n := len(refs)
-	ev.Truncated = n > obs.MaxSteps
-	if n > obs.MaxSteps {
-		n = obs.MaxSteps
-	}
-	ev.NumSteps = int32(n)
-	for i := 0; i < n; i++ {
-		ref := &refs[i]
-		ev.Steps[i] = obs.StepTrace{
-			Dim:    ref.Dim,
-			Step:   int16(ref.Step),
-			Level:  int16(ref.Level),
-			Served: uint8(ref.Served),
-			Cycles: uint32(ref.Cycles),
-		}
-	}
 }
 
 func refLabel(ref core.MemRef) string {

@@ -104,7 +104,7 @@ func (w *DMTVirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		r := w.Hier.Access(c.machine)
 		pte, ok := w.GuestPool.ReadPTE(c.gpteGPA)
 		match := ok && core.LeafValid(pte, c.size)
-		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Served: r.Served, Level: c.size.LeafLevel(), Dim: "g"}, match)
+		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Level: c.size.LeafLevel(), Dim: "g"}, match)
 		if match {
 			dataGPA = pte.Frame() + mem.PAddr(mem.PageOffset(gva, c.size))
 			guestSize = c.size
@@ -146,7 +146,7 @@ func (w *DMTVirtWalker) hostFetch(gpa mem.PAddr, g *core.FetchGroup) (mem.PAddr,
 		r := w.Hier.Access(hpteAddr)
 		pte, ok := w.HostPool.ReadPTE(hpteAddr)
 		match := ok && core.LeafValid(pte, s)
-		g.Add(core.MemRef{Addr: hpteAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: "h"}, match)
+		g.Add(core.MemRef{Addr: hpteAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: "h"}, match)
 		if match {
 			return pte.Frame() + mem.PAddr(mem.PageOffset(mem.VAddr(gpa), s)), true
 		}

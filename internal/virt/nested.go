@@ -101,7 +101,7 @@ func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 			return out
 		}
 		r := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "g", Step: base + H + 1})
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Level: s.Level, Dim: "g", Step: base + H + 1})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}
@@ -153,7 +153,7 @@ func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, h
 	}
 	for _, s := range steps {
 		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Served: r.Served, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
 		out.Cycles += r.Cycles
 		out.SeqSteps++
 	}

@@ -105,7 +105,7 @@ func (w *PvDMTWalker) Walk(va mem.VAddr) core.WalkOutcome {
 			r := w.Hier.Access(fetchAddr)
 			pte, ok := lv.Pool.ReadPTE(nodeAddr)
 			match := ok && core.LeafValid(pte, s)
-			g.Add(core.MemRef{Addr: fetchAddr, Cycles: r.Cycles, Served: r.Served, Level: s.LeafLevel(), Dim: lv.Name}, match)
+			g.Add(core.MemRef{Addr: fetchAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: lv.Name}, match)
 			if match {
 				next = uint64(pte.Frame()) + mem.PageOffset(mem.VAddr(addr), s)
 				if li == 0 {
