@@ -128,9 +128,9 @@ func (m *Mirror) walkUpper(va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSi
 	for level := node.level; level > SwitchLevel; level-- {
 		idx := mem.Index(va, level)
 		addr := node.base + mem.PAddr(idx*mem.PTEBytes)
-		r := hier.Access(addr)
-		sink.Append(core.MemRef{Addr: addr, Cycles: r.Cycles, Level: level, Dim: "s"})
-		out.Cycles += r.Cycles
+		lat := hier.Access(addr)
+		sink.Append(core.MemRef{Addr: addr, Cycles: lat, Level: level, Dim: "s"})
+		out.Cycles += lat
 		out.SeqSteps++
 		if !node.present[idx] {
 			return 0, 0, false
@@ -172,9 +172,6 @@ func NewWalker(m *Mirror, guestPT, hostPT *pagetable.Table, hier *cache.Hierarch
 	}
 }
 
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "AgilePaging" }
-
 // EmitCounters implements core.CounterSource: walk count, shadow-mirror
 // sync activity, and the host-dimension MMU-cache splits.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
@@ -213,9 +210,9 @@ func (w *Walker) Walk(gva mem.VAddr) core.WalkOutcome {
 		if !ok {
 			return out
 		}
-		r := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Level: s.Level, Dim: "g"})
-		out.Cycles += r.Cycles
+		lat := w.Hier.Access(mAddr)
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: lat, Level: s.Level, Dim: "g"})
+		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if !walk.OK {
@@ -247,9 +244,9 @@ func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, b
 		}
 	}
 	for _, s := range steps {
-		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: "h"})
-		out.Cycles += r.Cycles
+		lat := w.Hier.Access(s.Addr)
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: "h"})
+		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if !full.OK {

@@ -60,9 +60,6 @@ type Walker struct {
 	late []mem.PAddr // per-walk scratch, reused across walks
 }
 
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "ASAP+" + w.Inner.Name() }
-
 // EmitCounters implements core.CounterSource: the prefetcher's issue/cold/
 // late attribution plus the wrapped walker's own counters.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {

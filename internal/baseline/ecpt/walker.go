@@ -102,8 +102,8 @@ func (s *System) probe(va mem.VAddr, g *core.FetchGroup, hier *cache.Hierarchy, 
 				pa = pte.Frame() + mem.PAddr(mem.PageOffset(va, sz))
 				psz = sz
 			}
-			r := hier.Access(slot)
-			g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: sz.LeafLevel(), Dim: dim},
+			lat := hier.Access(slot)
+			g.Add(core.MemRef{Addr: slot, Cycles: lat, Level: sz.LeafLevel(), Dim: dim},
 				match && critical)
 		}
 	}
@@ -138,9 +138,6 @@ type Walker struct {
 
 	Walks uint64
 }
-
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "ECPT" }
 
 // EmitCounters implements core.CounterSource.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
@@ -185,9 +182,6 @@ type cand struct {
 	machine mem.PAddr
 	ok      bool
 }
-
-// Name implements core.Walker.
-func (w *VirtWalker) Name() string { return "NestedECPT" }
 
 // EmitCounters implements core.CounterSource.
 func (w *VirtWalker) EmitCounters(emit func(name string, value uint64)) {
@@ -237,8 +231,8 @@ func (w *VirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		if !c.ok {
 			continue
 		}
-		r := w.Hier.Access(c.machine)
-		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Dim: "g"}, c.isMatch)
+		lat := w.Hier.Access(c.machine)
+		g.Add(core.MemRef{Addr: c.machine, Cycles: lat, Dim: "g"}, c.isMatch)
 	}
 	g.Commit(&out)
 	if !gok {

@@ -182,9 +182,6 @@ type Walker struct {
 	Walks uint64
 }
 
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "FPT" }
-
 // EmitCounters implements core.CounterSource.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 	emit("fpt.walks", w.Walks)
@@ -203,9 +200,9 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 // a leaf node — the leaf's parallel 4K/2M probes.
 func resolve(t *Table, va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSink, dim string, out *core.WalkOutcome) {
 	root := t.RootSlot(va)
-	r := hier.Access(root)
-	sink.Append(core.MemRef{Addr: root, Cycles: r.Cycles, Level: 3, Dim: dim})
-	out.Cycles += r.Cycles
+	lat := hier.Access(root)
+	sink.Append(core.MemRef{Addr: root, Cycles: lat, Level: 3, Dim: dim})
+	out.Cycles += lat
 	out.SeqSteps++
 	g := core.FetchGroup{Sink: sink}
 	if leafProbes(t, va, hier, dim, &g) {
@@ -223,8 +220,8 @@ func leafProbes(t *Table, va mem.VAddr, hier *cache.Hierarchy, dim string, g *co
 	}
 	match := t.leafMatch(va)
 	for i, slot := range [2]mem.PAddr{s4, s2} {
-		r := hier.Access(slot)
-		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: 1, Dim: dim}, i == match)
+		lat := hier.Access(slot)
+		g.Add(core.MemRef{Addr: slot, Cycles: lat, Level: 1, Dim: dim}, i == match)
 	}
 	return true
 }
@@ -243,9 +240,6 @@ type VirtWalker struct {
 
 	Walks uint64
 }
-
-// Name implements core.Walker.
-func (w *VirtWalker) Name() string { return "FPT-virt" }
 
 // EmitCounters implements core.CounterSource.
 func (w *VirtWalker) EmitCounters(emit func(name string, value uint64)) {
@@ -291,8 +285,8 @@ func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, ou
 	g := core.FetchGroup{Sink: w.Sink}
 	for _, s := range slots[:n] {
 		root := w.Host.RootSlot(mem.VAddr(s))
-		r := w.Hier.Access(root)
-		g.Add(core.MemRef{Addr: root, Cycles: r.Cycles, Level: 3, Dim: "h"}, true)
+		lat := w.Hier.Access(root)
+		g.Add(core.MemRef{Addr: root, Cycles: lat, Level: 3, Dim: "h"}, true)
 	}
 	g.Commit(out)
 	// Host leaf probes for every slot (parallel; the valid entry's line
@@ -320,8 +314,8 @@ func (w *VirtWalker) guestFetch(guestVA mem.VAddr, slots [2]mem.PAddr, n int, ou
 		match = w.Guest.leafMatch(guestVA)
 	}
 	for i, m := range machines[:n] {
-		r := w.Hier.Access(m)
-		g.Add(core.MemRef{Addr: m, Cycles: r.Cycles, Dim: "g"}, i == match)
+		lat := w.Hier.Access(m)
+		g.Add(core.MemRef{Addr: m, Cycles: lat, Dim: "g"}, i == match)
 	}
 	g.Commit(out)
 	return true

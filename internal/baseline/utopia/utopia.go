@@ -247,9 +247,6 @@ type Walker struct {
 	Misses  uint64
 }
 
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "Utopia(" + w.Fallback.Name() + ")" }
-
 // EmitCounters implements core.CounterSource.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 	emit("utopia.walks", w.Walks)
@@ -273,8 +270,8 @@ func (w *Walker) Walk(va mem.VAddr) core.WalkOutcome {
 	s4, s2 := w.Seg.Slots(va)
 	g := core.FetchGroup{Sink: w.Sink}
 	for _, slot := range [2]mem.PAddr{s4, s2} {
-		r := w.Hier.Access(slot)
-		g.Add(core.MemRef{Addr: slot, Cycles: r.Cycles, Level: 1, Dim: "n"}, true)
+		lat := w.Hier.Access(slot)
+		g.Add(core.MemRef{Addr: slot, Cycles: lat, Level: 1, Dim: "n"}, true)
 	}
 	g.Commit(&out)
 	if pa, size, ok := w.Seg.Lookup(va); ok {

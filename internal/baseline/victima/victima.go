@@ -132,9 +132,6 @@ func NewWalker(store *Store, hier *cache.Hierarchy, inner core.Walker, sink *cor
 	}
 }
 
-// Name implements core.Walker.
-func (w *Walker) Name() string { return "Victima(" + w.Inner.Name() + ")" }
-
 // EmitCounters implements core.CounterSource.
 func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 	emit("victima.walks", w.Walks)

@@ -231,30 +231,24 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return &Hierarchy{cfg: cfg, L1D: l1d, L2: l2, LLC: llc}, nil
 }
 
-// AccessResult describes one access.
-type AccessResult struct {
-	Cycles int
-	Served Level
-}
-
 // Access performs a demand access to the line holding pa, returning the
-// round-trip latency and the serving level, and filling all levels above
-// the hit (inclusive allocation). Each level that misses is filled by its
-// own lookupOrFill as the probe cascades down — every miss level ends up
+// round-trip latency of the serving level and filling all levels above the
+// hit (inclusive allocation). Each level that misses is filled by its own
+// lookupOrFill as the probe cascades down — every miss level ends up
 // holding the line as its most recent, exactly as the lookup-then-backfill
 // phrasing would leave it, without rescanning any set.
-func (h *Hierarchy) Access(pa mem.PAddr) AccessResult {
+func (h *Hierarchy) Access(pa mem.PAddr) int {
 	h.Accesses++
 	switch {
 	case h.L1D.lookupOrFill(pa):
-		return AccessResult{h.cfg.L1D.LatencyRT, LevelL1}
+		return h.cfg.L1D.LatencyRT
 	case h.L2.lookupOrFill(pa):
-		return AccessResult{h.cfg.L2.LatencyRT, LevelL2}
+		return h.cfg.L2.LatencyRT
 	case h.LLC.lookupOrFill(pa):
-		return AccessResult{h.cfg.LLC.LatencyRT, LevelLLC}
+		return h.cfg.LLC.LatencyRT
 	default:
 		h.MemFetches++
-		return AccessResult{h.cfg.MemLatency, LevelMem}
+		return h.cfg.MemLatency
 	}
 }
 

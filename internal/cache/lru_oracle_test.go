@@ -114,19 +114,19 @@ func newStampHierarchy(cfg HierarchyConfig) *stampHierarchy {
 	return &stampHierarchy{cfg: cfg, l1: newStampCache(cfg.L1D), l2: newStampCache(cfg.L2), llc: newStampCache(cfg.LLC)}
 }
 
-func (h *stampHierarchy) access(pa mem.PAddr) AccessResult {
+func (h *stampHierarchy) access(pa mem.PAddr) int {
 	h.now++
 	h.accesses++
 	switch {
 	case h.l1.lookupOrFill(pa, h.now):
-		return AccessResult{h.cfg.L1D.LatencyRT, LevelL1}
+		return h.cfg.L1D.LatencyRT
 	case h.l2.lookupOrFill(pa, h.now):
-		return AccessResult{h.cfg.L2.LatencyRT, LevelL2}
+		return h.cfg.L2.LatencyRT
 	case h.llc.lookupOrFill(pa, h.now):
-		return AccessResult{h.cfg.LLC.LatencyRT, LevelLLC}
+		return h.cfg.LLC.LatencyRT
 	}
 	h.memFetch++
-	return AccessResult{h.cfg.MemLatency, LevelMem}
+	return h.cfg.MemLatency
 }
 
 func (h *stampHierarchy) prefetch(pa mem.PAddr) Level {
@@ -265,7 +265,7 @@ func FuzzCacheLRUEquiv(f *testing.F) {
 			switch op % 7 {
 			case 0:
 				if got, want := h.Access(pa(arg)), ref.access(pa(arg)); got != want {
-					t.Fatalf("Access(%#x) = %+v, reference %+v", uint64(pa(arg)), got, want)
+					t.Fatalf("Access(%#x) = %d cycles, reference %d", uint64(pa(arg)), got, want)
 				}
 			case 1:
 				pas := make([]mem.PAddr, 1+int(arg)%8)
@@ -274,7 +274,7 @@ func FuzzCacheLRUEquiv(f *testing.F) {
 				}
 				var want uint64
 				for _, p := range pas {
-					want += uint64(ref.access(p).Cycles)
+					want += uint64(ref.access(p))
 				}
 				if got := h.AccessBatch(pas); got != want {
 					t.Fatalf("AccessBatch = %d cycles, reference %d", got, want)

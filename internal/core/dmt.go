@@ -46,9 +46,6 @@ func NewDMTWalker(mgr *tea.Manager, pool *pagetable.Pool, h *cache.Hierarchy, fa
 	return &DMTWalker{Mgr: mgr, Pool: pool, Hier: h, Fallback: fallback, Dim: "n"}
 }
 
-// Name implements Walker.
-func (w *DMTWalker) Name() string { return "DMT" }
-
 // EmitCounters implements CounterSource: the fetcher's register-file hit
 // attribution plus the TEA manager's structural activity (migrations,
 // splits, allocation failures — what the fault injector perturbs), then
@@ -91,10 +88,10 @@ func (w *DMTWalker) Walk(va mem.VAddr) WalkOutcome {
 		}
 		fanout++
 		pteAddr := reg.PTEAddrAt(s, va)
-		r := w.Hier.Access(pteAddr)
+		lat := w.Hier.Access(pteAddr)
 		pte, ok := w.Pool.ReadPTE(pteAddr)
 		match := ok && LeafValid(pte, s)
-		g.Add(MemRef{Addr: pteAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: w.Dim}, match)
+		g.Add(MemRef{Addr: pteAddr, Cycles: lat, Level: s.LeafLevel(), Dim: w.Dim}, match)
 		if match {
 			out.PA = pte.Frame() + mem.PAddr(mem.PageOffset(va, s))
 			out.Size = s

@@ -12,15 +12,14 @@ type MMU struct {
 	TLB    *tlb.TLB
 	Walker Walker
 	// Sink is the walker chain's RefSink. The MMU resets it before every
-	// walk (Translate and RunBatch alike), so after a miss it holds that
-	// walk's refs alone.
+	// walk, so after a miss it holds that walk's refs alone; the engine's
+	// batch loop (sim.Instance.StepBatch) resets it the same way.
 	Sink *RefSink
 	ASID uint16
 
 	// Stats
-	Lookups    uint64
-	Misses     uint64
-	WalkCycles uint64
+	Lookups uint64
+	Misses  uint64
 }
 
 // NewMMU builds an MMU over walker w recording into sink.
@@ -41,23 +40,6 @@ func (m *MMU) Translate(va mem.VAddr) (mem.PAddr, int, bool) {
 	if !out.OK {
 		return 0, out.Cycles, false
 	}
-	m.WalkCycles += uint64(out.Cycles)
 	m.TLB.Insert(va, mem.AlignDownP(out.PA, out.Size.Bytes()), out.Size, m.ASID)
 	return out.PA, out.Cycles, true
-}
-
-// MissRatio returns the TLB miss ratio observed so far.
-func (m *MMU) MissRatio() float64 {
-	if m.Lookups == 0 {
-		return 0
-	}
-	return float64(m.Misses) / float64(m.Lookups)
-}
-
-// AvgWalkCycles returns the mean page-walk latency.
-func (m *MMU) AvgWalkCycles() float64 {
-	if m.Misses == 0 {
-		return 0
-	}
-	return float64(m.WalkCycles) / float64(m.Misses)
 }

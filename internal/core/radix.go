@@ -31,9 +31,6 @@ func NewRadixWalker(pt *pagetable.Table, h *cache.Hierarchy, pwc *tlb.PWC, asid 
 	return &RadixWalker{PT: pt, Hier: h, PWC: pwc, ASID: asid, Dim: "n"}
 }
 
-// Name implements Walker.
-func (w *RadixWalker) Name() string { return "x86-radix" }
-
 // Walk implements Walker.
 func (w *RadixWalker) Walk(va mem.VAddr) WalkOutcome {
 	w.Walks++
@@ -56,9 +53,9 @@ func (w *RadixWalker) Walk(va mem.VAddr) WalkOutcome {
 		}
 	}
 	for _, s := range steps {
-		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: w.Dim})
-		out.Cycles += r.Cycles
+		lat := w.Hier.Access(s.Addr)
+		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: w.Dim})
+		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if w.PWC != nil && full.OK {

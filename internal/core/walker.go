@@ -46,7 +46,6 @@ type WalkOutcome struct {
 
 // Walker is one address-translation design.
 type Walker interface {
-	Name() string
 	// Walk translates va, charging PTE fetches to the memory hierarchy.
 	Walk(va mem.VAddr) WalkOutcome
 }

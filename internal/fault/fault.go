@@ -104,7 +104,7 @@ const (
 
 // Target is the set of handles through which the injector perturbs one
 // translation environment. Nil fields make the corresponding event kinds
-// no-ops (recorded in the log), so one plan applies to every design.
+// no-ops (counted in Skipped), so one plan applies to every design.
 type Target struct {
 	// AS is the address space whose virtual addresses the workload
 	// translates (the guest's under virtualization).
@@ -135,10 +135,9 @@ type Injector struct {
 	decoys   []*kernel.VMA
 	unmapped map[mem.VAddr]struct{}
 
-	Applied  int      // events applied
-	Skipped  int      // events that were no-ops for this target
-	Refaults int      // demand-paging waves served via Refault
-	Log      []string // one line per applied/skipped event
+	Applied  int // events applied
+	Skipped  int // events that were no-ops for this target
+	Refaults int // demand-paging waves served via Refault
 }
 
 // New builds an injector for plan against tgt. Events are applied in
@@ -193,28 +192,28 @@ func (in *Injector) apply(ev Event) error {
 	switch ev.Kind {
 	case StartMigration:
 		if in.tgt.Mgr == nil || in.tgt.Hot == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		if !in.tgt.Mgr.StartMigration(in.tgt.Hot.Start) {
-			return in.skip(ev)
+			return in.skip()
 		}
 		// The migration target occupies freshly mapped TEA space: derived
 		// host-side structures (the nested compressed shadow) must learn
 		// the new frames before any node is placed or relocated there.
-		return in.resync(ev)
+		return in.resync()
 	case PumpMigration:
 		if in.tgt.Mgr == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		batch := ev.Arg
 		if batch <= 0 {
 			batch = 1 << 30
 		}
 		in.tgt.Mgr.PumpMigration(batch)
-		return in.resync(ev)
+		return in.resync()
 	case RegisterPressure:
 		if in.tgt.AS == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		for i := 0; i < ev.Arg; i++ {
 			base := decoyBase + mem.VAddr(len(in.decoys))*decoySpace
@@ -226,7 +225,7 @@ func (in *Injector) apply(ev Event) error {
 		}
 	case DropDecoys:
 		if in.tgt.AS == nil || len(in.decoys) == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
 		for _, v := range in.decoys {
 			if err := in.tgt.AS.MUnmap(v); err != nil {
@@ -236,16 +235,16 @@ func (in *Injector) apply(ev Event) error {
 		in.decoys = in.decoys[:0]
 	case AllocPressure:
 		if in.tgt.Backend == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		in.tgt.Backend.FailNext(ev.Arg)
 	case UnmapHot:
 		if in.tgt.AS == nil || in.tgt.Hot == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		pages := in.tgt.Hot.PresentPages()
 		if len(pages) == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
 		for i := 0; i < ev.Arg; i++ {
 			p := pages[in.rng.Intn(len(pages))]
@@ -257,15 +256,15 @@ func (in *Injector) apply(ev Event) error {
 			}
 			in.unmapped[p.VA] = struct{}{}
 		}
-		return in.resync(ev)
+		return in.resync()
 	case TouchUnmapped:
 		if in.tgt.AS == nil || len(in.unmapped) == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
 		if err := in.touchAll(); err != nil {
 			return err
 		}
-		return in.resync(ev)
+		return in.resync()
 	case FlushCaches:
 		if in.tgt.Hier != nil {
 			in.tgt.Hier.Flush()
@@ -275,7 +274,7 @@ func (in *Injector) apply(ev Event) error {
 		}
 	case SplitHuge:
 		if in.tgt.AS == nil || in.tgt.Hot == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		var huge []kernel.PresentPage
 		for _, p := range in.tgt.Hot.PresentPages() {
@@ -284,7 +283,7 @@ func (in *Injector) apply(ev Event) error {
 			}
 		}
 		if len(huge) == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
 		split := 0
 		for i := 0; i < ev.Arg && len(huge) > 0; i++ {
@@ -295,40 +294,37 @@ func (in *Injector) apply(ev Event) error {
 			huge = append(huge[:j], huge[j+1:]...)
 		}
 		if split == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
-		return in.resync(ev)
+		return in.resync()
 	case PromoteHuge:
 		if in.tgt.AS == nil || in.tgt.Hot == nil {
-			return in.skip(ev)
+			return in.skip()
 		}
 		if in.tgt.AS.PromoteTHP(in.tgt.Hot) == 0 {
-			return in.skip(ev)
+			return in.skip()
 		}
-		return in.resync(ev)
+		return in.resync()
 	default:
 		return fmt.Errorf("unknown fault kind %d", int(ev.Kind))
 	}
 	in.Applied++
-	in.Log = append(in.Log, fmt.Sprintf("%8d  %s(%d)", ev.At, ev.Kind, ev.Arg))
 	return nil
 }
 
 // resync records the event and rebuilds derived structures: a mapping
 // mutation leaves one-shot structures (shadow PT, ECPT, FPT, agile mirror)
 // stale, which is a correctness hazard rather than a latency one.
-func (in *Injector) resync(ev Event) error {
+func (in *Injector) resync() error {
 	in.Applied++
-	in.Log = append(in.Log, fmt.Sprintf("%8d  %s(%d)", ev.At, ev.Kind, ev.Arg))
 	if in.tgt.Resync != nil {
 		return in.tgt.Resync()
 	}
 	return nil
 }
 
-func (in *Injector) skip(ev Event) error {
+func (in *Injector) skip() error {
 	in.Skipped++
-	in.Log = append(in.Log, fmt.Sprintf("%8d  %s(%d) [no-op]", ev.At, ev.Kind, ev.Arg))
 	return nil
 }
 

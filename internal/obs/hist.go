@@ -53,8 +53,9 @@ func (h *Hist) Observe(v uint64) {
 // ObserveBatch records every sample of vs, exactly as if Observe had been
 // called once per element in order: Count, Sum, Min, Max, and every bucket
 // end up bit-identical (TestHistObserveBatchEquivalence pins this). Extrema
-// and the sum are accumulated in locals and folded in once, so the batched
-// engine's per-span histogram flush touches the struct O(1) times.
+// and the sum are accumulated in locals and folded in once, so flushing a
+// buffer of samples touches the struct O(1) times. Only the benchmark's
+// layer ledger (bench/) calls it.
 func (h *Hist) ObserveBatch(vs []uint64) {
 	if len(vs) == 0 {
 		return

@@ -73,12 +73,11 @@ func TestHistQuantileWithinOneBucket(t *testing.T) {
 	}
 }
 
-// TestHistObserveBatchEquivalence pins the batch-flush contract the
-// engine's batched walk loop relies on: one ObserveBatch call is exactly N
-// scalar Observes — Count, Sum, Min, Max, every bucket, and therefore
-// every quantile — including batches that are empty, all-zero, single
-// element, split at arbitrary points, or appended to a pre-populated
-// histogram.
+// TestHistObserveBatchEquivalence pins the batch-flush contract: one
+// ObserveBatch call is exactly N scalar Observes — Count, Sum, Min, Max,
+// every bucket, and therefore every quantile — including batches that are
+// empty, all-zero, single element, split at arbitrary points, or appended
+// to a pre-populated histogram.
 func TestHistObserveBatchEquivalence(t *testing.T) {
 	batches := [][]uint64{
 		{},

@@ -63,9 +63,10 @@ func (d *walkDigest) fold(va mem.VAddr, out *core.WalkOutcome, refs []core.MemRe
 	d.walks++
 }
 
-// digestWalker folds the scalar leg's walks: it wraps the MMU's walker
-// (the recording walker), so it sees each outcome and the sink once the
-// walk is recorded.
+// digestWalker folds an instance's walks: it wraps the recording walker's
+// inner walker, which Step (through the MMU) and StepBatch (through
+// translate) both reach via recordingWalker.Walk, so it sees each outcome
+// and the sink's refs once per walk.
 type digestWalker struct {
 	core.Walker
 	d    *walkDigest
@@ -78,25 +79,11 @@ func (w digestWalker) Walk(va mem.VAddr) core.WalkOutcome {
 	return out
 }
 
-// digestRecorder folds the batched leg's walks, which core.RunBatch reports
-// through the batch's recorder instead of the MMU's walker.
-type digestRecorder struct {
-	core.WalkRecorder
-	d    *walkDigest
-	sink *core.RefSink
-}
-
-func (r digestRecorder) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
-	r.d.fold(va, out, r.sink.Refs())
-	r.WalkRecorder.RecordWalk(va, out)
-}
-
 // digestWalks arms in so that every walk it makes, through Step or
 // StepBatch, folds into the returned digest.
 func digestWalks(in *Instance) *walkDigest {
 	d := &walkDigest{h: fnv.New64a()}
-	in.mmu.Walker = digestWalker{in.mmu.Walker, d, in.m.sink}
-	in.batch.Rec = digestRecorder{in.batch.Rec, d, in.m.sink}
+	in.rec.inner = digestWalker{in.rec.inner, d, in.m.sink}
 	return d
 }
 
@@ -354,7 +341,7 @@ func FuzzBatchWalkShadow(f *testing.F) {
 
 // FuzzBatchWalkVictima covers the L2-spill walker: its batch path threads
 // spill-block probes, the shared LRU clock, and inner-radix fills through
-// the RunBatch seam, so fuzzing it guards the fill/evict bookkeeping
+// the batch loop's walk seam, so fuzzing it guards the fill/evict bookkeeping
 // against batch/scalar divergence.
 func FuzzBatchWalkVictima(f *testing.F) {
 	f.Add(uint16(200), uint8(0), int64(7), false)

@@ -38,17 +38,14 @@ type Instance struct {
 	ops  int
 	done bool
 
-	// Batched-walk state (DESIGN.md §11): the reusable request/result
-	// buffers trace generation fills per span, the per-instance Batch the
-	// canonical loop runs against, and the latency buffer armed on rec
-	// during StepBatch. All fixed-size and allocated at assembly, so
-	// stepping allocates nothing and clone cost stays independent of trace
-	// length.
-	rec   *recordingWalker
-	batch *core.Batch
-	reqs  []core.Req
-	bres  []core.Res
-	lats  []uint64
+	// Batched-walk state (DESIGN.md §11): the recording walker every miss
+	// walks through, the span of addresses trace generation fills, and the
+	// physical addresses the TLB probe of a hit run writes. Fixed-size and
+	// allocated at assembly, so stepping allocates nothing and clone cost
+	// stays independent of trace length.
+	rec *recordingWalker
+	vas []mem.VAddr
+	pas []mem.PAddr
 }
 
 // NewInstance builds the machine for cfg and returns an unstarted instance
@@ -110,7 +107,6 @@ func assembleInstance(cfg, scfg Config, m *machine, s, shards int) (*Instance, e
 		inner: m.walker,
 		res:   res,
 		sink:  m.sink,
-		hist:  res.WalkHist,
 		fast:  make([]*StepAgg, labelFastSize),
 	}
 	dtlb, err := tlb.New(scaledTLB(cfg.CacheScale))
@@ -144,21 +140,11 @@ func assembleInstance(cfg, scfg Config, m *machine, s, shards int) (*Instance, e
 		plan := shardPlan(*cfg.FaultPlan, cfg.Ops, scfg.Ops, s, shards)
 		inj = fault.New(plan, m.target)
 	}
-	in := &Instance{cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ops: scfg.Ops}
-	in.rec = rec
-	in.reqs = make([]core.Req, BatchOps)
-	in.bres = make([]core.Res, BatchOps)
-	in.lats = make([]uint64, 0, BatchOps)
-	// The checker converts to its interface only when present: boxing a nil
-	// *check.Checker would read as a non-nil TranslateChecker and crash the
-	// loop's presence check.
-	var bchk core.TranslateChecker
-	if chk != nil {
-		bchk = chk
-	}
-	in.batch = core.NewBatch(mmu, m.hier, rec, bchk)
-	in.batch.Reserve(BatchOps)
-	return in, nil
+	return &Instance{
+		cfg: cfg, m: m, mmu: mmu, inj: inj, chk: chk, res: res, ops: scfg.Ops, rec: rec,
+		vas: make([]mem.VAddr, BatchOps),
+		pas: make([]mem.PAddr, BatchOps),
+	}, nil
 }
 
 // Ops returns the instance's op budget (the shard's slice of Config.Ops).
@@ -169,14 +155,8 @@ func (in *Instance) Ops() int { return in.ops }
 // in), and charge the data access.
 func (in *Instance) Step() error {
 	i := in.op
-	if in.inj != nil {
-		before := in.inj.Applied + in.inj.Skipped
-		if err := in.inj.Tick(i); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		if in.chk != nil && in.inj.Applied+in.inj.Skipped != before {
-			in.chk.CheckInvariants()
-		}
+	if err := in.tick(i); err != nil {
+		return err
 	}
 	va, _ := in.m.gen()
 	pa, _, ok := in.mmu.Translate(va)
@@ -195,8 +175,25 @@ func (in *Instance) Step() error {
 	if in.chk != nil {
 		in.chk.CheckTranslate(va, pa)
 	}
-	in.res.DataCycles += uint64(in.m.hier.Access(pa).Cycles)
+	in.res.DataCycles += uint64(in.m.hier.Access(pa))
 	in.op++
+	return nil
+}
+
+// tick fires the fault events due at op and, when one fired with the
+// oracle armed, sweeps the TEA invariants. Step and StepBatch both call it
+// before the op's translation.
+func (in *Instance) tick(op int) error {
+	if in.inj == nil {
+		return nil
+	}
+	before := in.inj.Applied + in.inj.Skipped
+	if err := in.inj.Tick(op); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if in.chk != nil && in.inj.Applied+in.inj.Skipped != before {
+		in.chk.CheckInvariants()
+	}
 	return nil
 }
 
@@ -204,13 +201,11 @@ func (in *Instance) Step() error {
 // walk path (DESIGN.md §11) and returns how many completed. The batch is
 // split into spans at fault-event boundaries — batchSpan sizes each span so
 // its end never overshoots the injector's next trigger op, which makes one
-// Tick per span bit-identical to the scalar path's per-op Tick (ticks
-// between events are no-ops). Trace generation fills the reusable request
-// buffer, the canonical loop (core.RunBatch) runs the span, and failed
-// translations are demand-faulted back in and resumed exactly as Step
-// does. Histogram observation and the data-cycle fold happen once per
-// call, on every exit path. n is clamped to both BatchOps and the
-// remaining op budget.
+// tick per span bit-identical to the scalar path's per-op tick (ticks
+// between events are no-ops). Trace generation fills the span's address
+// buffer, translate runs the span, and failed translations are
+// demand-faulted back in and resumed exactly as Step does. n is clamped to
+// both BatchOps and the remaining op budget.
 func (in *Instance) StepBatch(n int) (int, error) {
 	if n > BatchOps {
 		n = BatchOps
@@ -218,51 +213,36 @@ func (in *Instance) StepBatch(n int) (int, error) {
 	if rem := in.ops - in.op; n > rem {
 		n = rem
 	}
-	if n <= 0 {
-		return 0, nil
-	}
-	in.rec.lats = in.lats[:0]
-	defer func() {
-		in.res.DataCycles += in.batch.DataCycles
-		in.batch.DataCycles = 0
-		in.res.WalkHist.ObserveBatch(in.rec.lats)
-		in.lats = in.rec.lats[:0]
-		in.rec.lats = nil
-	}()
 	total := 0
 	for total < n {
 		i := in.op
+		if err := in.tick(i); err != nil {
+			return total, err
+		}
 		nextAt := 1 << 62
 		if in.inj != nil {
-			before := in.inj.Applied + in.inj.Skipped
-			if err := in.inj.Tick(i); err != nil {
-				return total, fmt.Errorf("sim: %w", err)
-			}
-			if in.chk != nil && in.inj.Applied+in.inj.Skipped != before {
-				in.chk.CheckInvariants()
-			}
 			nextAt = in.inj.NextAt()
 		}
 		span := batchSpan(i, n-total, nextAt)
-		reqs, bres := in.reqs[:span], in.bres[:span]
-		for k := range reqs {
-			reqs[k].VA, _ = in.m.gen()
+		vas := in.vas[:span]
+		for k := range vas {
+			vas[k], _ = in.m.gen()
 		}
 		for k := 0; k < span; {
-			k += core.RunBatch(in.batch, in.m.walker, reqs[k:span], bres[k:span])
+			k += in.translate(vas[k:])
 			if k >= span {
 				break
 			}
-			// bres[k] is a failed translation at op i+k: demand paging, as
-			// in Step — fault injected unmaps back in and retry that op once.
-			va := reqs[k].VA
+			// Op i+k failed to translate: demand paging, as in Step — fault
+			// injected unmaps back in and retry that op once.
+			va := vas[k]
 			if in.inj != nil && in.inj.Unmapped() > 0 {
 				if err := in.inj.Refault(); err != nil {
 					in.op = i + k
 					return total + k, fmt.Errorf("sim: refault at %#x (op %d): %w", uint64(va), i+k, err)
 				}
 				in.res.DemandFaults++
-				if core.RunBatch(in.batch, in.m.walker, reqs[k:k+1], bres[k:k+1]) == 1 {
+				if in.translate(vas[k:k+1]) == 1 {
 					k++
 					continue
 				}
@@ -274,6 +254,62 @@ func (in *Instance) StepBatch(n int) (int, error) {
 		total += span
 	}
 	return total, nil
+}
+
+// translate runs the ops of one span in order — TLB probe; on a miss, walk
+// and refill the TLB; verify; charge the data access — which is exactly
+// MMU.Translate plus Step's epilogue per op, so a span of n ops is
+// bit-identical to n scalar steps. It returns the number of completed ops.
+// A short return means op vas[returned] failed to translate (out-of-sync
+// page tables, e.g. an injected unmap): its TLB probe and walk have been
+// charged, but no TLB refill or data access happened — the caller resolves
+// the fault and resumes from that op, which is precisely Step's retry.
+//
+// Inside a run of consecutive TLB hits the per-op work decomposes into two
+// independent state machines: the TLB probe touches only TLB state (LRU,
+// promotion, hit counters) and the data access touches only hierarchy state
+// (fills, LRU order, level counters) — and the checker reads neither. The
+// loop therefore unzips each hit run's L,D,L,D,… interleave into one
+// tlb.LookupBatch pass over the run followed by one cache.AccessBatch pass:
+// every structure is driven by a tight per-structure loop with its metadata
+// hot, and every counter, LRU order, and hit/miss outcome is bit-identical
+// to the scalar interleave. The first miss ends the run (its walk touches
+// the hierarchy, so it must stay ordered after the run's data accesses).
+func (in *Instance) translate(vas []mem.VAddr) int {
+	m, hier, chk := in.mmu, in.m.hier, in.chk
+	n := len(vas)
+	pas := in.pas[:n]
+	for i := 0; i < n; {
+		hits, missProbed := m.TLB.LookupBatch(vas[i:], m.ASID, pas[i:])
+		m.Lookups += uint64(hits)
+		if chk != nil {
+			for k := i; k < i+hits; k++ {
+				chk.CheckTranslate(vas[k], pas[k])
+			}
+		}
+		in.res.DataCycles += hier.AccessBatch(pas[i : i+hits])
+		i += hits
+		if !missProbed {
+			break
+		}
+		// Op i missed: its TLB probe is already charged (LookupBatch probed
+		// it exactly once); walk, refill, and run its epilogue.
+		va := vas[i]
+		m.Lookups++
+		m.Misses++
+		m.Sink.Reset()
+		out := in.rec.Walk(va)
+		if !out.OK {
+			return i
+		}
+		m.TLB.Insert(va, mem.AlignDownP(out.PA, out.Size.Bytes()), out.Size, m.ASID)
+		if chk != nil {
+			chk.CheckTranslate(va, out.PA)
+		}
+		in.res.DataCycles += uint64(hier.Access(out.PA))
+		i++
+	}
+	return n
 }
 
 // batchSpan returns how many ops, starting at op, a span may run before the
@@ -459,8 +495,7 @@ func runShard(cfg Config, s, shards int) (*Result, error) {
 // MergeShards combines per-shard results into the run's Result. The merge is
 // a commutative fold: integer counters sum, breakdowns sum per label,
 // coverage is recomputed from summed hit/total counters, structural
-// footprints (PTEBytes) come from shard 0's replica, and the fault log is
-// concatenated in shard order with an "s<N> " prefix. Parts may be supplied
+// footprints (PTEBytes) come from shard 0's replica. Parts may be supplied
 // in any permutation. A single part is returned as-is, keeping the serial
 // path bit-identical to the pre-sharding engine.
 func MergeShards(cfg Config, parts []ShardResult) (*Result, error) {

@@ -333,20 +333,11 @@ type recordingWalker struct {
 	chk   *check.Checker
 	sink  *core.RefSink
 
-	// hist observes every walk's latency; it is per-shard and merged by
-	// the engine, like every other counter.
-	hist *obs.Hist
-
 	// fast interns (step, level, dim) → aggregate so the hot path skips
 	// refLabel's Sprintf (and its allocations) after the first encounter:
 	// every label the walkers emit packs into 12 bits (labelIndex), so a
 	// lookup is one array load.
 	fast []*StepAgg
-
-	// lats, when non-nil, buffers walk latencies for a batch-boundary
-	// ObserveBatch flush instead of observing into hist per walk; the
-	// engine arms it around StepBatch and flushes on every exit path.
-	lats []uint64
 }
 
 // labelFastSize bounds the packed label space: 3 bits of dimension code,
@@ -386,8 +377,6 @@ func labelIndex(ref *core.MemRef) int {
 	return dim<<9 | ref.Level<<6 | ref.Step
 }
 
-func (w *recordingWalker) Name() string { return w.inner.Name() }
-
 func (w *recordingWalker) Walk(va mem.VAddr) core.WalkOutcome {
 	out := w.inner.Walk(va)
 	w.RecordWalk(va, &out)
@@ -395,10 +384,9 @@ func (w *recordingWalker) Walk(va mem.VAddr) core.WalkOutcome {
 }
 
 // RecordWalk aggregates one walker invocation: the differential oracle,
-// whole-walk counters, per-step label aggregation and latency observation.
-// It is the measurement half of Walk, factored out so the batched engine
-// (core.RunBatch) can invoke it directly as a core.WalkRecorder at exactly the scalar path's sequence point — after
-// the walk, before the TLB refill.
+// whole-walk counters, per-step label aggregation and the latency
+// histogram. Walk calls it after the inner walk, so it runs before the TLB
+// refill on both the scalar and the batched path.
 func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 	if w.chk != nil {
 		w.chk.CheckWalk(va, *out)
@@ -422,11 +410,7 @@ func (w *recordingWalker) RecordWalk(va mem.VAddr, out *core.WalkOutcome) {
 		agg.Cycles += uint64(ref.Cycles)
 		agg.Count++
 	}
-	if w.lats != nil {
-		w.lats = append(w.lats, uint64(out.Cycles))
-	} else if w.hist != nil {
-		w.hist.Observe(uint64(out.Cycles))
-	}
+	w.res.WalkHist.Observe(uint64(out.Cycles))
 }
 
 // intern resolves (or creates) the breakdown aggregate for ref's label;

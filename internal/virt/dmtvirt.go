@@ -31,9 +31,6 @@ type DMTVirtWalker struct {
 	FallbackWalks uint64
 }
 
-// Name implements core.Walker.
-func (w *DMTVirtWalker) Name() string { return "DMT-virt" }
-
 // EmitCounters implements core.CounterSource: the three-fetch fast path's
 // hit/fallback split, both TEA managers' structural activity, and the
 // nested baseline it falls back to.
@@ -101,10 +98,10 @@ func (w *DMTVirtWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		if !c.ok {
 			continue
 		}
-		r := w.Hier.Access(c.machine)
+		lat := w.Hier.Access(c.machine)
 		pte, ok := w.GuestPool.ReadPTE(c.gpteGPA)
 		match := ok && core.LeafValid(pte, c.size)
-		g.Add(core.MemRef{Addr: c.machine, Cycles: r.Cycles, Level: c.size.LeafLevel(), Dim: "g"}, match)
+		g.Add(core.MemRef{Addr: c.machine, Cycles: lat, Level: c.size.LeafLevel(), Dim: "g"}, match)
 		if match {
 			dataGPA = pte.Frame() + mem.PAddr(mem.PageOffset(gva, c.size))
 			guestSize = c.size
@@ -143,10 +140,10 @@ func (w *DMTVirtWalker) hostFetch(gpa mem.PAddr, g *core.FetchGroup) (mem.PAddr,
 			continue
 		}
 		hpteAddr := hreg.PTEAddrAt(s, mem.VAddr(gpa))
-		r := w.Hier.Access(hpteAddr)
+		lat := w.Hier.Access(hpteAddr)
 		pte, ok := w.HostPool.ReadPTE(hpteAddr)
 		match := ok && core.LeafValid(pte, s)
-		g.Add(core.MemRef{Addr: hpteAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: "h"}, match)
+		g.Add(core.MemRef{Addr: hpteAddr, Cycles: lat, Level: s.LeafLevel(), Dim: "h"}, match)
 		if match {
 			return pte.Frame() + mem.PAddr(mem.PageOffset(mem.VAddr(gpa), s)), true
 		}

@@ -48,9 +48,6 @@ func NewNestedWalker(guestPT, hostPT *pagetable.Table, h *cache.Hierarchy, asid 
 	}
 }
 
-// Name implements core.Walker.
-func (w *NestedWalker) Name() string { return "nested-2D" }
-
 // EmitCounters implements core.CounterSource: the 2D walk count plus every
 // MMU-cache hit split the walker consults (guest/host PWC, nested cache).
 func (w *NestedWalker) EmitCounters(emit func(name string, value uint64)) {
@@ -100,9 +97,9 @@ func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		if !ok {
 			return out
 		}
-		r := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: r.Cycles, Level: s.Level, Dim: "g", Step: base + H + 1})
-		out.Cycles += r.Cycles
+		lat := w.Hier.Access(mAddr)
+		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: lat, Level: s.Level, Dim: "g", Step: base + H + 1})
+		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if !full.OK {
@@ -152,9 +149,9 @@ func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, h
 		}
 	}
 	for _, s := range steps {
-		r := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: r.Cycles, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
-		out.Cycles += r.Cycles
+		lat := w.Hier.Access(s.Addr)
+		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
+		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if !full.OK {

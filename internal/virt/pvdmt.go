@@ -43,14 +43,6 @@ type PvDMTWalker struct {
 	FallbackWalks uint64
 }
 
-// Name implements core.Walker.
-func (w *PvDMTWalker) Name() string {
-	if len(w.Levels) > 2 {
-		return "pvDMT-nested"
-	}
-	return "pvDMT"
-}
-
 // EmitCounters implements core.CounterSource: the paravirtual fetcher's
 // hit/fallback split, each level's TEA-manager activity, then the nested
 // baseline it falls back to.
@@ -102,10 +94,10 @@ func (w *PvDMTWalker) Walk(va mem.VAddr) core.WalkOutcome {
 					return out
 				}
 			}
-			r := w.Hier.Access(fetchAddr)
+			lat := w.Hier.Access(fetchAddr)
 			pte, ok := lv.Pool.ReadPTE(nodeAddr)
 			match := ok && core.LeafValid(pte, s)
-			g.Add(core.MemRef{Addr: fetchAddr, Cycles: r.Cycles, Level: s.LeafLevel(), Dim: lv.Name}, match)
+			g.Add(core.MemRef{Addr: fetchAddr, Cycles: lat, Level: s.LeafLevel(), Dim: lv.Name}, match)
 			if match {
 				next = uint64(pte.Frame()) + mem.PageOffset(mem.VAddr(addr), s)
 				if li == 0 {
