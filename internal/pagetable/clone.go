@@ -13,7 +13,9 @@ package pagetable
 // prototype's nodes. The placement callbacks are NOT copied: they close
 // over the prototype's allocator and TEA manager, so the caller must
 // supply replacements bound to the cloned substrate
-// (kernel.AddressSpace.Clone passes its own allocNode/freeNode).
+// (kernel.AddressSpace.Clone passes its own allocNode/freeNode). Nor is
+// the span memo: its entries point into t's slabs, so the clone starts
+// with none.
 func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 	return &Table{
 		pool:   t.pool.clone(),
@@ -27,8 +29,13 @@ func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 }
 
 // Seal makes the table read-only for cloning (see mem.Chunked.Seal): its
-// frame index may then be cloned from many goroutines at once.
-func (t *Table) Seal() { t.pool.index.Seal() }
+// frame index may then be cloned from many goroutines at once. A walk
+// fills the span memo, a write, so Seal drops the memo and the sealed
+// table's walks start from the root.
+func (t *Table) Seal() {
+	t.pool.index.Seal()
+	t.memo, t.sealed = nil, true
+}
 
 // clone copies the pool: the slots ever handed out, the freelist, and the
 // frame index. The clone's slabs are carved from one arena allocation, each

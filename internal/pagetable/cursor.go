@@ -42,21 +42,16 @@ func (c *Cursor) seek(va mem.VAddr) {
 // resolve walks from the root to va's level-2 entry.
 func (c *Cursor) resolve(va mem.VAddr) {
 	c.span, c.resolved, c.leaf, c.huge = mem.AlignDown(va, mem.PageBytes2M), true, nil, 0
-	pool := c.t.pool
-	node := pool.node(c.t.root)
-	for level := c.t.levels; level >= 2; level-- {
-		idx := mem.Index(va, level)
-		pte := node.entries[idx]
-		if !pte.Present() {
-			return
-		}
-		if pte.Huge() {
-			c.huge, c.hugeSize = pte, mem.PageSize(level-1)
-			return
-		}
-		node = pool.child(pte)
+	var up [mem.Levels5 - 1]mem.PAddr
+	node, level := c.t.descend(va, &up)
+	if level == 1 {
+		c.leaf = node
+		return
 	}
-	c.leaf = node
+	// descend stops above level 1 only at an absent or a huge entry.
+	if pte := node.entries[mem.Index(va, level)]; pte.Present() {
+		c.huge, c.hugeSize = pte, mem.PageSize(level-1)
+	}
 }
 
 // Lookup is Table.Lookup through the cursor.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmt/internal/mem"
@@ -108,15 +109,20 @@ func fuzzOps(seed int64, n int) []byte {
 
 // FuzzTableOps runs random sequences of Map (4K/2M/1G, through the table
 // or a cursor), Map with an allocator that fails part-way down, Unmap,
-// RelocateNode, SetAccessed and Clone against a map-based reference. After every step it checks that Lookup, Walk,
-// NodeForLevel, LeafPTE and a cursor agree with the reference; that every
-// present, non-huge upper-level entry resolves through NodeAt(pte.Frame())
-// to a node one level down based at that frame, reached from one parent
-// only; and that NodeCount equals the number of reachable nodes, so no
-// index entry outlives a prune or a relocation. A table cloned mid-run must
-// still match the reference as it stood at the clone once the run ends. Gen
-// never falls, and a step that leaves it unchanged leaves every probed
-// Lookup unchanged, which is what lets a memo keyed by Gen stay exact.
+// RelocateNode, SetAccessed, Clone and a cursor's AbsentRun/MapRun against
+// a map-based reference. After every step it first re-probes every span
+// the span memo holds, comparing Walk, WalkInto and Lookup with a walk
+// from the root, steps included: the step may have pruned a node whose
+// slot and frame a later node took, relocated one, or written nothing.
+// Then it checks that Lookup, Walk, NodeForLevel, LeafPTE and a cursor
+// agree with the reference; that every present, non-huge upper-level entry
+// resolves through NodeAt(pte.Frame()) to a node one level down based at
+// that frame, reached from one parent only; and that NodeCount equals the
+// number of reachable nodes, so no index entry outlives a prune or a
+// relocation. A table cloned mid-run must still match the reference as it
+// stood at the clone once the run ends. Gen never falls, and a step that
+// leaves it unchanged leaves every probed Lookup unchanged, which is what
+// lets a memo keyed by Gen stay exact.
 //
 // Input: the first byte picks the depth (odd: 5 levels); then each 4-byte
 // op is kind, size/mode, VA (fuzzVA), and a PA or relocation selector.
@@ -125,6 +131,8 @@ func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 9, 2, 0, 0, 8, 3, 3, 1, 9, 0, 5, 0, 0, 0, 2, 1, 9, 0}) // 5 levels: 2M vs 4K, relocate, clone, unmap
 	f.Add([]byte{0, 0, 2, 64, 7, 4, 1, 70, 0, 0, 6, 64, 0, 2, 2, 64, 0, 0, 0, 64, 1})
 	f.Add([]byte{0, 6, 0, 0, 2, 6, 0, 0, 1, 0, 0, 0, 0, 6, 1, 64, 0}) // 4K Map failing on its L1 node, then on its L2 node; a plain Map; a 2M Map failing on its L2 node
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 8, 2})              // map 4K, unmap it (pruning to the root), map the next span: its nodes take the freed slots and frames
+	f.Add([]byte{0, 0, 0, 0, 1, 7, 0, 1, 5, 2, 0, 0, 0, 7, 0, 0, 3})  // map 4K, MapRun the next 6 pages, unmap the first, MapRun it again
 	for seed := int64(1); seed <= 24; seed++ {
 		f.Add(fuzzOps(seed, 96))
 	}
@@ -146,7 +154,7 @@ func FuzzTableOps(f *testing.F) {
 		var frozen *Table
 		var frozenRef refTable
 		for i := 1; i+4 <= len(data); i += 4 {
-			kind, mode, vb, pb := data[i]%7, data[i+1], data[i+2], data[i+3]
+			kind, mode, vb, pb := data[i]%8, data[i+1], data[i+2], data[i+3]
 			size := mem.PageSize(mode % 3)
 			va := fuzzVA(vb, size)
 			gen, before := tbl.Gen(), probeLookups(tbl)
@@ -251,7 +259,20 @@ func FuzzTableOps(f *testing.F) {
 				frozen, frozenRef = tbl, maps.Clone(ref)
 				tbl = tbl.Clone(a.alloc, a.release)
 				cur = tbl.Cursor()
+			case 7: // MapRun over the absent slots from va, up to 1 + pb%8 pages
+				va = fuzzVA(vb, mem.Size4K)
+				n := cur.AbsentRun(va, va+mem.VAddr(1+pb%8)<<mem.PageShift4K)
+				if n == 0 {
+					break // no level-1 node, or va's slot is taken
+				}
+				pas := make([]mem.PAddr, n)
+				for j := range pas {
+					pas[j] = mem.PAddr(1<<40 | uint64(pb)<<20 | uint64(j)<<mem.PageShift4K)
+					ref[va+mem.VAddr(j)<<mem.PageShift4K] = refLeaf{mem.Size4K, mem.MakePTE(pas[j], mem.PTEWritable)}
+				}
+				cur.MapRun(va, pas, mem.PTEWritable)
 			}
+			checkMemo(t, tbl)
 			if g := tbl.Gen(); g < gen {
 				t.Fatalf("op %d: Gen fell from %d to %d", i/4, gen, g)
 			} else if g == gen && probeLookups(tbl) != before {
@@ -264,6 +285,51 @@ func FuzzTableOps(f *testing.F) {
 			checkAgainstRef(t, frozen, &c, frozenRef)
 		}
 	})
+}
+
+// rootWalk is Walk from the root, past the span memo.
+func rootWalk(tbl *Table, va mem.VAddr) WalkResult {
+	return tbl.WalkFrom(tbl.pool.node(tbl.root), tbl.levels, va, nil)
+}
+
+// requireRootWalk checks Walk, WalkInto and Lookup of va against a walk
+// from the root: every step, the PTE, PA, size and OK.
+func requireRootWalk(t *testing.T, tbl *Table, va mem.VAddr) {
+	t.Helper()
+	want := rootWalk(tbl, va)
+	steps := make([]Step, 1, mem.Levels5+1) // a non-empty buffer: WalkInto must append from steps[:0]
+	for _, got := range []WalkResult{tbl.Walk(va), tbl.WalkInto(va, steps[:0])} {
+		if !slices.Equal(got.Steps, want.Steps) || got.PTE != want.PTE || got.PA != want.PA || got.Size != want.Size || got.OK != want.OK {
+			t.Fatalf("walk(%#x) = %+v, from the root %+v", uint64(va), got, want)
+		}
+	}
+	if pa, size, ok := tbl.Lookup(va); pa != want.PA || size != want.Size || ok != want.OK {
+		t.Fatalf("Lookup(%#x) = %#x %v %v, from the root %#x %v %v", uint64(va), uint64(pa), size, ok, uint64(want.PA), want.Size, want.OK)
+	}
+}
+
+// checkMemo re-probes every span the span memo holds, valid or stale, at
+// its first and last byte and at every page of the VA grid inside it.
+func checkMemo(t *testing.T, tbl *Table) {
+	t.Helper()
+	if tbl.memo == nil {
+		return
+	}
+	var spans []mem.VAddr
+	for _, e := range tbl.memo {
+		if e.tag != 0 {
+			spans = append(spans, mem.VAddr(e.tag)&^(mem.PageBytes2M-1))
+		}
+	}
+	for _, span := range spans {
+		requireRootWalk(t, tbl, span)
+		requireRootWalk(t, tbl, span+mem.PageBytes2M-1)
+		for b := 0; b < 256; b++ {
+			if va := fuzzVA(byte(b), mem.Size4K) + 0x123; va&^(mem.PageBytes2M-1) == span {
+				requireRootWalk(t, tbl, va)
+			}
+		}
+	}
 }
 
 // probed is one Lookup result.
@@ -373,6 +439,7 @@ func checkAgainstRef(t *testing.T, tbl *Table, cur *Cursor, ref refTable) {
 		if r.OK != ok || r.PA != pa || r.Size != size || r.PTE != l.pte {
 			t.Fatalf("Walk(%#x) = %+v, Lookup %#x %v %v", uint64(va), r, uint64(pa), size, ok)
 		}
+		requireRootWalk(t, tbl, va)
 		if ok && len(r.Steps) != tbl.Levels()-size.LeafLevel()+1 {
 			t.Fatalf("Walk(%#x) took %d steps for a %v leaf", uint64(va), len(r.Steps), size)
 		}

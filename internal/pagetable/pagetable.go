@@ -184,6 +184,10 @@ type Table struct {
 	// gen counts the PTE writes that changed a translation or a node's
 	// placement; SetAccessed leaves it alone (see Gen).
 	gen uint64
+	// memo is the span memo (span.go), allocated on the first walk;
+	// sealed disables it.
+	memo   *spanMemo
+	sealed bool
 
 	// Mapped counts live leaf entries per page size.
 	Mapped [3]int
@@ -378,13 +382,22 @@ type WalkResult struct {
 // Walk performs a full sequential walk from the root (Figure 1), recording
 // the physical address of every PTE fetched.
 func (t *Table) Walk(va mem.VAddr) WalkResult {
-	return t.WalkFrom(t.pool.node(t.root), t.levels, va, make([]Step, 0, t.levels))
+	return t.WalkInto(va, make([]Step, 0, t.levels))
 }
 
 // WalkInto is Walk with a caller-provided step buffer (pass steps[:0] of a
 // per-walker scratch slice), keeping the walk hot path allocation-free.
+// The steps above va's span come from the span memo, so the result is the
+// root walk's, step for step, without descending the upper levels again.
 func (t *Table) WalkInto(va mem.VAddr, steps []Step) WalkResult {
-	return t.WalkFrom(t.pool.node(t.root), t.levels, va, steps)
+	e := t.spanOf(va)
+	if e == nil {
+		return t.WalkFrom(t.pool.node(t.root), t.levels, va, steps)
+	}
+	for i, addr := range e.up[:t.levels-e.level] {
+		steps = append(steps, Step{Level: t.levels - i, Addr: addr})
+	}
+	return t.WalkFrom(e.node, e.level, va, steps)
 }
 
 // WalkFrom resumes a walk at the given node and level — this is how a
@@ -428,11 +441,15 @@ func (t *Table) NodeForLevel(va mem.VAddr, level int) *Node {
 }
 
 // Lookup resolves va without recording steps (OS-side helper; also the
-// checker's reference translation, so it must not allocate).
+// checker's reference translation, so it must not allocate). Like
+// WalkInto, it starts below va's span through the span memo.
 func (t *Table) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	pool := t.pool
-	node := pool.node(t.root)
-	for level := t.levels; ; level-- {
+	node, level := pool.node(t.root), t.levels
+	if e := t.spanOf(va); e != nil {
+		node, level = e.node, e.level
+	}
+	for ; ; level-- {
 		idx := mem.Index(va, level)
 		pte := node.entries[idx]
 		if !pte.Present() {

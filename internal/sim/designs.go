@@ -371,9 +371,9 @@ func buildUtopia(cfg Config, p *parts) error {
 	if err != nil {
 		return err
 	}
-	var resolve func(mem.PAddr) (mem.PAddr, bool)
+	var resolve utopia.Resolver
 	if p.vm != nil {
-		resolve = p.vm.MachineAddr
+		resolve = p.vm.MachineLeaf
 	}
 	if err := seg.Sync(p.as, resolve); err != nil {
 		return err

@@ -114,15 +114,12 @@ func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 		return out
 	}
 	out.PA = mData
-	out.Size = hostEffectiveSize(full.Size)
+	// The combined translation is only as coarse as the guest leaf: the
+	// host side may be coarser, and the guest size is conservative.
+	out.Size = full.Size
 	out.OK = true
 	return out
 }
-
-// hostEffectiveSize returns the page size installed into the virtual TLB:
-// the combined translation is only as coarse as the guest leaf (the host
-// side may be coarser; taking the guest size is conservative and correct).
-func hostEffectiveSize(guest mem.PageSize) mem.PageSize { return guest }
 
 // resolveHost translates a guest-physical address to a machine address,
 // charging host-dimension PTE fetches. The nested cache short-circuits

@@ -199,14 +199,20 @@ func (vm *VM) Destroy() error {
 // MachineAddr resolves a guest-physical address of this VM to the final
 // machine (L0) physical address by composing the host tables downward.
 func (vm *VM) MachineAddr(gpa mem.PAddr) (mem.PAddr, bool) {
-	hpa, _, ok := vm.HostAS.PT.Lookup(mem.VAddr(gpa))
-	if !ok {
-		return 0, false
+	ma, _, ok := vm.MachineLeaf(gpa)
+	return ma, ok
+}
+
+// MachineLeaf is MachineAddr that also returns the smallest leaf size on
+// the way down. The size-aligned block of that size around gpa is then
+// machine-contiguous: each host leaf maps a block at least that large.
+func (vm *VM) MachineLeaf(gpa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
+	hpa, size, ok := vm.HostAS.PT.Lookup(mem.VAddr(gpa))
+	if !ok || vm.Parent == nil {
+		return hpa, size, ok
 	}
-	if vm.Parent == nil {
-		return hpa, true
-	}
-	return vm.Parent.MachineAddr(hpa)
+	ma, psize, ok := vm.Parent.MachineLeaf(hpa)
+	return ma, min(size, psize), ok
 }
 
 // Depth returns the virtualization depth: 1 for a directly-hosted VM, 2

@@ -475,6 +475,48 @@ func TestShadowBuildersMatchMachineAddr(t *testing.T) {
 	}
 }
 
+// TestMachineLeafIsSmallestLeaf checks MachineLeaf over all of L2's RAM,
+// with and without THP: it agrees with MachineAddr, reports the smaller of
+// the two host leaves on the way down, and the block of that size around
+// the address is machine-contiguous at its first and last 4 KiB page.
+func TestMachineLeafIsSmallestLeaf(t *testing.T) {
+	for _, thp := range []bool{false, true} {
+		n := newNestedEnv(t, thp)
+		huge := 0
+		for gpa := mem.PAddr(0); gpa < mem.PAddr(n.l2.RAMVMA.Size()); gpa += mem.PageBytes4K {
+			ma, size, ok := n.l2.MachineLeaf(gpa)
+			want, wok := n.l2.MachineAddr(gpa)
+			if ok != wok || ma != want {
+				t.Fatalf("thp=%v: MachineLeaf(%#x) = %#x %v, MachineAddr %#x %v", thp, uint64(gpa), uint64(ma), ok, uint64(want), wok)
+			}
+			if !ok {
+				continue
+			}
+			hpa, s2, _ := n.l2.HostAS.PT.Lookup(mem.VAddr(gpa))
+			_, s1, _ := n.l1.HostAS.PT.Lookup(mem.VAddr(hpa))
+			if size != min(s1, s2) {
+				t.Fatalf("thp=%v: MachineLeaf(%#x) size %v, host leaves %v and %v", thp, uint64(gpa), size, s2, s1)
+			}
+			if size == mem.Size4K {
+				continue
+			}
+			huge++
+			base := mem.AlignDownP(gpa, size.Bytes())
+			mbase := ma - (gpa - base)
+			last := base + mem.PAddr(size.Bytes()-mem.PageBytes4K)
+			if m, _ := n.l2.MachineAddr(base); m != mbase {
+				t.Fatalf("thp=%v: %v block at %#x starts at machine %#x, want %#x", thp, size, uint64(base), uint64(m), uint64(mbase))
+			}
+			if m, _ := n.l2.MachineAddr(last); m != mbase+(last-base) {
+				t.Fatalf("thp=%v: %v block at %#x is not machine-contiguous", thp, size, uint64(base))
+			}
+		}
+		if thp != (huge > 0) {
+			t.Fatalf("thp=%v: %d pages under huge leaves at both depths", thp, huge)
+		}
+	}
+}
+
 func TestPvDMTNestedThreeRefs(t *testing.T) {
 	e := newNestedEnv(t, false)
 	spt, err := BuildNestedShadow(e.l2)
