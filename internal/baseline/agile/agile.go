@@ -12,9 +12,7 @@ import (
 	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
-	"dmt/internal/pagetable"
 	"dmt/internal/phys"
-	"dmt/internal/tlb"
 	"dmt/internal/virt"
 )
 
@@ -143,33 +141,22 @@ func (m *Mirror) walkUpper(va mem.VAddr, hier *cache.Hierarchy, sink *core.RefSi
 	return 0, 0, false
 }
 
-// Walker is the agile-paging translation: shadowed upper levels, nested
-// lower levels (4–24 references depending on caching, Table 6).
+// Walker is the agile-paging translation: shadowed upper levels, then the
+// nested walker's 2D walk for the lower levels (4–24 references depending
+// on caching, Table 6).
 type Walker struct {
-	Mirror  *Mirror
-	GuestPT *pagetable.Table
-	HostPT  *pagetable.Table // gPA → machine
-	Hier    *cache.Hierarchy
-	HostPWC *tlb.PWC
-	NestedC *tlb.NestedCache
-	ASID    uint16
-	// Sink receives the walk's PTE fetches (see core.RefSink).
-	Sink *core.RefSink
+	Mirror *Mirror
+	// Nested walks the levels below the switch point. Its host PWC and
+	// nested cache are agile's; its guest PWC goes unprobed, and its
+	// hierarchy and sink serve the shadowed levels too.
+	Nested *virt.NestedWalker
 
 	Walks uint64
-
-	// Per-walk scratch, reused across walks: guest-dimension steps from
-	// WalkFrom and host-dimension steps inside hostResolve.
-	gSteps []pagetable.Step
-	hSteps []pagetable.Step
 }
 
-// NewWalker builds the agile walker.
-func NewWalker(m *Mirror, guestPT, hostPT *pagetable.Table, hier *cache.Hierarchy, asid uint16) *Walker {
-	return &Walker{
-		Mirror: m, GuestPT: guestPT, HostPT: hostPT, Hier: hier,
-		HostPWC: tlb.NewPWC(), NestedC: tlb.NewNestedCache(), ASID: asid,
-	}
+// NewWalker builds the agile walker over the nested walker nw.
+func NewWalker(m *Mirror, nw *virt.NestedWalker) *Walker {
+	return &Walker{Mirror: m, Nested: nw}
 }
 
 // EmitCounters implements core.CounterSource: walk count, shadow-mirror
@@ -179,13 +166,13 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 	if w.Mirror != nil {
 		emit("agile.mirror_syncs", w.Mirror.Syncs)
 	}
-	if w.HostPWC != nil {
-		emit("agile.host_pwc_hits", w.HostPWC.Hits)
-		emit("agile.host_pwc_misses", w.HostPWC.Misses)
+	if w.Nested.HostPWC != nil {
+		emit("agile.host_pwc_hits", w.Nested.HostPWC.Hits)
+		emit("agile.host_pwc_misses", w.Nested.HostPWC.Misses)
 	}
-	if w.NestedC != nil {
-		emit("agile.ncache_hits", w.NestedC.Hits)
-		emit("agile.ncache_misses", w.NestedC.Misses)
+	if w.Nested.Nested != nil {
+		emit("agile.ncache_hits", w.Nested.Nested.Hits)
+		emit("agile.ncache_misses", w.Nested.Nested.Misses)
 	}
 }
 
@@ -193,71 +180,17 @@ func (w *Walker) EmitCounters(emit func(name string, value uint64)) {
 func (w *Walker) Walk(gva mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{}
-	switchGPA, nestedAt, ok := w.Mirror.walkUpper(gva, w.Hier, w.Sink, &out)
+	nw := w.Nested
+	switchGPA, nestedAt, ok := w.Mirror.walkUpper(gva, nw.Hier, nw.Sink, &out)
 	if !ok {
 		return out
 	}
 	// Nested portion: walk the remaining guest level(s) from the switch-
 	// point node, host-resolving every guest PTE fetch.
-	gnode, ok := w.GuestPT.Pool().NodeAt(switchGPA)
-	if !ok {
-		return out
+	if gnode, ok := nw.GuestPT.Pool().NodeAt(switchGPA); ok {
+		nw.WalkFrom(gnode, nestedAt, gva, &out)
 	}
-	walk := w.GuestPT.WalkFrom(gnode, nestedAt, gva, w.gSteps[:0])
-	w.gSteps = walk.Steps
-	for _, s := range walk.Steps {
-		mAddr, ok := w.hostResolve(s.Addr, &out)
-		if !ok {
-			return out
-		}
-		lat := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: lat, Level: s.Level, Dim: "g"})
-		out.Cycles += lat
-		out.SeqSteps++
-	}
-	if !walk.OK {
-		return out
-	}
-	mData, ok := w.hostResolve(walk.PA, &out)
-	if !ok {
-		return out
-	}
-	out.PA, out.Size, out.OK = mData, walk.Size, true
 	return out
-}
-
-func (w *Walker) hostResolve(gpa mem.PAddr, out *core.WalkOutcome) (mem.PAddr, bool) {
-	if m, ok := w.NestedC.Lookup(gpa); ok {
-		out.Cycles += tlb.PWCLatency
-		return m, true
-	}
-	full := w.HostPT.WalkInto(mem.VAddr(gpa), w.hSteps[:0])
-	w.hSteps = full.Steps
-	steps := full.Steps
-	out.Cycles += tlb.PWCLatency
-	if _, nextLevel, ok := w.HostPWC.Lookup(mem.VAddr(gpa), w.ASID); ok {
-		for i, s := range steps {
-			if s.Level <= nextLevel {
-				steps = steps[i:]
-				break
-			}
-		}
-	}
-	for _, s := range steps {
-		lat := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: "h"})
-		out.Cycles += lat
-		out.SeqSteps++
-	}
-	if !full.OK {
-		return 0, false
-	}
-	for i := 0; i+1 < len(full.Steps); i++ {
-		child := mem.AlignDownP(full.Steps[i+1].Addr, mem.PageBytes4K)
-		w.HostPWC.Insert(mem.VAddr(gpa), full.Steps[i].Level, child, w.ASID)
-	}
-	w.NestedC.Insert(gpa, full.PA)
-	return full.PA, true
 }
 
 var _ core.Walker = (*Walker)(nil)

@@ -1,6 +1,7 @@
 package agile
 
 import (
+	"slices"
 	"testing"
 
 	"dmt/internal/cache"
@@ -35,11 +36,12 @@ func setup(t *testing.T, thp bool) (*virt.VM, *kernel.AddressSpace, *kernel.VMA,
 	return vm, guest, heap, hyp
 }
 
-// newWalker is NewWalker recording into a fresh sink.
+// newWalker is NewWalker over a fresh nested walker recording into a
+// fresh sink.
 func newWalker(m *Mirror, guest *kernel.AddressSpace, vm *virt.VM) *Walker {
-	w := NewWalker(m, guest.PT, vm.HostAS.PT, vm.Hyp.Hier, 1)
-	w.Sink = &core.RefSink{}
-	return w
+	nw := virt.NewNestedWalker(guest.PT, vm.HostAS.PT, vm.Hyp.Hier, 1)
+	nw.Sink = &core.RefSink{}
+	return NewWalker(m, nw)
 }
 
 // walk resets sink, walks va with w, and returns the outcome with a copy
@@ -63,7 +65,7 @@ func TestAgileWalkCorrectness(t *testing.T) {
 	w := newWalker(m, guest, vm)
 	for off := uint64(0); off < heap.Size(); off += 251 << 12 {
 		va := heap.Start + mem.VAddr(off)
-		out, _ := walk(w.Sink, w, va)
+		out, _ := walk(w.Nested.Sink, w, va)
 		if !out.OK {
 			t.Fatalf("agile walk faulted at %#x", uint64(va))
 		}
@@ -82,7 +84,7 @@ func TestAgileRefCountBetweenShadowAndNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(m, guest, vm)
-	out, refs := walk(w.Sink, w, heap.Start+0x3123)
+	out, refs := walk(w.Nested.Sink, w, heap.Start+0x3123)
 	// Cold agile walk: 3 shadow + 1 guest level host-resolved (≤5) +
 	// final host walk (≤4): between 4 (all cached) and 12 — inside the
 	// paper's 4–24 span.
@@ -113,13 +115,36 @@ func TestAgileCheaperThanNestedColdButPricierThanPvDMT(t *testing.T) {
 	agile := newWalker(m, guest, vm)
 	nested := virt.NewNestedWalker(guest.PT, vm.HostAS.PT, hyp.Hier, 2)
 	nested.DisableMMUCaches()
-	nested.Sink = agile.Sink
+	nested.Sink = agile.Nested.Sink
 	va := heap.Start + 0x9123
-	aout, _ := walk(agile.Sink, agile, va)
+	aout, _ := walk(agile.Nested.Sink, agile, va)
 	hyp.Hier.Flush()
 	nout, _ := walk(nested.Sink, nested, va)
 	if aout.SeqSteps >= nout.SeqSteps {
 		t.Fatalf("agile (%d refs) not cheaper than uncached nested (%d refs)", aout.SeqSteps, nout.SeqSteps)
 	}
 	_ = tea.DefaultRegisters // keep import symmetry with other baseline tests
+}
+
+// TestAgileCounterSet pins agile's counters to its own six names: the
+// nested walker it runs on emits nothing under agile, and counter names
+// enter the seed-11 digests.
+func TestAgileCounterSet(t *testing.T) {
+	vm, guest, heap, _ := setup(t, false)
+	m, err := BuildMirror(vm, guest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(m, guest, vm)
+	walk(w.Nested.Sink, w, heap.Start)
+	var got []string
+	core.EmitChained(w, func(name string, _ uint64) { got = append(got, name) })
+	want := []string{
+		"agile.walks", "agile.mirror_syncs",
+		"agile.host_pwc_hits", "agile.host_pwc_misses",
+		"agile.ncache_hits", "agile.ncache_misses",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("agile counters %v, want %v", got, want)
+	}
 }

@@ -22,6 +22,7 @@ import (
 	"dmt/internal/cache"
 	"dmt/internal/core"
 	"dmt/internal/mem"
+	"dmt/internal/pagetable"
 )
 
 // Accuracy is the fraction of PTE addresses the contiguity-based computation
@@ -144,20 +145,33 @@ func hit(va mem.VAddr, i int) bool {
 
 var _ core.Walker = (*Walker)(nil)
 
-// LastTwoLevelSource builds a single-stage AddrSource from a walk-step
-// oracle: the level-2 and level-1 PTE lines (native ASAP). The returned
-// source reuses its buffers: each call invalidates the previous result.
-func LastTwoLevelSource(steps func(va mem.VAddr) []core.MemRef) AddrSource {
-	var out []mem.PAddr
+// LastTwoLevels builds a single-stage AddrSource over pt: the level-2 and
+// level-1 PTE lines of va's walk, in walk order. resolve, when non-nil,
+// maps each line's address to a machine address (a guest table's gPTEs
+// under virtualization) and drops the lines it cannot map; nil keeps the
+// table's own addresses (native). The returned source reuses its buffers:
+// each call invalidates the previous result.
+func LastTwoLevels(pt *pagetable.Table, resolve func(mem.PAddr) (mem.PAddr, bool)) AddrSource {
+	var steps []pagetable.Step
+	var lines []mem.PAddr
 	var stages [1][]mem.PAddr
 	return func(va mem.VAddr) [][]mem.PAddr {
-		out = out[:0]
-		for _, s := range steps(va) {
-			if s.Level <= 2 {
-				out = append(out, s.Addr)
+		lines = lines[:0]
+		walk := pt.WalkInto(va, steps[:0])
+		steps = walk.Steps
+		for _, s := range walk.Steps {
+			if s.Level > 2 {
+				continue
+			}
+			addr, ok := s.Addr, true
+			if resolve != nil {
+				addr, ok = resolve(s.Addr)
+			}
+			if ok {
+				lines = append(lines, addr)
 			}
 		}
-		stages[0] = out
+		stages[0] = lines
 		return stages[:]
 	}
 }

@@ -45,15 +45,7 @@ func walk(sink *core.RefSink, w core.Walker, va mem.VAddr) (core.WalkOutcome, []
 	return out, append([]core.MemRef(nil), sink.Refs()...)
 }
 
-func oracle(as *kernel.AddressSpace) AddrSource {
-	return LastTwoLevelSource(func(va mem.VAddr) []core.MemRef {
-		var refs []core.MemRef
-		for _, s := range as.PT.Walk(va).Steps {
-			refs = append(refs, core.MemRef{Addr: s.Addr, Level: s.Level})
-		}
-		return refs
-	})
-}
+func oracle(as *kernel.AddressSpace) AddrSource { return LastTwoLevels(as.PT, nil) }
 
 func TestASAPStillFourReferences(t *testing.T) {
 	as, v, hier := setup(t)

@@ -27,6 +27,7 @@ import (
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
 	"dmt/internal/phys"
+	"dmt/internal/virt"
 )
 
 const (
@@ -149,17 +150,13 @@ func (s *Seg) Clone() *Seg {
 	}
 }
 
-// Resolver maps a looked-up address to the final translation target and
-// the smallest leaf size that maps it (VM.MachineLeaf).
-type Resolver func(mem.PAddr) (mem.PAddr, mem.PageSize, bool)
-
 // Sync admits every present leaf mapping of as whose placement qualifies.
 // resolve, when non-nil, maps a (page-aligned) looked-up address to the
 // final translation target — under virtualization it composes the host
 // dimension, and Sync additionally requires the whole guest page to be
 // machine-contiguous through it (restrictive placement); pages failing
 // either stay flexible. A nil resolve is the identity (native).
-func (s *Seg) Sync(as *kernel.AddressSpace, resolve Resolver) error {
+func (s *Seg) Sync(as *kernel.AddressSpace, resolve virt.LeafResolver) error {
 	cur := as.PT.Cursor()
 	for _, v := range as.VMAs() {
 		for _, p := range v.PresentPages() {
@@ -169,7 +166,7 @@ func (s *Seg) Sync(as *kernel.AddressSpace, resolve Resolver) error {
 			}
 			frame := mem.AlignDownP(pa, size.Bytes())
 			if resolve != nil {
-				frame, ok = resolveContig(resolve, frame, size)
+				frame, ok = virt.ContiguousMachine(resolve, frame, size)
 				if !ok {
 					s.Flexible++
 					continue
@@ -183,27 +180,6 @@ func (s *Seg) Sync(as *kernel.AddressSpace, resolve Resolver) error {
 		}
 	}
 	return nil
-}
-
-// resolveContig resolves the page frame through the host dimension and
-// verifies the whole page is machine-contiguous. A host leaf at least as
-// large as the page maps all of it, so only a smaller one needs the
-// per-4 KiB check.
-func resolveContig(resolve Resolver, frame mem.PAddr, size mem.PageSize) (mem.PAddr, bool) {
-	base, leaf, ok := resolve(frame)
-	if !ok {
-		return 0, false
-	}
-	if leaf >= size {
-		return base, true
-	}
-	for off := uint64(mem.PageBytes4K); off < size.Bytes(); off += mem.PageBytes4K {
-		m, _, ok := resolve(frame + mem.PAddr(off))
-		if !ok || m != base+mem.PAddr(off) {
-			return 0, false
-		}
-	}
-	return base, true
 }
 
 func (s *Seg) segFor(size mem.PageSize) *restSeg {

@@ -83,42 +83,6 @@ func TestSetOverflowStaysFlexible(t *testing.T) {
 	}
 }
 
-func TestResolveContigRequiresMachineContiguity(t *testing.T) {
-	identity := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) { return pa + 0x100000, mem.Size4K, true }
-	base, ok := resolveContig(identity, 0x200000, mem.Size2M)
-	if !ok || base != 0x300000 {
-		t.Fatalf("contiguous resolve = (%#x, %v), want (0x300000, true)", base, ok)
-	}
-	scattered := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
-		if pa >= 0x200000+mem.PageBytes4K {
-			return pa + 0x40000000, mem.Size4K, true // second half backed elsewhere
-		}
-		return pa + 0x100000, mem.Size4K, true
-	}
-	if _, ok := resolveContig(scattered, 0x200000, mem.Size2M); ok {
-		t.Fatal("non-contiguous machine backing admitted as restrictive")
-	}
-	if _, ok := resolveContig(identity, 0x5000, mem.Size4K); !ok {
-		t.Fatal("4K page needs no contiguity beyond its own frame")
-	}
-}
-
-// A host leaf as large as the guest page maps all of it, so resolveContig
-// resolves the page once instead of once per 4 KiB piece.
-func TestResolveContigTrustsALargeHostLeaf(t *testing.T) {
-	for _, leaf := range []mem.PageSize{mem.Size2M, mem.Size1G} {
-		calls := 0
-		resolve := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
-			calls++
-			return pa + 0x40000000, leaf, true
-		}
-		base, ok := resolveContig(resolve, 0x200000, mem.Size2M)
-		if !ok || base != 0x40200000 || calls != 1 {
-			t.Fatalf("%v host leaf: resolve = (%#x, %v) in %d calls, want (0x40200000, true) in 1", leaf, base, ok, calls)
-		}
-	}
-}
-
 // newWalker wires a Utopia walker over seg with a PWC-less radix fallback,
 // both recording into one sink.
 func newWalker(as *kernel.AddressSpace, hier *cache.Hierarchy, seg *Seg) *Walker {

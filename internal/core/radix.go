@@ -38,28 +38,19 @@ func (w *RadixWalker) Walk(va mem.VAddr) WalkOutcome {
 	w.steps = full.Steps[:0]
 	out := WalkOutcome{PA: full.PA, Size: full.Size, OK: full.OK}
 
-	steps := full.Steps
+	// The PWC probe costs a cycle; a hit skips the levels above the node
+	// it hands over.
 	if w.PWC != nil {
 		out.Cycles += tlb.PWCLatency
-		if _, nextLevel, ok := w.PWC.Lookup(va, w.ASID); ok {
-			// Skip the steps above nextLevel; the PWC hands us the node
-			// to read next.
-			for i, s := range steps {
-				if s.Level <= nextLevel {
-					steps = steps[i:]
-					break
-				}
-			}
-		}
 	}
-	for _, s := range steps {
+	for _, s := range w.PWC.Skip(va, w.ASID, full.Steps) {
 		lat := w.Hier.Access(s.Addr)
 		w.Sink.Append(MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: w.Dim})
 		out.Cycles += lat
 		out.SeqSteps++
 	}
-	if w.PWC != nil && full.OK {
-		w.refillPWC(va, full.Steps)
+	if full.OK {
+		w.PWC.Refill(va, w.ASID, full.Steps)
 	}
 	return out
 }
@@ -72,16 +63,6 @@ func (w *RadixWalker) EmitCounters(emit func(name string, value uint64)) {
 	if w.PWC != nil {
 		emit("radix."+w.Dim+".pwc_hits", w.PWC.Hits)
 		emit("radix."+w.Dim+".pwc_misses", w.PWC.Misses)
-	}
-}
-
-// refillPWC installs skip entries for the internal levels traversed: after
-// fetching the level-L entry we know the physical base of the level-(L-1)
-// node, which is what a PWC entry at level L records.
-func (w *RadixWalker) refillPWC(va mem.VAddr, steps []pagetable.Step) {
-	for i := 0; i+1 < len(steps); i++ {
-		child := mem.AlignDownP(steps[i+1].Addr, mem.PageBytes4K)
-		w.PWC.Insert(va, steps[i].Level, child, w.ASID)
 	}
 }
 

@@ -105,9 +105,6 @@ func NewAddressSpace(pa *phys.Allocator, cfg Config) (*AddressSpace, error) {
 // created for placement to take effect from the start.
 func (as *AddressSpace) SetHooks(h MMHooks) { as.hooks = h }
 
-// Hooks returns the installed hook set.
-func (as *AddressSpace) Hooks() MMHooks { return as.hooks }
-
 // ASID returns the address-space identifier used in TLB tags.
 func (as *AddressSpace) ASID() uint16 { return as.cfg.ASID }
 

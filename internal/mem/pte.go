@@ -21,8 +21,6 @@ const (
 	PTEAccessed PTE = 1 << 5
 	PTEDirty    PTE = 1 << 6
 	PTEHuge     PTE = 1 << 7
-
-	pfnShift = 12
 )
 
 // MakePTE builds a present PTE pointing at the 4 KiB-aligned physical

@@ -8,7 +8,7 @@ import "dmt/internal/mem"
 // builders (kernel Populate, the shadow-table builders) sweep address
 // ranges in ascending order and so touch up to 512 PTEs per walk.
 //
-// Map and SetAccessed through the cursor keep it current. A 4 KiB map into
+// Map through the cursor keeps it current. A 4 KiB map into
 // a span whose level-1 node exists is a direct slot write with Table.Map's
 // exact bits and bookkeeping; every other map (one that needs a new node,
 // or a huge leaf) goes through Table.Map, so nodes are allocated in the
@@ -93,22 +93,6 @@ func (c *Cursor) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PT
 	}
 	c.resolved = false
 	return c.t.Map(va, pa, size, flags)
-}
-
-// SetAccessed is Table.SetAccessed through the cursor.
-func (c *Cursor) SetAccessed(va mem.VAddr, write bool) bool {
-	c.seek(va)
-	if c.leaf == nil {
-		// A huge leaf's PTE lives in an upper node the cursor does not
-		// hold; setting its A/D bits changes nothing the cursor caches.
-		return c.t.SetAccessed(va, write)
-	}
-	idx := mem.Index(va, 1)
-	if !c.leaf.entries[idx].Present() {
-		return false
-	}
-	c.leaf.entries[idx] = c.leaf.entries[idx].WithAccessed(write)
-	return true
 }
 
 // AbsentRun returns how many consecutive 4 KiB slots from va hold no entry

@@ -82,7 +82,7 @@ func TestCursorMatchesTable(t *testing.T) {
 				cur.MapRun(va, pas, mem.PTEWritable|mem.PTEAccessed|mem.PTEDirty)
 			default:
 				write := rng.Intn(2) == 0
-				if gotA, gotB := cur.SetAccessed(va, write), b.SetAccessed(va, write); gotA != gotB {
+				if gotA, gotB := a.SetAccessed(va, write), b.SetAccessed(va, write); gotA != gotB {
 					t.Fatalf("seed %d op %d: SetAccessed %v vs %v", seed, op, gotA, gotB)
 				}
 			}

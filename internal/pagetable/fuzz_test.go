@@ -209,12 +209,7 @@ func FuzzTableOps(f *testing.F) {
 				}
 			case 4: // SetAccessed
 				write := mode&1 != 0
-				var ok bool
-				if mode&2 != 0 {
-					ok = cur.SetAccessed(va, write)
-				} else {
-					ok = tbl.SetAccessed(va, write)
-				}
+				ok := tbl.SetAccessed(va, write)
 				base, l, want := ref.cover(va)
 				if ok != want {
 					t.Fatalf("op %d: SetAccessed(%#x) = %v, mapped %v", i/4, uint64(va), ok, want)

@@ -64,13 +64,6 @@ func TestGenAdvancesOnEveryTranslationWrite(t *testing.T) {
 			}
 			return nil
 		}, false},
-		{"Cursor.SetAccessed", mapOne, func(tbl *Table, _ *frameAlloc) error {
-			c := tbl.Cursor()
-			if !c.SetAccessed(va, true) {
-				t.Fatal("Cursor.SetAccessed found no leaf")
-			}
-			return nil
-		}, false},
 		{"Map over a leaf", mapOne, func(tbl *Table, _ *frameAlloc) error {
 			if tbl.Map(va, 0x5000_0000, mem.Size4K, 0) == nil {
 				t.Fatal("Map over a leaf succeeded")

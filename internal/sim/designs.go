@@ -13,7 +13,6 @@ import (
 	"dmt/internal/core"
 	"dmt/internal/kernel"
 	"dmt/internal/mem"
-	"dmt/internal/pagetable"
 	"dmt/internal/phys"
 	"dmt/internal/tlb"
 	"dmt/internal/virt"
@@ -141,58 +140,15 @@ var designTable = []struct {
 	}},
 	{DesignAgile, "", envSpecs{
 		EnvVirt: {build: buildAgile, wire: func(w *wiring) core.Walker {
-			aw := agile.NewWalker(w.p.mirror, w.p.as.PT, w.p.vm.HostAS.PT, w.p.hier, 1)
-			aw.HostPWC = tlb.NewPWCScaled(w.cfg.CacheScale)
-			aw.NestedC = tlb.NewNestedCacheSized(38 / w.cfg.CacheScale)
-			aw.Sink = w.m.sink
+			aw := agile.NewWalker(w.p.mirror, w.base.(*virt.NestedWalker))
 			w.m.sizeExact = false
 			w.resync(func() { aw.Mirror = w.p.mirror })
 			return aw
 		}},
 	}},
 	{DesignASAP, "", envSpecs{
-		EnvNative: {wire: func(w *wiring) core.Walker {
-			var steps []pagetable.Step
-			var refs []core.MemRef
-			pt := w.p.as.PT
-			src := asap.LastTwoLevelSource(func(va mem.VAddr) []core.MemRef {
-				refs = refs[:0]
-				walk := pt.WalkInto(va, steps[:0])
-				steps = walk.Steps
-				for _, s := range walk.Steps {
-					refs = append(refs, core.MemRef{Addr: s.Addr, Level: s.Level})
-				}
-				return refs
-			})
-			return &asap.Walker{Inner: w.base, Hier: w.p.hier, Source: src, MemLatency: w.p.hier.Config().MemLatency}
-		}},
-		// Only the guest-dimension PTE lines are prefetchable in a
-		// virtualized setup: ASAP's contiguity arithmetic can compute gPTE
-		// locations, but the data page's host-dimension PTEs depend on the
-		// gPTE *content* and stay demand-fetched (§6.2.2's dependency-chain
-		// argument).
-		EnvVirt: {wire: func(w *wiring) core.Walker {
-			var steps []pagetable.Step
-			var lines []mem.PAddr
-			var stages [1][]mem.PAddr
-			pt, vm := w.p.as.PT, w.p.vm
-			src := func(gva mem.VAddr) [][]mem.PAddr {
-				lines = lines[:0]
-				walk := pt.WalkInto(gva, steps[:0])
-				steps = walk.Steps
-				for _, s := range walk.Steps {
-					if s.Level > 2 {
-						continue
-					}
-					if machineAddr, ok := vm.MachineAddr(s.Addr); ok {
-						lines = append(lines, machineAddr)
-					}
-				}
-				stages[0] = lines
-				return stages[:]
-			}
-			return &asap.Walker{Inner: w.base, Hier: w.p.hier, Source: src, MemLatency: w.p.hier.Config().MemLatency}
-		}},
+		EnvNative: {wire: wireASAP},
+		EnvVirt:   {wire: wireASAP},
 	}},
 	// The spilled entries hold full translations (what the L2 TLB holds,
 	// gVA→machine under virtualization), so a spill hit skips the whole
@@ -363,6 +319,20 @@ func buildVictima(_ Config, p *parts) (err error) {
 	return err
 }
 
+// wireASAP wraps w.base in ASAP's prefetcher over the process table's
+// last two levels. Under virtualization only the guest-dimension PTE lines
+// are prefetchable, resolved to machine lines through the VM: ASAP's
+// contiguity arithmetic can compute gPTE locations, but the data page's
+// host-dimension PTEs depend on the gPTE *content* and stay demand-fetched
+// (§6.2.2's dependency-chain argument).
+func wireASAP(w *wiring) core.Walker {
+	var resolve func(mem.PAddr) (mem.PAddr, bool)
+	if w.p.vm != nil {
+		resolve = w.p.vm.MachineAddr
+	}
+	return &asap.Walker{Inner: w.base, Hier: w.p.hier, Source: asap.LastTwoLevels(w.p.as.PT, resolve), MemLatency: w.p.hier.Config().MemLatency}
+}
+
 // buildUtopia syncs the RestSegs from the process's page table, composed
 // down to machine addresses under virtualization through the live VM
 // mapping.
@@ -371,7 +341,7 @@ func buildUtopia(cfg Config, p *parts) error {
 	if err != nil {
 		return err
 	}
-	var resolve utopia.Resolver
+	var resolve virt.LeafResolver
 	if p.vm != nil {
 		resolve = p.vm.MachineLeaf
 	}

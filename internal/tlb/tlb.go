@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"dmt/internal/mem"
+	"dmt/internal/pagetable"
 )
 
 // assoc is a small set-associative map from uint64 keys to uint64 values
@@ -358,6 +359,37 @@ func (p *PWC) Insert(va mem.VAddr, level int, nodePA mem.PAddr, asid uint16) {
 		return
 	}
 	p.byLevel[level].insert(pwcKey(va, level, asid), uint64(nodePA))
+}
+
+// Skip probes the PWC for va and returns the suffix of a full walk's steps
+// (root first) that a walker still has to fetch: every step from the level
+// of the node a hit hands over, or all of them on a miss. A nil PWC skips
+// nothing and counts nothing.
+func (p *PWC) Skip(va mem.VAddr, asid uint16, steps []pagetable.Step) []pagetable.Step {
+	if p == nil {
+		return steps
+	}
+	if _, nextLevel, ok := p.Lookup(va, asid); ok {
+		for i, s := range steps {
+			if s.Level <= nextLevel {
+				return steps[i:]
+			}
+		}
+	}
+	return steps
+}
+
+// Refill installs a skip entry for every internal level of a successful
+// full walk: after fetching the level-L entry the walker knows the base of
+// the level-(L-1) node, which is what a level-L entry records. A nil PWC
+// ignores it.
+func (p *PWC) Refill(va mem.VAddr, asid uint16, steps []pagetable.Step) {
+	if p == nil {
+		return
+	}
+	for i := 0; i+1 < len(steps); i++ {
+		p.Insert(va, steps[i].Level, mem.AlignDownP(steps[i+1].Addr, mem.PageBytes4K), asid)
+	}
 }
 
 // Flush empties all levels.

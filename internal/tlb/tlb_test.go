@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dmt/internal/mem"
+	"dmt/internal/pagetable"
 )
 
 func mustTLB(t testing.TB, cfg Config) *TLB {
@@ -168,6 +169,37 @@ func TestPWCPrefixSharing(t *testing.T) {
 	va3 := va1 + mem.PageBytes2M // different L2-level prefix
 	if _, _, ok := p.Lookup(va3, 0); ok {
 		t.Fatal("PWC must miss across 2 MiB prefix boundaries when only L2 cached")
+	}
+}
+
+// TestPWCSkipRefill checks the walkers' probe/refill pair: a refill from a
+// full walk lets the next walk of the same 2 MiB span skip to its L1 step,
+// walks elsewhere skip only the steps their shared prefix covers,
+// and a nil PWC skips nothing.
+func TestPWCSkipRefill(t *testing.T) {
+	va := mem.VAddr(0x7f3a_b5c6_d7e8)
+	steps := []pagetable.Step{{Level: 4, Addr: 0x1008}, {Level: 3, Addr: 0x2010}, {Level: 2, Addr: 0x3018}, {Level: 1, Addr: 0x4020}}
+	var none *PWC
+	if got := none.Skip(va, 0, steps); len(got) != 4 {
+		t.Fatalf("nil PWC skipped to %v", got)
+	}
+	none.Refill(va, 0, steps)
+	p := NewPWC()
+	if got := p.Skip(va, 0, steps); len(got) != 4 || p.Misses != 1 {
+		t.Fatalf("cold PWC skipped to %v (misses %d)", got, p.Misses)
+	}
+	p.Refill(va, 0, steps)
+	if got := p.Skip(va+mem.PageBytes4K, 0, steps); len(got) != 1 || got[0].Level != 1 || p.Hits != 1 {
+		t.Fatalf("same-span walk skipped to %v (hits %d), want the L1 step", got, p.Hits)
+	}
+	if node, next, ok := p.Lookup(va, 0); !ok || next != 1 || node != 0x4000 {
+		t.Fatalf("refilled L2 entry = (%#x, %d, %v), want the L1 node at 0x4000", uint64(node), next, ok)
+	}
+	if got := p.Skip(va+mem.PageBytes2M, 0, steps); len(got) != 2 || got[0].Level != 2 {
+		t.Fatalf("next-span walk skipped to %v, want from the L2 step", got)
+	}
+	if got := p.Skip(va+mem.PageBytes1G, 0, steps); len(got) != 3 || got[0].Level != 3 {
+		t.Fatalf("next-1GiB walk skipped to %v, want from the L3 step", got)
 	}
 }
 

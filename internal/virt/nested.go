@@ -18,7 +18,8 @@ import (
 //
 // The same walker implements the nested-virtualization baseline by handing
 // it the L2 process table as the guest dimension and the compressed shadow
-// table (L2PA→L0PA, Figure 3) as the host dimension.
+// table (L2PA→L0PA, Figure 3) as the host dimension, and agile paging's
+// lower levels by resuming it below the shadowed ones (WalkFrom).
 type NestedWalker struct {
 	GuestPT  *pagetable.Table // gVA → gPA, nodes at guest-physical addresses
 	HostPT   *pagetable.Table // gPA → machine PA, nodes at machine addresses
@@ -70,61 +71,63 @@ func (w *NestedWalker) EmitCounters(emit func(name string, value uint64)) {
 func (w *NestedWalker) Walk(gva mem.VAddr) core.WalkOutcome {
 	w.Walks++
 	out := core.WalkOutcome{Cycles: tlb.PWCLatency}
-	L := w.GuestPT.Levels()
-	H := w.HostPT.Levels()
-
 	full := w.GuestPT.WalkInto(gva, w.gsteps[:0])
 	w.gsteps = full.Steps[:0]
-	steps := full.Steps
-	if w.GuestPWC != nil {
-		if _, nextLevel, ok := w.GuestPWC.Lookup(gva, w.ASID); ok {
-			for i, s := range steps {
-				if s.Level <= nextLevel {
-					steps = steps[i:]
-					break
-				}
-			}
-		}
-	}
-	// Guest dimension: each gL_i fetch needs the host dimension first.
-	// Refs carry the *architectural* step numbers of Figure 2 — e.g. for
-	// 4-level tables, guest level gl contributes steps (4-gl)*5+1 ..
-	// (4-gl)*5+5 — so skipped steps simply have zero counts in
-	// breakdowns.
+	w.walk2D(gva, full, w.GuestPWC.Skip(gva, w.ASID, full.Steps), true, &out)
+	return out
+}
+
+// WalkFrom is the 2D walk resumed at the guest node at level, adding to
+// out: agile paging's nested lower levels below its shadowed switch point.
+// It does not probe the guest PWC, and its refs carry no step numbers
+// (Step 0), since Figure 2's numbering counts from the guest root.
+func (w *NestedWalker) WalkFrom(node *pagetable.Node, level int, gva mem.VAddr, out *core.WalkOutcome) {
+	g := w.GuestPT.WalkFrom(node, level, gva, w.gsteps[:0])
+	w.gsteps = g.Steps[:0]
+	w.walk2D(gva, g, g.Steps, false, out)
+}
+
+// walk2D fetches the guest steps still to walk of the guest walk g, each
+// after resolving its guest-physical address through the host dimension,
+// then refills the guest PWC and resolves the data gPA. Numbered refs
+// carry the *architectural* step numbers of Figure 2 — e.g. for 4-level
+// tables, guest level gl contributes steps (4-gl)*5+1 .. (4-gl)*5+5 — so
+// skipped steps simply have zero counts in breakdowns.
+func (w *NestedWalker) walk2D(gva mem.VAddr, g pagetable.WalkResult, steps []pagetable.Step, numbered bool, out *core.WalkOutcome) {
+	L, H := w.GuestPT.Levels(), w.HostPT.Levels()
 	for _, s := range steps {
 		base := (L - s.Level) * (H + 1)
-		mAddr, ok := w.resolveHost(s.Addr, &out, base, H)
+		mAddr, ok := w.resolveHost(s.Addr, out, base, numbered)
 		if !ok {
-			return out
+			return
 		}
 		lat := w.Hier.Access(mAddr)
-		w.Sink.Append(core.MemRef{Addr: mAddr, Cycles: lat, Level: s.Level, Dim: "g", Step: base + H + 1})
+		ref := core.MemRef{Addr: mAddr, Cycles: lat, Level: s.Level, Dim: "g"}
+		if numbered {
+			ref.Step = base + H + 1
+		}
+		w.Sink.Append(ref)
 		out.Cycles += lat
 		out.SeqSteps++
 	}
-	if !full.OK {
-		return out
+	if !g.OK {
+		return
 	}
-	if w.GuestPWC != nil {
-		w.refillGuestPWC(gva, full.Steps)
-	}
+	w.GuestPWC.Refill(gva, w.ASID, g.Steps)
 	// Final host dimension: translate the data gPA (steps 21–24).
-	mData, ok := w.resolveHost(full.PA, &out, L*(H+1), H)
+	mData, ok := w.resolveHost(g.PA, out, L*(H+1), numbered)
 	if !ok {
-		return out
+		return
 	}
-	out.PA = mData
 	// The combined translation is only as coarse as the guest leaf: the
 	// host side may be coarser, and the guest size is conservative.
-	out.Size = full.Size
-	out.OK = true
-	return out
+	out.PA, out.Size, out.OK = mData, g.Size, true
 }
 
 // resolveHost translates a guest-physical address to a machine address,
 // charging host-dimension PTE fetches. The nested cache short-circuits
 // page-granular repeats.
-func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, hostLevels int) (mem.PAddr, bool) {
+func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base int, numbered bool) (mem.PAddr, bool) {
 	if w.Nested != nil {
 		if m, ok := w.Nested.Lookup(gpa); ok {
 			out.Cycles += tlb.PWCLatency
@@ -133,33 +136,22 @@ func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, h
 	}
 	full := w.HostPT.WalkInto(mem.VAddr(gpa), w.hsteps[:0])
 	w.hsteps = full.Steps[:0]
-	steps := full.Steps
 	out.Cycles += tlb.PWCLatency
-	if w.HostPWC != nil {
-		if _, nextLevel, ok := w.HostPWC.Lookup(mem.VAddr(gpa), w.ASID); ok {
-			for i, s := range steps {
-				if s.Level <= nextLevel {
-					steps = steps[i:]
-					break
-				}
-			}
-		}
-	}
-	for _, s := range steps {
+	H := w.HostPT.Levels()
+	for _, s := range w.HostPWC.Skip(mem.VAddr(gpa), w.ASID, full.Steps) {
 		lat := w.Hier.Access(s.Addr)
-		w.Sink.Append(core.MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: "h", Step: base + (hostLevels - s.Level) + 1})
+		ref := core.MemRef{Addr: s.Addr, Cycles: lat, Level: s.Level, Dim: "h"}
+		if numbered {
+			ref.Step = base + (H - s.Level) + 1
+		}
+		w.Sink.Append(ref)
 		out.Cycles += lat
 		out.SeqSteps++
 	}
 	if !full.OK {
 		return 0, false
 	}
-	if w.HostPWC != nil {
-		for i := 0; i+1 < len(full.Steps); i++ {
-			child := mem.AlignDownP(full.Steps[i+1].Addr, mem.PageBytes4K)
-			w.HostPWC.Insert(mem.VAddr(gpa), full.Steps[i].Level, child, w.ASID)
-		}
-	}
+	w.HostPWC.Refill(mem.VAddr(gpa), w.ASID, full.Steps)
 	if w.Nested != nil {
 		w.Nested.Insert(gpa, full.PA)
 	}
@@ -171,13 +163,6 @@ func (w *NestedWalker) resolveHost(gpa mem.PAddr, out *core.WalkOutcome, base, h
 // to verify Table 6.
 func (w *NestedWalker) DisableMMUCaches() {
 	w.GuestPWC, w.HostPWC, w.Nested = nil, nil, nil
-}
-
-func (w *NestedWalker) refillGuestPWC(gva mem.VAddr, steps []pagetable.Step) {
-	for i := 0; i+1 < len(steps); i++ {
-		child := mem.AlignDownP(steps[i+1].Addr, mem.PageBytes4K)
-		w.GuestPWC.Insert(gva, steps[i].Level, child, w.ASID)
-	}
 }
 
 var _ core.Walker = (*NestedWalker)(nil)

@@ -48,16 +48,42 @@ func newMachineCursor(vm *VM) machineCursor {
 	return mc
 }
 
-// resolve is VM.MachineAddr through the cursors.
-func (mc machineCursor) resolve(pa mem.PAddr) (mem.PAddr, bool) {
+// resolve is VM.MachineLeaf through the cursors.
+func (mc machineCursor) resolve(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
+	leaf := mem.Size1G
 	for i := range mc {
-		next, _, ok := mc[i].Lookup(mem.VAddr(pa))
+		next, size, ok := mc[i].Lookup(mem.VAddr(pa))
 		if !ok {
+			return 0, 0, false
+		}
+		pa, leaf = next, min(leaf, size)
+	}
+	return pa, leaf, true
+}
+
+// LeafResolver maps an address to its final translation target and the
+// smallest leaf size that maps it (VM.MachineLeaf).
+type LeafResolver func(mem.PAddr) (mem.PAddr, mem.PageSize, bool)
+
+// ContiguousMachine resolves the page of the given size at frame through
+// resolve and reports its machine base when the whole page is
+// machine-contiguous. A leaf at least as large as the page maps all of it,
+// so only a smaller one needs the per-4 KiB check.
+func ContiguousMachine(resolve LeafResolver, frame mem.PAddr, size mem.PageSize) (mem.PAddr, bool) {
+	base, leaf, ok := resolve(frame)
+	if !ok {
+		return 0, false
+	}
+	if leaf >= size {
+		return base, true
+	}
+	for off := uint64(mem.PageBytes4K); off < size.Bytes(); off += mem.PageBytes4K {
+		m, _, ok := resolve(frame + mem.PAddr(off))
+		if !ok || m != base+mem.PAddr(off) {
 			return 0, false
 		}
-		pa = next
 	}
-	return pa, true
+	return base, true
 }
 
 type shadowSource struct {
@@ -99,7 +125,7 @@ func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Tabl
 	cur := spt.Cursor()
 	for _, s := range srcs {
 		if s.size == mem.Size4K {
-			m, ok := mc.resolve(s.dst)
+			m, _, ok := mc.resolve(s.dst)
 			if !ok {
 				continue
 			}
@@ -111,7 +137,7 @@ func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Tabl
 		}
 		// Huge leaf: keep it huge only if the machine backing is
 		// contiguous and aligned.
-		if base, ok := contiguousMachine(s, mc); ok {
+		if base, ok := ContiguousMachine(mc.resolve, s.dst, s.size); ok && mem.IsAligned(uint64(base), s.size.Bytes()) {
 			if err := cur.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
 				return nil, err
 			}
@@ -119,7 +145,7 @@ func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Tabl
 			continue
 		}
 		for off := uint64(0); off < s.size.Bytes(); off += mem.PageBytes4K {
-			m, ok := mc.resolve(s.dst + mem.PAddr(off))
+			m, _, ok := mc.resolve(s.dst + mem.PAddr(off))
 			if !ok {
 				continue
 			}
@@ -130,18 +156,4 @@ func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Tabl
 		}
 	}
 	return spt, nil
-}
-
-func contiguousMachine(s shadowSource, mc machineCursor) (mem.PAddr, bool) {
-	base, ok := mc.resolve(s.dst)
-	if !ok || !mem.IsAligned(uint64(base), s.size.Bytes()) {
-		return 0, false
-	}
-	for off := uint64(mem.PageBytes4K); off < s.size.Bytes(); off += mem.PageBytes4K {
-		m, ok := mc.resolve(s.dst + mem.PAddr(off))
-		if !ok || m != base+mem.PAddr(off) {
-			return 0, false
-		}
-	}
-	return base, true
 }

@@ -181,6 +181,62 @@ func TestNestedWalkTHP(t *testing.T) {
 	}
 }
 
+// TestNestedWalkFromMatchesWalk resumes the 2D walk at the guest root on
+// every populated gVA of a 4K and a THP guest and checks it against Walk on
+// a twin walker: with no guest PWC the two differ only in Walk's one-cycle
+// guest-PWC probe and in the step numbers, which WalkFrom leaves at 0.
+func TestNestedWalkFromMatchesWalk(t *testing.T) {
+	for _, thp := range []bool{false, true} {
+		e := newVEnv(t, thp, false)
+		twin := func() *NestedWalker {
+			h, err := cache.NewHierarchy(cache.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newNested(e.guest.PT, e.vm.HostAS.PT, h, 1)
+			w.GuestPWC = nil
+			return w
+		}
+		full, from := twin(), twin()
+		root, ok := e.guest.PT.Pool().NodeAt(e.guest.PT.RootPA())
+		if !ok {
+			t.Fatal("guest root not in its pool")
+		}
+		pages := e.heap.PresentPages()
+		if len(pages) == 0 {
+			t.Fatal("no populated pages")
+		}
+		for _, p := range pages {
+			va := p.VA + 0x123
+			want, wantRefs := walk(full.Sink, full, va)
+			from.Sink.Reset()
+			var got core.WalkOutcome
+			from.WalkFrom(root, e.guest.PT.Levels(), va, &got)
+			gotRefs := from.Sink.Refs()
+			if !want.OK || got.Cycles+tlb.PWCLatency != want.Cycles {
+				t.Fatalf("thp=%v %#x: WalkFrom %d cycles, Walk %d (ok=%v), want one PWC probe apart", thp, uint64(va), got.Cycles, want.Cycles, want.OK)
+			}
+			got.Cycles = want.Cycles
+			if got != want {
+				t.Fatalf("thp=%v %#x: WalkFrom %+v, Walk %+v", thp, uint64(va), got, want)
+			}
+			if len(gotRefs) != len(wantRefs) {
+				t.Fatalf("thp=%v %#x: WalkFrom %d refs, Walk %d", thp, uint64(va), len(gotRefs), len(wantRefs))
+			}
+			for i, g := range gotRefs {
+				w := wantRefs[i]
+				if g.Step != 0 {
+					t.Fatalf("thp=%v %#x: WalkFrom ref %d numbered %d", thp, uint64(va), i, g.Step)
+				}
+				w.Step = 0
+				if g != w {
+					t.Fatalf("thp=%v %#x: ref %d WalkFrom %+v, Walk %+v", thp, uint64(va), i, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestShadowVAWalk(t *testing.T) {
 	e := newVEnv(t, false, false)
 	spt, err := BuildShadowVA(e.vm, e.guest)
@@ -475,19 +531,60 @@ func TestShadowBuildersMatchMachineAddr(t *testing.T) {
 	}
 }
 
+func TestContiguousMachineRequiresMachineContiguity(t *testing.T) {
+	identity := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) { return pa + 0x100000, mem.Size4K, true }
+	base, ok := ContiguousMachine(identity, 0x200000, mem.Size2M)
+	if !ok || base != 0x300000 {
+		t.Fatalf("contiguous resolve = (%#x, %v), want (0x300000, true)", base, ok)
+	}
+	scattered := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
+		if pa >= 0x200000+mem.PageBytes4K {
+			return pa + 0x40000000, mem.Size4K, true // second half backed elsewhere
+		}
+		return pa + 0x100000, mem.Size4K, true
+	}
+	if _, ok := ContiguousMachine(scattered, 0x200000, mem.Size2M); ok {
+		t.Fatal("non-contiguous machine backing reported contiguous")
+	}
+	if _, ok := ContiguousMachine(identity, 0x5000, mem.Size4K); !ok {
+		t.Fatal("4K page needs no contiguity beyond its own frame")
+	}
+}
+
+// A leaf as large as the guest page maps all of it, so ContiguousMachine
+// resolves the page once instead of once per 4 KiB piece.
+func TestContiguousMachineTrustsALargeLeaf(t *testing.T) {
+	for _, leaf := range []mem.PageSize{mem.Size2M, mem.Size1G} {
+		calls := 0
+		resolve := func(pa mem.PAddr) (mem.PAddr, mem.PageSize, bool) {
+			calls++
+			return pa + 0x40000000, leaf, true
+		}
+		base, ok := ContiguousMachine(resolve, 0x200000, mem.Size2M)
+		if !ok || base != 0x40200000 || calls != 1 {
+			t.Fatalf("%v leaf: resolve = (%#x, %v) in %d calls, want (0x40200000, true) in 1", leaf, base, ok, calls)
+		}
+	}
+}
+
 // TestMachineLeafIsSmallestLeaf checks MachineLeaf over all of L2's RAM,
-// with and without THP: it agrees with MachineAddr, reports the smaller of
-// the two host leaves on the way down, and the block of that size around
-// the address is machine-contiguous at its first and last 4 KiB page.
+// with and without THP: it agrees with MachineAddr and with the shadow
+// builders' machineCursor, reports the smaller of the two host leaves on
+// the way down, and the block of that size around the address is
+// machine-contiguous at its first and last 4 KiB page.
 func TestMachineLeafIsSmallestLeaf(t *testing.T) {
 	for _, thp := range []bool{false, true} {
 		n := newNestedEnv(t, thp)
+		mc := newMachineCursor(n.l2)
 		huge := 0
 		for gpa := mem.PAddr(0); gpa < mem.PAddr(n.l2.RAMVMA.Size()); gpa += mem.PageBytes4K {
 			ma, size, ok := n.l2.MachineLeaf(gpa)
 			want, wok := n.l2.MachineAddr(gpa)
 			if ok != wok || ma != want {
 				t.Fatalf("thp=%v: MachineLeaf(%#x) = %#x %v, MachineAddr %#x %v", thp, uint64(gpa), uint64(ma), ok, uint64(want), wok)
+			}
+			if cma, csize, cok := mc.resolve(gpa); cok != ok || (ok && (cma != ma || csize != size)) {
+				t.Fatalf("thp=%v: machineCursor(%#x) = %#x %v %v, MachineLeaf %#x %v %v", thp, uint64(gpa), uint64(cma), csize, cok, uint64(ma), size, ok)
 			}
 			if !ok {
 				continue
