@@ -57,12 +57,19 @@ func BuildMirror(vm *virt.VM, guest *kernel.AddressSpace) (*Mirror, error) {
 		return nil, err
 	}
 	m.root = root
-	for _, v := range guest.VMAs() {
-		for _, p := range v.PresentPages() {
-			if err := m.syncPath(guest, p.VA); err != nil {
-				return nil, err
-			}
+	// The switch-point entry covers a whole 2 MiB span, so only a span's
+	// first leaf can change the mirror: every later one finds its path
+	// and its switch point present.
+	span := ^mem.VAddr(0)
+	err = guest.ForEachLeaf(func(va mem.VAddr, _ mem.PAddr, _ mem.PageSize) error {
+		if s := mem.AlignDown(va, mem.PageBytes2M); s != span {
+			span = s
+			return m.syncPath(guest, va)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

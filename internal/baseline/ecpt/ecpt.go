@@ -80,6 +80,15 @@ func (e *entry) empty() bool {
 	return true
 }
 
+// swap exchanges e and o field by field: the PTE array moves in vector
+// registers, where a whole-element swap would copy 80 bytes three times
+// through memory.
+func (e *entry) swap(o *entry) {
+	e.group, o.group = o.group, e.group
+	e.ptes, o.ptes = o.ptes, e.ptes
+	e.valid, o.valid = o.valid, e.valid
+}
+
 // NewTable creates a cuckoo table for one page size with the given initial
 // element-slot count per way (rounded up to a full frame of elements).
 func NewTable(size mem.PageSize, slots int, alloc *phys.Allocator) (*Table, error) {
@@ -162,7 +171,7 @@ func (t *Table) Insert(vpn uint64, pte mem.PTE) error {
 	fresh := entry{group: group, valid: true}
 	fresh.ptes[vpn%GroupPages] = pte
 	for attempt := 0; attempt < 4; attempt++ {
-		if t.tryInsert(fresh, 32) {
+		if cur := fresh; t.tryInsert(&cur, 32) {
 			t.groups++
 			t.count++
 			return nil
@@ -174,21 +183,23 @@ func (t *Table) Insert(vpn uint64, pte mem.PTE) error {
 	return fmt.Errorf("ecpt: insertion failed for vpn %#x", vpn)
 }
 
-func (t *Table) tryInsert(cur entry, bound int) bool {
+// tryInsert places *cur cuckoo-style: each step swaps *cur with the
+// element in its slot of the next way, until *cur holds an empty slot's
+// element or bound steps have run. Elements move through the chunk
+// pointers, never as copies passed by value.
+func (t *Table) tryInsert(cur *entry, bound int) bool {
 	way := 0
 	for i := 0; i < bound; i++ {
-		slot := t.hash(cur.group, way)
-		victim := t.ways[way].Get(slot)
-		t.ways[way].Set(slot, cur)
-		if !victim.valid {
+		slot := t.ways[way].Mut(t.hash(cur.group, way))
+		slot.swap(cur)
+		if !cur.valid {
 			return true
 		}
-		cur = victim
 		way = (way + 1) % Ways
 	}
 	// The displaced element is stashed and re-inserted during the resize
 	// rehash.
-	t.pending = append(t.pending, cur)
+	t.pending = append(t.pending, *cur)
 	return false
 }
 
@@ -205,14 +216,22 @@ func (t *Table) resize() error {
 	moved := t.pending
 	t.pending = nil
 	for w := range old {
-		old[w].Range(func(_ int, e entry) {
-			if e.valid {
-				moved = append(moved, e)
+		for i := 0; i < oldSlots; {
+			span := old[w].Span(i, oldSlots-i)
+			if span == nil { // a chunk no insert ever wrote
+				i += mem.ChunkLen - i%mem.ChunkLen
+				continue
 			}
-		})
+			for j := range span {
+				if span[j].valid {
+					moved = append(moved, span[j])
+				}
+			}
+			i += len(span)
+		}
 	}
-	for _, e := range moved {
-		if !t.tryInsert(e, 64) {
+	for i := range moved {
+		if !t.tryInsert(&moved[i], 64) {
 			return fmt.Errorf("ecpt: rehash failed")
 		}
 	}

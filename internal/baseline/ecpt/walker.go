@@ -35,27 +35,17 @@ func NewSystem(alloc *phys.Allocator, sizes []mem.PageSize, initialSlots int) (*
 
 // Sync mirrors every present leaf mapping of as into the cuckoo tables.
 func (s *System) Sync(as *kernel.AddressSpace) error {
-	cur := as.PT.Cursor()
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			pa, size, ok := cur.Lookup(p.VA)
-			if !ok {
-				continue
-			}
-			t := s.tables[size]
-			if t == nil {
-				return fmt.Errorf("ecpt: no table for %v pages", size)
-			}
-			pte := mem.MakePTE(mem.AlignDownP(pa, size.Bytes()), mem.PTEWritable)
-			if size != mem.Size4K {
-				pte |= mem.PTEHuge
-			}
-			if err := t.Insert(mem.PageNumber(p.VA, size), pte); err != nil {
-				return err
-			}
+	return as.ForEachLeaf(func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
+		t := s.tables[size]
+		if t == nil {
+			return fmt.Errorf("ecpt: no table for %v pages", size)
 		}
-	}
-	return nil
+		pte := mem.MakePTE(frame, mem.PTEWritable)
+		if size != mem.Size4K {
+			pte |= mem.PTEHuge
+		}
+		return t.Insert(mem.PageNumber(va, size), pte)
+	})
 }
 
 // Table returns the table for one page size.

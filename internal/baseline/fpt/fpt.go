@@ -150,21 +150,7 @@ func (t *Table) leafMatch(va mem.VAddr) int {
 }
 
 // Sync mirrors every present leaf mapping of as.
-func (t *Table) Sync(as *kernel.AddressSpace) error {
-	cur := as.PT.Cursor()
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			pa, size, ok := cur.Lookup(p.VA)
-			if !ok {
-				continue
-			}
-			if err := t.Map(p.VA, mem.AlignDownP(pa, size.Bytes()), size); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (t *Table) Sync(as *kernel.AddressSpace) error { return as.ForEachLeaf(t.Map) }
 
 // FootprintBytes reports the table's physical footprint (root + leaves).
 func (t *Table) FootprintBytes() int {

@@ -157,29 +157,21 @@ func (s *Seg) Clone() *Seg {
 // machine-contiguous through it (restrictive placement); pages failing
 // either stay flexible. A nil resolve is the identity (native).
 func (s *Seg) Sync(as *kernel.AddressSpace, resolve virt.LeafResolver) error {
-	cur := as.PT.Cursor()
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			pa, size, ok := cur.Lookup(p.VA)
-			if !ok {
-				continue
-			}
-			frame := mem.AlignDownP(pa, size.Bytes())
-			if resolve != nil {
-				frame, ok = virt.ContiguousMachine(resolve, frame, size)
-				if !ok {
-					s.Flexible++
-					continue
-				}
-			}
-			if s.segFor(size).insert(p.VA, frame) {
-				s.Restrictive++
-			} else {
+	return as.ForEachLeaf(func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
+		if resolve != nil {
+			var ok bool
+			if frame, ok = virt.ContiguousMachine(resolve, frame, size); !ok {
 				s.Flexible++
+				return nil
 			}
 		}
-	}
-	return nil
+		if s.segFor(size).insert(va, frame) {
+			s.Restrictive++
+		} else {
+			s.Flexible++
+		}
+		return nil
+	})
 }
 
 func (s *Seg) segFor(size mem.PageSize) *restSeg {

@@ -72,6 +72,16 @@ func (r *rmapTable) set(pa mem.PAddr, va mem.VAddr, size mem.PageSize) {
 	r.frames.Set(pa, uint64(va)|(uint64(size)+1))
 }
 
+// setRun records pas[i] as backing the 4 KiB page va + i·4 KiB, as
+// len(pas) set calls would. A run is at most one leaf node's entries.
+func (r *rmapTable) setRun(pas []mem.PAddr, va mem.VAddr) {
+	var enc [mem.EntriesPerNode]uint64
+	for i := range pas {
+		enc[i] = uint64(va+mem.VAddr(i)<<mem.PageShift4K) | (uint64(mem.Size4K) + 1)
+	}
+	r.frames.SetRun(pas, enc[:len(pas)])
+}
+
 func (r *rmapTable) get(pa mem.PAddr) (mem.VAddr, mem.PageSize, bool) {
 	enc := r.frames.Get(pa)
 	if enc == 0 {
@@ -200,8 +210,9 @@ func (as *AddressSpace) MUnmap(v *VMA) error {
 	// Tear down translations while the TEA mapping is still live so
 	// TEA-resident node frames are recognized (OwnsNode) and freed with
 	// their TEA rather than individually.
-	v.forEachPresent(func(page mem.VAddr, size mem.PageSize) {
+	_ = v.forEachPresent(func(page mem.VAddr, _ mem.PageSize) error {
 		as.unmapPage(v, page)
+		return nil
 	})
 	if as.hooks != nil {
 		as.hooks.VMADeleted(v)
@@ -249,10 +260,11 @@ func (as *AddressSpace) Shrink(v *VMA, newEnd mem.VAddr) error {
 			}
 		}
 	}
-	v.forEachPresent(func(page mem.VAddr, size mem.PageSize) {
+	_ = v.forEachPresent(func(page mem.VAddr, _ mem.PageSize) error {
 		if page >= newEnd {
 			as.unmapPage(v, page)
 		}
+		return nil
 	})
 	oldStart, oldEnd := v.Start, v.End
 	v.End = newEnd
@@ -421,13 +433,15 @@ func (as *AddressSpace) Populate(v *VMA) error {
 	// re-resolves after it. Once the node exists, Touch would take the same
 	// steps for every page of a run: a live level-1 node rules out a THP,
 	// mapping into it allocates no node, and each page takes one movable
-	// frame and a written, accessed PTE. So a run costs one AllocFrames and
-	// one MapRun, and leaves the machine the per-page faults would.
+	// frame and a written, accessed PTE. So a run costs one AllocFrames, one
+	// MapRun and one write per chunk of page states and of the reverse map,
+	// and leaves the machine the per-page faults would. A mapped huge leaf
+	// is stepped over in one move.
 	var frames [mem.EntriesPerNode]mem.PAddr
 	cur := as.PT.Cursor()
 	for va := v.Start; va < v.End; {
-		if _, _, ok := cur.Lookup(va); ok {
-			va += mem.PageBytes4K
+		if _, size, ok := cur.Lookup(va); ok {
+			va = mem.AlignDown(va, size.Bytes()) + mem.VAddr(size.Bytes())
 			continue
 		}
 		if !cur.SpanMapped(va) { // no level-1 node: a huge leaf would have mapped va
@@ -441,14 +455,39 @@ func (as *AddressSpace) Populate(v *VMA) error {
 		run := frames[:cur.AbsentRun(va, v.End)]
 		n, err := as.Phys.AllocFrames(phys.KindMovable, run)
 		cur.MapRun(va, run[:n], mem.PTEWritable|mem.PTEAccessed|mem.PTEDirty)
-		for _, pa := range run[:n] {
-			v.setPresent(va, mem.Size4K, false)
-			as.rmap.set(pa, va, mem.Size4K)
-			va += mem.PageBytes4K
-		}
+		v.setPresentRun(va, n)
+		as.rmap.setRun(run[:n], va)
+		va += mem.VAddr(n) << mem.PageShift4K
 		as.Faults += uint64(n)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		}
+	}
+	return nil
+}
+
+// ForEachLeaf calls fn with the VA, frame and size of every present page,
+// VMA by VMA and in ascending address order within each, stopping at and
+// returning fn's first error. A page is one the VMA records as populated,
+// its size and frame are what the page table maps there (the frame aligned
+// down to the leaf), and a recorded page the table does not map is
+// skipped. It is one cursor sweep with no snapshot, so unlike PresentPages
+// it reads the space live: fn must not map or unmap anything in the space.
+// Data-frame migration by the space's allocator (a contiguous allocation
+// that relocates movable frames) is allowed: it changes no page's presence,
+// and the sweep reports the frame the table holds when it reaches a page.
+func (as *AddressSpace) ForEachLeaf(fn func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error) error {
+	cur := as.PT.Cursor()
+	for _, v := range as.vmas {
+		err := v.forEachPresent(func(va mem.VAddr, _ mem.PageSize) error {
+			pa, size, ok := cur.Lookup(va)
+			if !ok {
+				return nil
+			}
+			return fn(va, mem.AlignDownP(pa, size.Bytes()), size)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -35,6 +36,32 @@ func populatePerPage(as *kernel.AddressSpace, v *kernel.VMA) error {
 		}
 	}
 	return nil
+}
+
+// leaf is one present page as a design build reads it.
+type leaf struct {
+	VA    mem.VAddr
+	Frame mem.PAddr
+	Size  mem.PageSize
+}
+
+// leavesPerPage is the loop ForEachLeaf replaced in the design builds: a
+// PresentPages snapshot of each VMA, each page looked up through one
+// cursor and its frame aligned down to the leaf. It is the reference the
+// sweep must match exactly.
+func leavesPerPage(as *kernel.AddressSpace) []leaf {
+	var out []leaf
+	cur := as.PT.Cursor()
+	for _, v := range as.VMAs() {
+		for _, p := range v.PresentPages() {
+			pa, size, ok := cur.Lookup(p.VA)
+			if !ok {
+				continue
+			}
+			out = append(out, leaf{p.VA, mem.AlignDownP(pa, size.Bytes()), size})
+		}
+	}
+	return out
 }
 
 // populateCase is one machine state to populate. Every field feeds a
@@ -266,6 +293,10 @@ func FuzzPopulate(f *testing.F) {
 	f.Add(true, false, false, uint16(8192), uint16(300), uint16(1700), true, int64(1), uint8(10), uint8(2), uint8(50))
 	f.Add(true, true, true, uint16(2048), uint16(5), uint16(1536), false, int64(2), uint8(20), uint8(1), uint8(30))
 	f.Add(false, true, false, uint16(900), uint16(9), uint16(1024), true, int64(3), uint8(5), uint8(0), uint8(5))
+	// A VMA off a 2 MiB boundary: its runs cross page-state chunks.
+	f.Add(false, false, false, uint16(4096), uint16(300), uint16(1700), false, int64(4), uint8(30), uint8(0), uint8(20))
+	// Split THPs: the huge-leaf step meets 4 KiB neighbours.
+	f.Add(true, false, false, uint16(8192), uint16(0), uint16(2048), false, int64(3), uint8(0), uint8(3), uint8(200))
 	f.Fuzz(func(t *testing.T, thp, dmt, frag bool, frames, startPg, pages uint16, neighbor bool, seed int64, touches, splits, unmaps uint8) {
 		checkPopulate(t, populateCase{
 			THP: thp, DMT: dmt, Fragment: frag,
@@ -276,4 +307,106 @@ func FuzzPopulate(f *testing.F) {
 			Touches: int(touches), Splits: int(splits) % 4, Unmaps: int(unmaps),
 		})
 	})
+}
+
+func sweepLeaves(t *testing.T, as *kernel.AddressSpace) []leaf {
+	t.Helper()
+	var out []leaf
+	err := as.ForEachLeaf(func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
+		out = append(out, leaf{va, frame, size})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// mapResidents replaces every 97th 4 KiB page of v with a caller-owned
+// frame, as the hypervisor maps gTEA pages into a guest.
+func mapResidents(t *testing.T, e *populateEnv, v *kernel.VMA) int {
+	t.Helper()
+	n := 0
+	for va := v.Start; va < v.End; va += 97 * mem.PageBytes4K {
+		if size, ok := v.PresentSize(va); !ok || size != mem.Size4K {
+			continue
+		}
+		foreign, err := e.pa.AllocFrame(phys.KindUnmovable)
+		if err != nil {
+			break
+		}
+		if err := e.as.MapResident(v, va, foreign, mem.Size4K); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	return n
+}
+
+func TestForEachLeafMatchesPresentPages(t *testing.T) {
+	cases := map[string]populateCase{
+		"4k":             {Frames: 4096, StartPg: 7, Pages: 1100, Seed: 1, Touches: 100},
+		"thp-split":      {THP: true, Frames: 8192, Pages: 2048, Seed: 3, Splits: 3, Unmaps: 200},
+		"unmapped-holes": {Frames: 4096, Pages: 1200, Seed: 2, Touches: 40, Unmaps: 300},
+		"neighbor-span":  {THP: true, Frames: 8192, StartPg: 200, Pages: 1000, Neighbor: true},
+		"dmt-thp-split":  {DMT: true, THP: true, Frames: 16384, Pages: 2048, Seed: 5, Splits: 2, Unmaps: 100},
+		"resident":       {Frames: 8192, StartPg: 300, Pages: 1700, Seed: 6, Unmaps: 50},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := buildPopulateCase(t, c)
+			v := e.vmas[len(e.vmas)-1]
+			check := func(when string) {
+				got, want := sweepLeaves(t, e.as), leavesPerPage(e.as)
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Fatalf("%s: leaf %d is %+v, the PresentPages loop gives %+v", when, i, got[i], want[i])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: ForEachLeaf gave %d leaves, the PresentPages loop %d", when, len(got), len(want))
+				}
+			}
+			check("before Populate")
+			if err := e.as.Populate(v); err != nil {
+				t.Fatal(err)
+			}
+			check("after Populate")
+			if name == "resident" {
+				if mapResidents(t, e, v) == 0 {
+					t.Fatal("no resident page mapped")
+				}
+				check("with resident pages")
+			}
+			if err := e.as.UnmapPage(v, v.Start+37*mem.PageBytes4K); err != nil {
+				t.Fatal(err)
+			}
+			check("after an unmap")
+		})
+	}
+}
+
+func TestForEachLeafStopsAtFirstError(t *testing.T) {
+	e := buildPopulateCase(t, populateCase{THP: true, Frames: 8192, StartPg: 200, Pages: 1000, Neighbor: true})
+	if err := e.as.Populate(e.vmas[1]); err != nil {
+		t.Fatal(err)
+	}
+	want := leavesPerPage(e.as)
+	errStop := errors.New("stop")
+	for _, k := range []int{0, 1, len(want) / 2, len(want) - 1} {
+		var got []leaf
+		err := e.as.ForEachLeaf(func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
+			got = append(got, leaf{va, frame, size})
+			if len(got) == k+1 {
+				return errStop
+			}
+			return nil
+		})
+		if err != errStop {
+			t.Fatalf("stop at leaf %d: ForEachLeaf returned %v, want %v", k, err, errStop)
+		}
+		if !reflect.DeepEqual(got, want[:k+1]) {
+			t.Fatalf("stop at leaf %d: fn saw %d leaves, want the first %d", k, len(got), k+1)
+		}
+	}
 }

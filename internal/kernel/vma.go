@@ -111,6 +111,21 @@ func (v *VMA) setPresent(base mem.VAddr, size mem.PageSize, resident bool) {
 	*slot = s
 }
 
+// setPresentRun records n populated 4 KiB pages from base, as n
+// setPresent(…, mem.Size4K, false) calls would, one chunk span at a time.
+func (v *VMA) setPresentRun(base mem.VAddr, n int) {
+	for i := v.pageIndex(base); n > 0; {
+		span := v.state.MutSpan(i, n)
+		for j, s := range span {
+			if s == pageAbsent {
+				v.populated++
+			}
+			span[j] = pageState(mem.Size4K) + 1
+		}
+		i, n = i+len(span), n-len(span)
+	}
+}
+
 // clearPresent removes the record of a populated leaf.
 func (v *VMA) clearPresent(base mem.VAddr) {
 	if base < v.Start || base >= v.End {
@@ -122,9 +137,10 @@ func (v *VMA) clearPresent(base mem.VAddr) {
 	}
 }
 
-// forEachPresent visits every populated page in ascending address order.
-// The callback may unmap the page it is handed (but no other).
-func (v *VMA) forEachPresent(fn func(base mem.VAddr, size mem.PageSize)) {
+// forEachPresent visits every populated page in ascending address order,
+// stopping at and returning fn's first error. The callback may unmap the
+// page it is handed (but no other).
+func (v *VMA) forEachPresent(fn func(base mem.VAddr, size mem.PageSize) error) error {
 	for i, n := 0, v.Pages(); i < n; {
 		span := v.state.Span(i, n-i)
 		if span == nil { // a chunk no fault ever wrote
@@ -133,11 +149,14 @@ func (v *VMA) forEachPresent(fn func(base mem.VAddr, size mem.PageSize)) {
 		}
 		for j, s := range span {
 			if s &^= pageResident; s != pageAbsent {
-				fn(v.Start+mem.VAddr(i+j)<<mem.PageShift4K, mem.PageSize(s-1))
+				if err := fn(v.Start+mem.VAddr(i+j)<<mem.PageShift4K, mem.PageSize(s-1)); err != nil {
+					return err
+				}
 			}
 		}
 		i += len(span)
 	}
+	return nil
 }
 
 // PresentSize returns the leaf size mapped at the (page-aligned) address,
@@ -168,12 +187,14 @@ type PresentPage struct {
 	Size mem.PageSize
 }
 
-// PresentPages returns the populated pages sorted by address (deterministic
-// iteration for consumers like the shadow-table builder).
+// PresentPages returns a snapshot of the populated pages sorted by
+// address, for callers that pick among them or change the space while they
+// iterate. Builds that only read leaves use AddressSpace.ForEachLeaf.
 func (v *VMA) PresentPages() []PresentPage {
 	out := make([]PresentPage, 0, v.populated)
-	v.forEachPresent(func(base mem.VAddr, size mem.PageSize) {
+	_ = v.forEachPresent(func(base mem.VAddr, size mem.PageSize) error {
 		out = append(out, PresentPage{VA: base, Size: size})
+		return nil
 	})
 	return out
 }

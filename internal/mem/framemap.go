@@ -60,6 +60,37 @@ func (m *FrameMap[V]) Set(pa PAddr, v V) {
 	*slot = v
 }
 
+// SetRun stores vals[i] for the frame containing pas[i], leaving m as
+// len(pas) Set calls in order would. Each stretch of consecutive frames
+// inside one chunk is written through one span, so a run of frames from a
+// bulk allocation costs one chunk lookup per 2 MiB instead of one per frame.
+func (m *FrameMap[V]) SetRun(pas []PAddr, vals []V) {
+	var zero V
+	for i := 0; i < len(pas); {
+		f := uint64(pas[i]) >> PageShift4K
+		if f >= frameMapDense {
+			m.Set(pas[i], vals[i])
+			i++
+			continue
+		}
+		n, limit := 1, min(len(pas)-i, ChunkLen-int(f&chunkMask))
+		for n < limit && uint64(pas[i+n])>>PageShift4K == f+uint64(n) {
+			n++
+		}
+		span := m.dense.MutSpan(int(f), n)
+		for j, v := range vals[i : i+n] {
+			switch {
+			case span[j] == zero && v != zero:
+				m.n++
+			case span[j] != zero && v == zero:
+				m.n--
+			}
+			span[j] = v
+		}
+		i += n
+	}
+}
+
 // Delete removes the frame containing pa. An emptied chunk stays
 // allocated, so frames freed and reused in place never reallocate it.
 func (m *FrameMap[V]) Delete(pa PAddr) {

@@ -17,14 +17,14 @@ import (
 // guest-physical range is machine-contiguous and aligned; otherwise the
 // leaf is splintered into base pages, as real shadow paging must.
 func BuildShadowVA(vm *VM, guestAS *kernel.AddressSpace) (*pagetable.Table, error) {
-	return buildShadow(vm, shadowSources(guestAS), newMachineCursor(vm))
+	return buildShadow(vm, guestAS, newMachineCursor(vm))
 }
 
 // BuildNestedShadow constructs the compressed shadow table of nested
 // virtualization (Figure 3): L2PA → L0PA, combining the L1 table
 // (L2PA→L1PA) with the L0 table (L1PA→L0PA). vm must be an L2 VM.
 func BuildNestedShadow(vm *VM) (*pagetable.Table, error) {
-	return buildShadow(vm, shadowSources(vm.HostAS), newMachineCursor(vm.Parent))
+	return buildShadow(vm, vm.HostAS, newMachineCursor(vm.Parent))
 }
 
 // machineCursor is VM.MachineAddr through one pagetable.Cursor per host
@@ -86,30 +86,9 @@ func ContiguousMachine(resolve LeafResolver, frame mem.PAddr, size mem.PageSize)
 	return base, true
 }
 
-type shadowSource struct {
-	va   mem.VAddr
-	size mem.PageSize
-	dst  mem.PAddr // next-level physical address
-}
-
-func shadowSources(as *kernel.AddressSpace) []shadowSource {
-	n := 0
-	for _, v := range as.VMAs() {
-		n += v.PopulatedPages()
-	}
-	srcs := make([]shadowSource, 0, n)
-	cur := as.PT.Cursor()
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			if dst, size, ok := cur.Lookup(p.VA); ok {
-				srcs = append(srcs, shadowSource{va: p.VA, size: size, dst: mem.AlignDownP(dst, size.Bytes())})
-			}
-		}
-	}
-	return srcs
-}
-
-func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Table, error) {
+// buildShadow composes src's leaves with the machine translation mc into a
+// fresh shadow table allocated from the machine.
+func buildShadow(vm *VM, src *kernel.AddressSpace, mc machineCursor) (*pagetable.Table, error) {
 	machine := vm.Hyp.MachinePhys
 	pool := pagetable.NewPool()
 	spt, err := pagetable.New(pool, mem.Levels4,
@@ -120,40 +99,41 @@ func buildShadow(vm *VM, srcs []shadowSource, mc machineCursor) (*pagetable.Tabl
 	if err != nil {
 		return nil, err
 	}
-	// Sources come in ascending VA order, so the cursor maps a span's
-	// base pages with one walk.
+	// Leaves come in ascending VA order, so the cursor maps a span's base
+	// pages with one walk. The sweep over src is live: the fill maps only
+	// into the shadow table and takes only page-table frames from the
+	// machine, which relocates nothing in src.
 	cur := spt.Cursor()
-	for _, s := range srcs {
-		if s.size == mem.Size4K {
-			m, _, ok := mc.resolve(s.dst)
-			if !ok {
-				continue
+	sync := func(va mem.VAddr, m mem.PAddr, size mem.PageSize) error {
+		if err := cur.Map(va, m, size, mem.PTEWritable); err != nil {
+			return err
+		}
+		vm.Hyp.ShadowSyncs++
+		return nil
+	}
+	err = src.ForEachLeaf(func(va mem.VAddr, dst mem.PAddr, size mem.PageSize) error {
+		if size == mem.Size4K {
+			if m, _, ok := mc.resolve(dst); ok {
+				return sync(va, mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K)
 			}
-			if err := cur.Map(s.va, mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
-				return nil, err
-			}
-			vm.Hyp.ShadowSyncs++
-			continue
+			return nil
 		}
 		// Huge leaf: keep it huge only if the machine backing is
 		// contiguous and aligned.
-		if base, ok := ContiguousMachine(mc.resolve, s.dst, s.size); ok && mem.IsAligned(uint64(base), s.size.Bytes()) {
-			if err := cur.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
-				return nil, err
-			}
-			vm.Hyp.ShadowSyncs++
-			continue
+		if base, ok := ContiguousMachine(mc.resolve, dst, size); ok && mem.IsAligned(uint64(base), size.Bytes()) {
+			return sync(va, base, size)
 		}
-		for off := uint64(0); off < s.size.Bytes(); off += mem.PageBytes4K {
-			m, _, ok := mc.resolve(s.dst + mem.PAddr(off))
-			if !ok {
-				continue
+		for off := uint64(0); off < size.Bytes(); off += mem.PageBytes4K {
+			if m, _, ok := mc.resolve(dst + mem.PAddr(off)); ok {
+				if err := sync(va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K); err != nil {
+					return err
+				}
 			}
-			if err := cur.Map(s.va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
-				return nil, err
-			}
-			vm.Hyp.ShadowSyncs++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return spt, nil
 }
